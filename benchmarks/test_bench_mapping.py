@@ -9,15 +9,13 @@ and must return the bit-identical best :class:`StageMap` — the speedup is
 pure accounting, not search drift.  The companion measurement times the
 vectorized numpy group-by traffic extraction against its scalar oracle.
 
-Results land in ``BENCH_mapping.json`` at the repo root so the perf
-trajectory stays tracked in-tree.
+The timings are printed, not recorded: perfbench's ``core.anneal_mapping.s``
+and ``core.traffic.messages.s`` metrics track the production paths.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.core.accelerator import ReGraphX
 from repro.core.config import ReGraphXConfig
@@ -28,8 +26,6 @@ from repro.core.mapping import (
     default_sa_iterations,
 )
 from repro.core.traffic import GNNTrafficModel
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_mapping.json"
 
 CONFIG = ReGraphXConfig()  # the paper's 8x8x3 design point
 
@@ -44,18 +40,6 @@ def _timed(fn, *args, **kwargs) -> float:
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_mapping.json (atomic enough for CI)."""
-    data: dict = {}
-    if BENCH_PATH.is_file():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_incremental_annealer_speedup(benchmark):
@@ -95,16 +79,6 @@ def test_incremental_annealer_speedup(benchmark):
         f"{t_incremental * 1e3:.1f} ms, full {t_full * 1e3:.1f} ms "
         f"-> {speedup:.0f}x speedup"
     )
-    _record(
-        "annealer",
-        {
-            "mesh": "8x8x3",
-            "iterations": iterations,
-            "incremental_seconds": round(t_incremental, 4),
-            "full_seconds": round(t_full, 4),
-            "speedup": round(speedup, 1),
-        },
-    )
     assert speedup >= 10.0
 
 
@@ -134,16 +108,6 @@ def test_traffic_extraction_speedup(benchmark):
     print(
         f"\n{len(loop)} messages: vectorized {t_vectorized * 1e3:.1f} ms, "
         f"loop {t_loop * 1e3:.1f} ms -> {speedup:.1f}x speedup"
-    )
-    _record(
-        "traffic",
-        {
-            "dataset": "ppi@0.05",
-            "messages": len(loop),
-            "vectorized_seconds": round(t_vectorized, 4),
-            "loop_seconds": round(t_loop, 4),
-            "speedup": round(speedup, 1),
-        },
     )
     assert speedup >= 2.0
 

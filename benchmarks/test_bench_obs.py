@@ -10,16 +10,13 @@ Two promises keep the observability layer honest:
   store-everything oracle on a million-sample stream while holding a
   constant few dozen floats.
 
-Results land in ``BENCH_obs.json`` at the repo root so the perf
-trajectory stays tracked in-tree.
+The timings are printed, not recorded.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import time
-from pathlib import Path
 
 from repro.obs import MemoryTraceRecorder, NullRecorder, make_sketch
 from repro.serve.scenario import (
@@ -27,8 +24,6 @@ from repro.serve.scenario import (
     _service_for,
     simulate_serving_scenario,
 )
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_obs.json"
 
 SCENARIO = ServingScenario(
     arrival="mmpp",
@@ -47,18 +42,6 @@ def _timed(fn, *args, **kwargs) -> float:
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_obs.json (atomic enough for CI)."""
-    data: dict = {}
-    if BENCH_PATH.is_file():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _lognormal(n: int, seed: int = 7) -> list[float]:
@@ -91,15 +74,6 @@ def test_null_recorder_overhead(benchmark):
         f"\nuntraced {t_plain * 1e3:.1f} ms, NullRecorder "
         f"{t_null * 1e3:.1f} ms -> {ratio:.3f}x"
     )
-    _record(
-        "null_recorder",
-        {
-            "scenario": SCENARIO.display_label,
-            "plain_seconds": round(t_plain, 4),
-            "null_recorder_seconds": round(t_null, 4),
-            "overhead_ratio": round(ratio, 3),
-        },
-    )
     assert ratio <= 1.10
 
 
@@ -128,18 +102,6 @@ def test_p2_accuracy_at_scale(benchmark):
         f"({n / t_stream / 1e3:.0f}k adds/s): "
         + "  ".join(f"p{q:g} err {e:.4%}" for q, e in errors.items())
         + f"  state {sketch.state_size} vs {oracle.state_size} floats"
-    )
-    _record(
-        "p2_accuracy",
-        {
-            "samples": n,
-            "adds_per_second": round(n / t_stream),
-            "p50_rel_error": round(errors[50.0], 6),
-            "p95_rel_error": round(errors[95.0], 6),
-            "p99_rel_error": round(errors[99.0], 6),
-            "p2_state_floats": sketch.state_size,
-            "exact_state_floats": oracle.state_size,
-        },
     )
     assert errors[99.0] <= 0.02
     assert sketch.state_size == state_before  # constant through 10^6 adds

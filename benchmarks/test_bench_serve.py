@@ -6,30 +6,26 @@ honest:
 
 * **The default path pays nothing.**  A homogeneous ``default`` fleet
   behind the shared queue is the pre-refactor engine bit for bit (the
-  regression suite pins that); this benchmark pins its *speed* — the
-  event rate at 10^5 requests is recorded so the trajectory stays
-  tracked in-tree.
+  regression suite pins that); this benchmark measures its *speed* — the
+  event rate at 10^5 requests.
 * **Typed fleets are cheap.**  Per-type billing is accrued lazily on
   occupancy transitions rather than per event, so a heterogeneous fleet
   with size-affinity routing may cost at most 1.25x the homogeneous
   wall time on the same 10^5-request workload (measured best-of-3 both
   ways).
 
-Results land in ``BENCH_serve.json`` at the repo root.
+The timings are printed, not recorded: perfbench's ``serve-steady`` and
+``serve-chaos`` workloads track the engine's host time.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.serve.scenario import ServingScenario, simulate_serving_scenario
 from repro.serve.service import LinearServiceModel
-
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_serve.json"
 
 #: 10^5 requests through a 4-instance fleet.  The analytic service model
 #: keeps the run compute-bound on the event loop itself (no accelerator
@@ -57,18 +53,6 @@ def _timed(fn, *args, **kwargs) -> float:
     t0 = time.perf_counter()
     fn(*args, **kwargs)
     return time.perf_counter() - t0
-
-
-def _record(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_serve.json (atomic enough for CI)."""
-    data: dict = {}
-    if BENCH_PATH.is_file():
-        try:
-            data = json.loads(BENCH_PATH.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[section] = payload
-    BENCH_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def test_typed_fleet_event_rate(benchmark):
@@ -102,20 +86,6 @@ def test_typed_fleet_event_rate(benchmark):
     print(
         f"\nhom {t_hom:.2f} s ({hom_rate / 1e3:.0f}k req/s), "
         f"het {t_het:.2f} s ({het_rate / 1e3:.0f}k req/s) -> {ratio:.3f}x"
-    )
-    _record(
-        "typed_fleet_event_rate",
-        {
-            "requests": hom_report.offered,
-            "hom_fleet": f"default:{HOM.instances}",
-            "het_fleet": HET.fleet,
-            "routing": HET.routing,
-            "hom_seconds": round(t_hom, 4),
-            "het_seconds": round(t_het, 4),
-            "hom_requests_per_second": round(hom_rate),
-            "het_requests_per_second": round(het_rate),
-            "overhead_ratio": round(ratio, 3),
-        },
     )
     assert ratio <= 1.25
 

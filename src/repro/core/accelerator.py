@@ -183,7 +183,6 @@ class ReGraphX:
         use_sa: bool = True,
         sa_iterations: int | None = None,
         seed: int = 0,
-        cost_mode: str = "incremental",
         restarts: int = 1,
         jobs: int = 1,
     ) -> StageMap:
@@ -209,7 +208,6 @@ class ReGraphX:
             leg_volumes=traffic.leg_volumes(),
             iterations=sa_iterations,
             seed=seed,
-            cost_mode=cost_mode,
             restarts=restarts,
             jobs=jobs,
         )

@@ -94,7 +94,7 @@ from repro.serve.faults import (
     coerce_faults,
 )
 from repro.serve.engine import (
-    ReplicaPool,
+    RunCounters,
     ServingEngine,
     ServingReport,
     TenantReport,
@@ -103,6 +103,7 @@ from repro.serve.fleet import (
     INSTANCE_TYPES,
     FleetSpec,
     InstanceType,
+    ReplicaPool,
     TypedReplicaPool,
     TypeUsage,
     coerce_fleet,
@@ -180,6 +181,7 @@ __all__ = [
     "TargetUtilizationAutoscaler",
     "make_autoscaler",
     "ReplicaPool",
+    "RunCounters",
     "ServingEngine",
     "ServingReport",
     "TenantReport",

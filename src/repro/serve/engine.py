@@ -2,17 +2,21 @@
 
 Same priority-queue idiom as the NoC event engine
 (:mod:`repro.noc.events`): a heap of timestamped events, cost scaling
-with the number of requests rather than with elapsed time.  Nine event
-kinds:
+with the number of requests rather than with elapsed time.
+:meth:`ServingEngine.run` pops one event at a time, advances the run's
+time integrals, and calls the one handler its kind indexes in a
+nine-entry table:
 
 * ``DEPART`` — a replica finishes a batch: record per-request latencies,
   free (or retire) the instance, re-check the queue (and, closed-loop,
-  owe each finished client its next request).
+  owe each finished client its next request).  The departure of a batch
+  whose instance crashed mid-service is stale and does nothing.
 * ``WARMED`` — a scaled-out instance finished its warm-up delay and joins
   the serving pool.
 * ``ARRIVE`` — a request reaches the admission controller; if admitted it
-  is routed to a scheduler queue (and arms its max-wait deadline),
-  otherwise it is shed on the spot or tarpitted and retried later.
+  is enqueued (routed to a scheduler queue, its max-wait deadline
+  armed), otherwise it is shed on the spot or tarpitted and retried
+  later.
 * ``TIMEOUT`` — a queued request's deadline passed: dispatch whatever is
   waiting if a replica is free.
 * ``AUTOSCALE`` — the autoscaler's evaluation tick: the policy sees a
@@ -24,12 +28,22 @@ kinds:
   (:mod:`repro.serve.faults`).
 * ``RECOVER`` — a crashed instance's repair completes: a replacement is
   provisioned in its slice and pays the normal warm-up.
-* ``RETRY`` — a failed request's backoff elapsed: it re-routes like a
-  fresh arrival (skipping admission — it was already admitted once) and
-  so lands on a healthy target (:mod:`repro.serve.retry`).
+* ``RETRY`` — a failed request's backoff elapsed: it is enqueued again
+  (skipping admission — it was already admitted once) and so lands on a
+  healthy target (:mod:`repro.serve.retry`).
 * ``HEDGE`` — a request still unfinished ``hedge_seconds`` after its
   enqueue is duplicated onto the least-loaded healthy queue; whichever
   copy departs first wins and the loser cancels at its own departure.
+
+Arrivals, retries and hedged duplicates share one ``enqueue`` path.
+Every number the handlers accumulate lives in one :class:`RunCounters`.
+A new counter is one field declared there (with its registry name in
+the field metadata when it should be exported) plus the line in a
+handler that increments it: :class:`ServingReport` extends
+:class:`RunCounters` and so carries it, the
+:class:`~repro.obs.metrics.MetricRegistry` export walks the
+declarations, and :meth:`~repro.serve.scenario.ServingRecord.from_report`
+copies every field the record declares under the same name.
 
 Events at the same instant process departures first (a freed replica can
 serve a batch formed in the same instant), then warm-ups, arrivals, and
@@ -81,10 +95,11 @@ it always did.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Sequence
+import itertools
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping, Sequence
 
-from repro.noc.stats import LatencySummary, summarize_latencies
+from repro.noc.stats import LatencySummary
 from repro.obs.metrics import MetricRegistry, Sampler
 from repro.obs.sketch import SKETCH_BACKENDS, make_sketch
 from repro.obs.slo import BurnRateTracker, SloBurnReport
@@ -109,7 +124,11 @@ from repro.obs.trace import (
     SPAN_TARPIT,
     TraceRecorder,
 )
-from repro.serve.admission import AdmissionController, AdmissionStats
+from repro.serve.admission import (
+    AdmissionController,
+    AdmissionDecision,
+    AdmissionStats,
+)
 from repro.serve.arrivals import ClosedLoopPool, Request
 from repro.serve.autoscale import (
     AutoscalerPolicy,
@@ -118,37 +137,117 @@ from repro.serve.autoscale import (
     ScalingEvent,
 )
 from repro.serve.faults import FaultInjector, FaultSpec, coerce_faults
-from repro.serve.fleet import (
-    FleetSpec,
-    ReplicaPool,
-    TypedReplicaPool,
-    TypeUsage,
-    coerce_fleet,
-)
+from repro.serve.fleet import FleetSpec, TypedReplicaPool, TypeUsage, coerce_fleet
 from repro.serve.retry import RetryPolicy, make_retry_policy
 from repro.serve.routing import ROUTING_POLICIES, make_routing
 from repro.serve.scheduler import BatchingScheduler, SchedulerGroup
 from repro.serve.service import ServiceModel
 
 __all__ = [
-    "ReplicaPool",  # moved to repro.serve.fleet; re-exported for compat
+    "RunCounters",
     "ServingEngine",
     "ServingReport",
     "TenantReport",
 ]
 
+# Event kinds, in same-instant processing order; each indexes its
+# handler in ``ServingEngine.run``.  Reliability kinds resolve after the
+# autoscaler has observed the settled state at the same instant; new
+# kinds append (same-instant ordering of the original five is pinned by
+# the serving regression baseline).
 _DEPART = 0
 _WARMED = 1
 _ARRIVE = 2
 _TIMEOUT = 3
 _AUTOSCALE = 4
-# Reliability kinds resolve after the autoscaler has observed the settled
-# state at the same instant; new kinds append (same-instant ordering of
-# the original five is pinned by the serving regression baseline).
 _FAULT = 5
 _RECOVER = 6
 _RETRY = 7
 _HEDGE = 8
+
+
+def _metric(
+    name: str, kind: str = "counter", gate: str = "", default: float = 0
+) -> Any:
+    """A run tally exported to the metric registry as ``name``.
+
+    ``gate`` names the machinery that must be armed for the export
+    (``"reliability"``, ``"admission"`` or ``"typed"``); empty exports
+    it on every run.
+    """
+    return field(
+        default=default, metadata={"metric": name, "kind": kind, "gate": gate}
+    )
+
+
+@dataclass(slots=True)
+class RunCounters:
+    """Every number one serving run accumulates, declared once.
+
+    The event handlers of :meth:`ServingEngine.run` update these fields
+    and keep no other per-run tallies.  A field whose metadata names a
+    ``metric`` is exported to an attached registry under that name, in
+    declaration order (the order the registry has always listed them);
+    its ``gate`` limits the export to runs where that machinery was
+    armed.  :class:`ServingReport` extends this class, so the report
+    carries every field, and
+    :meth:`~repro.serve.scenario.ServingRecord.from_report` copies the
+    fields the record shares by name.
+    """
+
+    # Reliability: exported only when faults, retries or hedging are armed.
+    failed: int = _metric("requests_failed", gate="reliability")
+    retries: int = _metric("requests_retried", gate="reliability")
+    crashes: int = _metric("instances_crashed", gate="reliability")
+    recoveries: int = _metric("instances_recovered", gate="reliability")
+    hedges_fired: int = _metric("hedges_fired", gate="reliability")
+    hedges_cancelled: int = _metric("hedges_cancelled", gate="reliability")
+    # Request flow.
+    offered: int = _metric("requests_offered")
+    arrived: int = _metric("arrival_events")
+    completed: int = _metric("requests_completed")
+    batches: int = _metric("batches_dispatched")
+    slo_violations: int = _metric("slo_violations")
+    admitted: int = _metric("admission_admitted", gate="admission")
+    shed: int = _metric("admission_shed", gate="admission")
+    tarpitted: int = _metric("admission_tarpitted", gate="admission")
+    # Peaks and totals.  The billed and busy instance-seconds stop at the
+    # makespan (the last departure): later ticks or faults never bill.
+    peak_queue_depth: int = _metric("peak_queue_depth", "gauge")
+    peak_instances: int = _metric("peak_instances", "gauge")
+    final_instances: int = _metric("final_instances", "gauge")
+    instance_seconds: float = _metric("instance_seconds", "gauge", default=0.0)
+    makespan_seconds: float = _metric("makespan_seconds", "gauge", default=0.0)
+    cost_dollars: float = _metric("cost_dollars", "gauge", "typed", 0.0)
+    busy_seconds: float = 0.0
+    min_instances: int = 0
+    slowdowns: int = 0
+    zone_outages: int = 0
+    shed_by_reason: dict[str, int] = field(default_factory=dict)
+    per_tenant_shed: dict[str, int] = field(default_factory=dict)
+    scaling: list[ScalingEvent] = field(default_factory=list)
+    # Running state of the event loop (the report keeps the final
+    # values): the queue and the occupancy integrals up to ``last_time``,
+    # and the integrals at the last autoscaler tick.
+    queue_depth: int = 0
+    depth_integral: float = 0.0
+    busy_integral: float = 0.0
+    pool_integral: float = 0.0
+    last_time: float = 0.0
+    tick_busy: float = 0.0
+    tick_pool: float = 0.0
+
+    def export(self, registry: MetricRegistry, armed: Mapping[str, bool]) -> None:
+        """Write every declared metric whose gate is open to ``registry``."""
+        for f in fields(self):
+            meta = f.metadata
+            if "metric" not in meta or (meta["gate"] and not armed[meta["gate"]]):
+                continue
+            value = getattr(self, f.name)
+            if meta["kind"] == "gauge":
+                registry.gauge(meta["metric"]).set(value)
+            else:
+                registry.counter(meta["metric"]).inc(value)
 
 
 @dataclass(frozen=True)
@@ -162,55 +261,42 @@ class TenantReport:
     slo_violation_rate: float
 
 
-@dataclass(frozen=True)
-class ServingReport:
+@dataclass(kw_only=True)
+class ServingReport(RunCounters):
     """Everything one serving simulation measured.
 
-    ``instances`` is the initial fleet; with an autoscaler attached the
-    fleet varies over time and ``instance_seconds`` (billed capacity
-    integrated over the serving window) plus the ``autoscale`` trajectory
-    tell the full story.  ``admission`` is ``None`` unless an admission
-    controller gated the run.  ``cost_dollars`` prices the billed
-    capacity by each type's ``cost_per_second`` (for the homogeneous
-    default fleet it equals ``instance_seconds`` at $1/s); ``per_type``
-    breaks usage down by instance type and is empty for the homogeneous
-    default fleet.
+    The report is the run's final :class:`RunCounters` — every counter
+    is a field (``report.completed``, ``report.batches``,
+    ``report.crashes``, ``report.makespan_seconds``, ...) — plus the
+    analytics derived from them.  ``instances`` is the initial fleet;
+    with an autoscaler attached the fleet varies over time and
+    ``instance_seconds`` (billed capacity integrated over the serving
+    window) plus the ``autoscale`` trajectory tell the full story.
+    ``admission`` is ``None`` unless an admission controller gated the
+    run.  ``cost_dollars`` prices the billed capacity by each type's
+    ``cost_per_second`` (for the homogeneous default fleet it equals
+    ``instance_seconds`` at $1/s); ``per_type`` breaks usage down by
+    instance type and is empty for the homogeneous default fleet.
     """
 
     horizon_seconds: float
-    makespan_seconds: float
     instances: int
     slo_seconds: float
-    offered: int
-    completed: int
-    batches: int
     throughput_qps: float
     utilization: float
     mean_batch_size: float
     mean_queue_depth: float
-    peak_queue_depth: int
     latency: LatencySummary
     slo_violation_rate: float
     tenants: dict[str, TenantReport]
-    instance_seconds: float = 0.0
-    peak_instances: int = 0
     autoscale: AutoscaleStats | None = None
     admission: AdmissionStats | None = None
     burn: SloBurnReport | None = None
     fleet: str = ""
     routing: str = "shared_queue"
-    cost_dollars: float = 0.0
     per_type: tuple[TypeUsage, ...] = ()
     faults: str = ""
     retry: str = "none"
-    failed: int = 0
-    retries: int = 0
-    crashes: int = 0
-    recoveries: int = 0
-    slowdowns: int = 0
-    zone_outages: int = 0
-    hedges_fired: int = 0
-    hedges_cancelled: int = 0
     availability: float = 1.0
 
     def render(self) -> str:
@@ -304,35 +390,6 @@ class ServingReport:
         return "\n".join(lines)
 
 
-def _empty_report(
-    instances: int,
-    slo_seconds: float,
-    horizon: float,
-    fleet: str = "",
-    routing: str = "shared_queue",
-) -> ServingReport:
-    return ServingReport(
-        horizon_seconds=horizon,
-        makespan_seconds=0.0,
-        instances=instances,
-        slo_seconds=slo_seconds,
-        offered=0,
-        completed=0,
-        batches=0,
-        throughput_qps=0.0,
-        utilization=0.0,
-        mean_batch_size=0.0,
-        mean_queue_depth=0.0,
-        peak_queue_depth=0,
-        latency=summarize_latencies([]),
-        slo_violation_rate=0.0,
-        tenants={},
-        instance_seconds=0.0,
-        peak_instances=instances,
-        fleet=fleet,
-        routing=routing,
-    )
-
 
 class ServingEngine:
     """Drive schedulers + service model + a typed fleet over a workload.
@@ -385,8 +442,7 @@ class ServingEngine:
             the pre-fleet engine.
         routing: routing-policy name from
             :data:`~repro.serve.routing.ROUTING_POLICIES` (default
-            ``shared_queue``; single-target policies leave the engine on
-            the shared-queue fast path).
+            ``shared_queue``: one queue every instance type drains).
         routing_seed: seed for randomized routing policies (po2).
         faults: optional fault model — a :class:`~repro.serve.faults
             .FaultSpec` or its string form (``"mtbf=0.4,mttr=0.1"``,
@@ -499,55 +555,53 @@ class ServingEngine:
             raise ValueError("closed-loop runs need horizon_seconds")
         if horizon_seconds is not None and horizon_seconds <= 0:
             raise ValueError("horizon must be positive")
+        if self.autoscaler is not None:
+            self.autoscaler.reset()
+        if self.admission is not None:
+            self.admission.reset()
 
-        autoscaler = self.autoscaler
-        admission = self.admission
-        if autoscaler is not None:
-            autoscaler.reset()
-        if admission is not None:
-            admission.reset()
+        c = RunCounters()
         events: list[tuple[float, int, int, object]] = []
-        seq = 0
+        tiebreak = itertools.count()
 
         def push(time: float, kind: int, payload: object) -> None:
-            nonlocal seq
-            heapq.heappush(events, (time, kind, seq, payload))
-            seq += 1
-
-        fleet = TypedReplicaPool(
-            self.fleet_spec, default_warmup_seconds=self.warmup_seconds
-        )
-        typed = fleet.is_typed
-        slices = fleet.slices
-        fleet_label = self.fleet_spec.render() if typed else ""
+            heapq.heappush(events, (time, kind, next(tiebreak), payload))
 
         initial = (
             list(requests) if requests is not None else closed_loop.initial_requests()
         )
-        offered = 0
         for request in sorted(
             initial, key=lambda r: (r.arrival_time, r.request_id)
         ):
             if horizon_seconds is not None and request.arrival_time >= horizon_seconds:
                 continue
             push(request.arrival_time, _ARRIVE, request)
-            offered += 1
+            c.offered += 1
         horizon = horizon_seconds or max(
             (r.arrival_time for r in initial), default=0.0
         )
-        if not events:
-            return _empty_report(
-                self.instances,
-                self.slo_seconds,
-                horizon,
-                fleet=fleet_label,
-                routing=self.routing,
-            )
+        # An empty stream simulates nothing, so it arms nothing either:
+        # no controller, fault process or retry, and no report section
+        # for them.
+        live = c.offered > 0
+        autoscaler = self.autoscaler if live else None
+        admission = self.admission if live else None
+        faults = self.faults if live else None
+        retry_policy = self.retry_policy if live else None
+        hedge_seconds = self.hedge_seconds if live else 0.0
+        faulty = faults is not None
+        hedging = hedge_seconds > 0
+
+        fleet = TypedReplicaPool(
+            self.fleet_spec, default_warmup_seconds=self.warmup_seconds
+        )
+        typed = fleet.is_typed
+        slices = fleet.slices
+        c.peak_instances = c.min_instances = fleet.provisioned
 
         # The routing layer: one scheduler queue per target, the provided
         # scheduler serving as the first queue and the prototype for the
-        # rest.  Single-target policies (the shared queue, or any policy
-        # over one type) keep the original one-queue fast path.
+        # rest.
         policy = make_routing(self.routing, fleet.types, seed=self.routing_seed)
         targets = policy.targets()
         sched0 = self.scheduler
@@ -555,9 +609,7 @@ class ServingEngine:
             target: (sched0 if i == 0 else sched0.spawn())
             for i, target in enumerate(targets)
         }
-        group = SchedulerGroup(schedulers)
-        multi = len(targets) > 1
-        depth_of = group.depth_of
+        depth_of = SchedulerGroup(schedulers).depth_of
         max_wait = sched0.max_wait_seconds
         # Per-slice dispatch plan: each instance type drains its declared
         # targets in priority order, capped by its own batch ceiling.
@@ -571,6 +623,16 @@ class ServingEngine:
             )
             for slice_ in slices
         ]
+        # Which slices serve each routing target: the health view behind
+        # failure-aware routing (a target is healthy while any serving
+        # slice has an instance up or warming).
+        serving_slices = {
+            target: tuple(
+                s for s in slices if target in policy.serves(s.itype.name)
+            )
+            for target in targets
+        }
+        service_seconds = self.service.batch_service_seconds
 
         # Telemetry collaborators.  A disabled recorder resolves to None
         # here, once, so the event loop below never pays for tracing it
@@ -585,81 +647,23 @@ class ServingEngine:
             window_seconds=self.burn_window_seconds
             or max(horizon / 8.0, 1e-9),
         )
+        overall_sketch = make_sketch(self.metrics_backend)
+        tenant_sketches: dict[str, Any] = {}
 
-        # Reliability machinery (fault injection / retries / hedging).
-        # Every touchpoint below is gated on these flags: a fault-free,
-        # retry-free, unhedged run never reads or writes any of it, which
-        # is what keeps the default path bit-identical to the
-        # pre-reliability engine (pinned by the regression baseline).
-        fault_spec = self.faults
+        # Reliability state.  Without faults no slowdown is ever active
+        # and no attempt fails; the hedging maps fill only when hedging is
+        # armed (an unhedged run keeps no per-request entry).
         injector = (
-            FaultInjector(fault_spec, self.fault_seed, len(slices))
-            if fault_spec is not None
-            else None
+            FaultInjector(faults, self.fault_seed, len(slices)) if faulty else None
         )
-        faulty = injector is not None
-        retry_policy = self.retry_policy
-        hedge_seconds = self.hedge_seconds
-        hedging = hedge_seconds > 0
-        reliable = faulty or retry_policy is not None or hedging
-        in_flight: dict[tuple[int, int], object] = {}
-        crashed_handles: set[tuple[int, int]] = set()
+        slow_factor = faults.slow_factor if faulty else 1.0
         slow_until = [0.0] * len(slices)
+        in_flight: dict[tuple[int, int], Any] = {}  # handle -> its batch
         attempt_count: dict[int, int] = {}  # failed attempts per request
         finished_ids: set[int] = set()  # hedging: departed-or-failed ids
         copies: dict[int, int] = {}  # hedging: extra outstanding copies
         route_of: dict[int, str] = {}  # hedging: the primary copy's target
-        failed = 0
-        retry_count = 0
-        crashes = 0
-        recoveries = 0
-        slowdowns = 0
-        zone_outages = 0
-        hedges_fired = 0
-        hedges_cancelled = 0
-        # Which slices serve each routing target: the health view behind
-        # failure-aware routing (a target is healthy while any serving
-        # slice has an instance up or warming).
-        serving_slices = (
-            {
-                target: tuple(
-                    s for s in slices if target in policy.serves(s.itype.name)
-                )
-                for target in targets
-            }
-            if faulty and multi
-            else {}
-        )
 
-        # Aggregate fleet counts: a single-slice fleet reads its one
-        # ReplicaPool directly (the pre-fleet hot path); multi-slice
-        # fleets pay the summing properties.
-        counts = slices[0].pool if len(slices) == 1 else fleet
-        busy_integral = 0.0  # busy instances x time
-        pool_integral = 0.0  # provisioned (billed) instances x time
-        busy_at_makespan = 0.0
-        pool_at_makespan = 0.0
-        usage_at_makespan: tuple[tuple[float, float], ...] = tuple(
-            (0.0, 0.0) for _ in slices
-        )
-        depth_total = 0
-        batches = 0
-        served = 0
-        arrived = 0
-        overall_sketch = make_sketch(self.metrics_backend)
-        tenant_sketches: dict[str, object] = {}
-        depth_integral = 0.0
-        peak_depth = 0
-        peak_pool = counts.provisioned
-        min_pool = counts.provisioned
-        last_time = 0.0
-        makespan = 0.0
-        scale_events: list[ScalingEvent] = []
-        tick_busy_mark = 0.0
-        tick_pool_mark = 0.0
-        stats = (
-            AdmissionStats(mode=admission.mode) if admission is not None else None
-        )
         if autoscaler is not None:
             push(autoscaler.interval_seconds, _AUTOSCALE, None)
         if faulty:
@@ -668,31 +672,32 @@ class ServingEngine:
             # stream always terminates and the post-horizon drain runs
             # fault-free (a seed drawn past the horizon never fires —
             # counters and billing integrals stay inside the run).
-            if fault_spec.mtbf > 0:
+            if faults.mtbf > 0:
                 for i, s in enumerate(slices):
                     gap = injector.next_crash_gap(s.pool.provisioned)
                     if gap < horizon:
                         push(gap, _FAULT, ("crash", i))
-            if fault_spec.slow_mtbf > 0:
+            if faults.slow_mtbf > 0:
                 for i in range(len(slices)):
                     gap = injector.next_slowdown_gap()
                     if gap < horizon:
                         push(gap, _FAULT, ("slow", i))
-            if fault_spec.zone_mtbf > 0:
+            if faults.zone_mtbf > 0:
                 gap = injector.next_zone_gap()
                 if gap < horizon:
                     push(gap, _FAULT, ("zone", -1))
 
+        # ------------------------------------------------------------
+        # Shared steps the handlers compose.
+        # ------------------------------------------------------------
         def spawn_follow_up(now: float) -> None:
             """Closed loop: a finished (or refused) client owes its next request."""
-            nonlocal offered
             follow_up = closed_loop.next_request(now)
             if follow_up.arrival_time < horizon:
                 push(follow_up.arrival_time, _ARRIVE, follow_up)
-                offered += 1
+                c.offered += 1
 
         def try_dispatch(now: float) -> None:
-            nonlocal batches, depth_total
             for slice_, pool, limit, scheds, scale in serve_plan:
                 while pool.has_free():
                     batch = None
@@ -702,18 +707,14 @@ class ServingEngine:
                             break
                     if batch is None:
                         break
-                    depth_total -= len(batch.requests)
-                    handle = fleet.acquire(slice_.index, now)
-                    seconds = self.service.batch_service_seconds(
-                        batch.graph_sizes
-                    )
-                    if scale != 1.0:
-                        seconds *= scale
-                    if faulty:
-                        if now < slow_until[slice_.index]:
-                            seconds *= fault_spec.slow_factor
-                        in_flight[handle] = batch
-                    batches += 1
+                    c.queue_depth -= len(batch.requests)
+                    index = slice_.index
+                    handle = fleet.acquire(index, now)
+                    seconds = service_seconds(batch.graph_sizes) * scale
+                    if now < slow_until[index]:
+                        seconds *= slow_factor
+                    in_flight[handle] = batch
+                    c.batches += 1
                     if rec is not None:
                         label = fleet.label(handle)
                         for request in batch.requests:
@@ -725,7 +726,7 @@ class ServingEngine:
                                 batch_size=len(batch.requests),
                                 service_seconds=seconds,
                             )
-                    push(now + seconds, _DEPART, (handle, batch))
+                    push(now + seconds, _DEPART, handle)
 
         def target_healthy(target: str) -> bool:
             """Whether any slice serving ``target`` has capacity alive."""
@@ -778,54 +779,46 @@ class ServingEngine:
                     moved += 1
             return moved
 
-        def requeue(
+        def enqueue(
             request: Request, now: float, exclude: str | None = None
         ) -> None:
-            """Re-enqueue a retried or hedged request.
+            """Queue an admitted request: arrivals, retries and hedges.
 
-            Admission was already paid at the original arrival; the
-            request re-routes like a fresh one (healthily, under faults)
-            and re-arms a batching deadline for its new queue position.
-            ``exclude`` steers a hedged duplicate away from the target
-            already carrying the primary copy.
+            The request is routed (failure-aware under faults), arms a
+            batching deadline for its queue position, and may dispatch at
+            once.  ``exclude`` steers a hedged duplicate away from the
+            target already carrying the primary copy.
             """
-            nonlocal depth_total, peak_depth
-            if multi:
-                target = (
-                    healthy_route(request, exclude)
-                    if faulty or exclude is not None
-                    else policy.route(request, depth_of)
-                )
-                schedulers[target].enqueue(request)
-                if hedging:
-                    route_of[request.request_id] = target
+            if faulty or exclude is not None:
+                target = healthy_route(request, exclude)
             else:
-                sched0.enqueue(request)
-            depth_total += 1
+                target = policy.route(request, depth_of)
+            schedulers[target].enqueue(request)
+            if hedging:  # only a hedge reads it
+                route_of[request.request_id] = target
+            c.queue_depth += 1
             if rec is not None:
                 rec.request_event(
-                    now, SPAN_ENQUEUE, request, queue_depth=depth_total
+                    now, SPAN_ENQUEUE, request, queue_depth=c.queue_depth
                 )
-            if depth_total > peak_depth:
-                peak_depth = depth_total
+            if c.queue_depth > c.peak_queue_depth:
+                c.peak_queue_depth = c.queue_depth
             if max_wait > 0:
                 push(now + max_wait, _TIMEOUT, None)
             try_dispatch(now)
 
         def fail_attempt(request: Request, now: float) -> None:
             """One service attempt died with its instance: retry or fail."""
-            nonlocal failed, retry_count
             rid = request.request_id
-            if hedging:
-                if rid in finished_ids:
-                    copies.pop(rid, None)  # late copy of a settled request
-                    return
-                extra = copies.get(rid, 0)
-                if extra > 0:
-                    # A surviving copy (queued or in flight) still carries
-                    # the request; the duplicate absorbs this failure.
-                    copies[rid] = extra - 1
-                    return
+            if rid in finished_ids:
+                copies.pop(rid, None)  # late copy of a settled request
+                return
+            extra = copies.get(rid, 0)
+            if extra > 0:
+                # A surviving hedge copy (queued or in flight) still
+                # carries the request; the duplicate absorbs this failure.
+                copies[rid] = extra - 1
+                return
             attempt = attempt_count.get(rid, 0) + 1
             delay = (
                 retry_policy.next_delay(request, attempt, now)
@@ -833,12 +826,11 @@ class ServingEngine:
                 else None
             )
             if delay is None:
-                failed += 1
+                c.failed += 1
                 attempt_count.pop(rid, None)
-                if hedging:
-                    finished_ids.add(rid)
-                    copies.pop(rid, None)
-                    route_of.pop(rid, None)
+                finished_ids.add(rid)
+                copies.pop(rid, None)
+                route_of.pop(rid, None)
                 if rec is not None:
                     rec.request_event(now, SPAN_FAIL, request, attempts=attempt)
                 if closed_loop is not None:
@@ -846,7 +838,7 @@ class ServingEngine:
                     spawn_follow_up(now)
                 return
             attempt_count[rid] = attempt
-            retry_count += 1
+            c.retries += 1
             if rec is not None:
                 rec.request_event(
                     now, SPAN_RETRY, request,
@@ -858,27 +850,22 @@ class ServingEngine:
             handle: tuple[int, int], now: float, repair_seconds: float
         ) -> None:
             """Tear one instance down and fail whatever it was serving."""
-            nonlocal crashes
-            crashes += 1
+            c.crashes += 1
             state = fleet.crash(handle, now)
             if rec is not None:
                 rec.fleet_event(
                     now, FLEET_CRASH, instance=fleet.label(handle), state=state
                 )
             if state in ("busy", "retiring"):
-                batch = in_flight.pop(handle)
-                # The already-scheduled DEPART for this batch is now
-                # stale; the set tells the depart handler to discard it
-                # (instance ids are never reused, so at most one
-                # outstanding departure can ever match a handle).
-                crashed_handles.add(handle)
-                for request in batch.requests:  # type: ignore[attr-defined]
+                # Its pending DEPART finds no batch in flight and is
+                # discarded (instance ids are never reused).
+                for request in in_flight.pop(handle).requests:
                     fail_attempt(request, now)
             if state != "retiring":
                 # A retiring instance was leaving anyway; everyone else
                 # gets a replacement once the repair completes.
                 push(now + repair_seconds, _RECOVER, handle[0])
-            if multi and eject_dead_targets():
+            if eject_dead_targets():
                 try_dispatch(now)
 
         def fleet_state() -> dict[str, object]:
@@ -888,20 +875,20 @@ class ServingEngine:
             homogeneous default keeps exactly the pre-fleet columns.
             """
             state: dict[str, object] = {
-                "ready": counts.ready_count,
-                "warming": counts.warming_count,
-                "busy": counts.busy_count,
-                "retiring": counts.retiring_count,
-                "provisioned": counts.provisioned,
-                "queue_depth": depth_total,
-                "arrived": arrived,
-                "admitted": stats.admitted if stats is not None else arrived,
-                "shed": stats.shed if stats is not None else 0,
-                "tarpitted": stats.tarpitted if stats is not None else 0,
-                "completed": served,
+                "ready": fleet.ready_count,
+                "warming": fleet.warming_count,
+                "busy": fleet.busy_count,
+                "retiring": fleet.retiring_count,
+                "provisioned": fleet.provisioned,
+                "queue_depth": c.queue_depth,
+                "arrived": c.arrived,
+                "admitted": c.admitted,
+                "shed": c.shed,
+                "tarpitted": c.tarpitted,
+                "completed": c.completed,
                 "utilization": (
-                    round(busy_integral / pool_integral, 9)
-                    if pool_integral > 0
+                    round(c.busy_integral / c.pool_integral, 9)
+                    if c.pool_integral > 0
                     else 0.0
                 ),
             }
@@ -913,524 +900,385 @@ class ServingEngine:
                     state[f"queue_depth[{target}]"] = depth_of(target)
             return state
 
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
-            dt = now - last_time
-            depth_integral += depth_total * dt
-            busy_integral += counts.busy_count * dt
-            pool_integral += counts.provisioned * dt
-            last_time = now
-            if sampler is not None and now >= sampler.next_time:
-                sampler.record(now, fleet_state())
-            if kind == _DEPART:
-                handle, batch = payload  # type: ignore[misc]
-                if faulty:
-                    if handle in crashed_handles:
-                        # The instance died mid-batch: its requests took
-                        # the failure path at crash time, the fleet slot
-                        # was released by the crash itself — this
-                        # departure is stale and must not double-free.
-                        crashed_handles.discard(handle)
-                        continue
-                    del in_flight[handle]
-                # Only departures advance the makespan: stale TIMEOUT (or
-                # autoscale-tick) events outliving the last departure are
-                # no-ops and must not inflate the throughput/utilization
-                # window — the billing integrals are snapshotted here too.
-                makespan = now
-                busy_at_makespan = busy_integral
-                pool_at_makespan = pool_integral
-                fleet.release(handle, now)
-                if typed:
-                    slices[handle[0]].completed += len(batch.requests)
-                    usage_at_makespan = tuple(
-                        (s.instance_seconds(now), s.busy_seconds(now))
-                        for s in slices
-                    )
-                    label = fleet.label(handle)
-                else:
-                    label = handle[1]
-                for request in batch.requests:
-                    if hedging:
-                        rid = request.request_id
-                        if rid in finished_ids:
-                            # The losing hedge copy: the winner already
-                            # recorded this request's latency (or its
-                            # failure); drop the duplicate silently.
-                            hedges_cancelled += 1
-                            copies.pop(rid, None)
-                            if rec is not None:
-                                rec.request_event(
-                                    now, SPAN_HEDGE_CANCELLED, request,
-                                    instance=label,
-                                )
-                            continue
-                        finished_ids.add(rid)
-                    if faulty and attempt_count:
-                        # A previously failed request finally succeeded.
-                        attempt_count.pop(request.request_id, None)
-                    latency = now - request.arrival_time
-                    sketch = tenant_sketches.get(request.tenant)
-                    if sketch is None:
-                        sketch = tenant_sketches[request.tenant] = make_sketch(
-                            self.metrics_backend
-                        )
-                    sketch.add(latency)  # type: ignore[attr-defined]
-                    overall_sketch.add(latency)
-                    violated = burn.observe(now, request.tenant, latency)
-                    served += 1
-                    if rec is not None:
-                        rec.request_event(
-                            now,
-                            SPAN_DEPART,
-                            request,
-                            instance=label,
-                            latency=latency,
-                            violated=violated,
-                        )
-                    if closed_loop is not None:
-                        spawn_follow_up(now)
-                try_dispatch(now)
-            elif kind == _WARMED:
-                if fleet.warmed(payload, now):  # type: ignore[arg-type]
-                    if rec is not None:
-                        rec.fleet_event(
-                            now, FLEET_WARMED, instance=fleet.label(payload)
-                        )
-                    try_dispatch(now)
-            elif kind == _ARRIVE:
-                request = payload  # type: ignore[assignment]
-                arrived += 1
-                if rec is not None and request.request_id not in seen_requests:
-                    seen_requests.add(request.request_id)
-                    rec.request_event(now, SPAN_ARRIVE, request)
-                if admission is not None:
-                    if faulty:
-                        # Graceful degradation: with part of the fleet
-                        # down, tighten the queue budget to the healthy
-                        # fraction of declared capacity — queueing against
-                        # capacity that is not there only deepens the tail.
-                        fraction = counts.provisioned / self.instances
-                        decision = admission.admit(
-                            request.tenant,
-                            now,
-                            depth_total,
-                            capacity_fraction=(
-                                fraction if fraction < 1.0 else 1.0
-                            ),
-                        )
-                    else:
-                        decision = admission.admit(
-                            request.tenant, now, depth_total
-                        )
-                    if not decision.admitted:
-                        retry_at = now + decision.retry_after_seconds
-                        if decision.retry_after_seconds > 0 and retry_at < horizon:
-                            stats.tarpitted += 1
-                            if rec is not None:
-                                rec.request_event(
-                                    now,
-                                    SPAN_TARPIT,
-                                    request,
-                                    reason=decision.reason,
-                                    retry_at=retry_at,
-                                )
-                            push(retry_at, _ARRIVE, request)
-                        else:
-                            stats.shed += 1
-                            stats.shed_by_reason[decision.reason] = (
-                                stats.shed_by_reason.get(decision.reason, 0) + 1
+        # ------------------------------------------------------------
+        # One handler per event kind.
+        # ------------------------------------------------------------
+        def on_depart(now: float, handle: tuple[int, int]) -> None:
+            batch = in_flight.pop(handle, None)
+            if batch is None:
+                # The instance crashed mid-batch: its requests took the
+                # failure path and the crash freed its slot already.
+                return
+            # Only departures advance the makespan: stale TIMEOUT (or
+            # autoscale-tick) events outliving the last departure are
+            # no-ops and must not inflate the throughput/utilization
+            # window — the billing integrals are snapshotted here too.
+            c.makespan_seconds = now
+            c.busy_seconds = c.busy_integral
+            c.instance_seconds = c.pool_integral
+            fleet.release(handle, now)
+            slices[handle[0]].completed += len(batch.requests)
+            label = fleet.label(handle)
+            for request in batch.requests:
+                rid = request.request_id
+                if hedging:  # only a hedged request can depart twice
+                    if rid in finished_ids:
+                        # The losing hedge copy: the winner already
+                        # recorded this request's latency (or its
+                        # failure); drop the duplicate silently.
+                        c.hedges_cancelled += 1
+                        copies.pop(rid, None)
+                        if rec is not None:
+                            rec.request_event(
+                                now, SPAN_HEDGE_CANCELLED, request,
+                                instance=label,
                             )
-                            stats.per_tenant_shed[request.tenant] = (
-                                stats.per_tenant_shed.get(request.tenant, 0) + 1
-                            )
-                            if rec is not None:
-                                rec.request_event(
-                                    now,
-                                    SPAN_SHED,
-                                    request,
-                                    reason=decision.reason,
-                                )
-                            if closed_loop is not None:
-                                # The refused client errors out and retries
-                                # after a backoff.  The backoff (reusing the
-                                # controller's tarpit delay) guarantees the
-                                # clock advances even for zero-think-time
-                                # pools — an instant retry against a still-
-                                # full queue would livelock the simulation.
-                                spawn_follow_up(now + admission.tarpit_seconds)
                         continue
-                    stats.admitted += 1
-                    if rec is not None:
-                        rec.request_event(
-                            now, SPAN_ADMIT, request, reason=decision.reason
-                        )
-                elif rec is not None:
-                    rec.request_event(now, SPAN_ADMIT, request, reason="open")
-                if multi:
-                    target = (
-                        healthy_route(request)
-                        if faulty
-                        else policy.route(request, depth_of)
+                    finished_ids.add(rid)
+                attempt_count.pop(rid, None)  # a retried request succeeded
+                latency = now - request.arrival_time
+                sketch = tenant_sketches.get(request.tenant)
+                if sketch is None:
+                    sketch = tenant_sketches[request.tenant] = make_sketch(
+                        self.metrics_backend
                     )
-                    schedulers[target].enqueue(request)
-                    if hedging:
-                        route_of[request.request_id] = target
-                else:
-                    sched0.enqueue(request)
-                depth_total += 1
+                sketch.add(latency)
+                overall_sketch.add(latency)
+                violated = burn.observe(now, request.tenant, latency)
+                c.completed += 1
                 if rec is not None:
                     rec.request_event(
                         now,
-                        SPAN_ENQUEUE,
+                        SPAN_DEPART,
                         request,
-                        queue_depth=depth_total,
+                        instance=label,
+                        latency=latency,
+                        violated=violated,
                     )
-                if depth_total > peak_depth:
-                    peak_depth = depth_total
-                if hedging:
-                    # Armed once per request, at its first (admitted)
-                    # enqueue; fires only if still unfinished then.
-                    push(now + hedge_seconds, _HEDGE, request)
-                if max_wait > 0:
-                    push(now + max_wait, _TIMEOUT, None)
+                if closed_loop is not None:
+                    spawn_follow_up(now)
+            try_dispatch(now)
+
+        def on_warmed(now: float, handle: tuple[int, int]) -> None:
+            if fleet.warmed(handle, now):
+                if rec is not None:
+                    rec.fleet_event(
+                        now, FLEET_WARMED, instance=fleet.label(handle)
+                    )
                 try_dispatch(now)
-            elif kind == _TIMEOUT:
-                # The queue head may have exceeded its wait.
-                try_dispatch(now)
-            elif kind == _AUTOSCALE:
-                # Observe the interval, maybe resize the fleet.
-                interval_busy = busy_integral - tick_busy_mark
-                interval_pool = pool_integral - tick_pool_mark
-                tick_busy_mark = busy_integral
-                tick_pool_mark = pool_integral
-                snapshot = FleetSnapshot(
-                    now=now,
-                    provisioned=counts.target_size,
-                    ready=counts.ready_count,
-                    busy=counts.busy_count,
-                    warming=counts.warming_count,
-                    queue_depth=depth_total,
-                    utilization=(
-                        min(interval_busy / interval_pool, 1.0)
-                        if interval_pool > 0
-                        else 0.0
+
+        def on_arrive(now: float, request: Request) -> None:
+            c.arrived += 1
+            if rec is not None and request.request_id not in seen_requests:
+                seen_requests.add(request.request_id)
+                rec.request_event(now, SPAN_ARRIVE, request)
+            reason = "open"
+            if admission is not None:
+                # Graceful degradation under faults: with part of the
+                # fleet down, the queue budget tightens to the healthy
+                # fraction of declared capacity.  A scale-in is not a
+                # fault and leaves the budget alone.
+                decision = admission.admit(
+                    request.tenant,
+                    now,
+                    c.queue_depth,
+                    capacity_fraction=(
+                        min(fleet.provisioned / self.instances, 1.0)
+                        if faulty
+                        else 1.0
                     ),
                 )
-                target = autoscaler.decide(snapshot)
-                if target != snapshot.provisioned:
-                    for handle, ready_at in fleet.scale_to(target, now):
-                        if ready_at > now:
-                            push(ready_at, _WARMED, handle)
-                    if rec is not None:
-                        if typed:
-                            rec.fleet_event(
-                                now,
-                                FLEET_SCALE,
-                                previous=snapshot.provisioned,
-                                target=target,
-                                per_type=[
-                                    list(row) for row in fleet.last_scale_detail
-                                ],
-                            )
-                        else:
-                            rec.fleet_event(
-                                now,
-                                FLEET_SCALE,
-                                previous=snapshot.provisioned,
-                                target=target,
-                            )
-                        for label in fleet.last_rescued:
-                            rec.fleet_event(now, FLEET_RESCUE, instance=label)
-                    scale_events.append(
-                        ScalingEvent(
-                            time=now,
-                            previous=snapshot.provisioned,
-                            target=target,
-                            per_type=fleet.last_scale_detail if typed else (),
-                        )
+                if not decision.admitted:
+                    refuse(now, request, decision)
+                    return
+                reason = decision.reason
+            c.admitted += 1
+            if rec is not None:
+                rec.request_event(now, SPAN_ADMIT, request, reason=reason)
+            enqueue(request, now)
+            if hedging:
+                # Armed once per request, at its first (admitted)
+                # enqueue; fires only if still unfinished then.
+                push(now + hedge_seconds, _HEDGE, request)
+
+        def refuse(
+            now: float, request: Request, decision: AdmissionDecision
+        ) -> None:
+            """An arrival admission turned away: tarpit it or shed it."""
+            retry_at = now + decision.retry_after_seconds
+            if decision.retry_after_seconds > 0 and retry_at < horizon:
+                c.tarpitted += 1
+                if rec is not None:
+                    rec.request_event(
+                        now,
+                        SPAN_TARPIT,
+                        request,
+                        reason=decision.reason,
+                        retry_at=retry_at,
                     )
-                    try_dispatch(now)
-                peak_pool = max(peak_pool, counts.provisioned)
-                min_pool = min(min_pool, counts.target_size)
-                if events or depth_total > 0 or counts.busy_count > 0:
-                    push(now + autoscaler.interval_seconds, _AUTOSCALE, None)
-            elif kind == _FAULT:
-                what, idx = payload  # type: ignore[misc]
-                if what == "crash":
-                    victim = injector.pick_victim(fleet.instance_ids(idx))
-                    if victim is not None:
-                        crash_instance((idx, victim), now, fault_spec.mttr)
-                    gap = injector.next_crash_gap(
-                        slices[idx].pool.provisioned
+                push(retry_at, _ARRIVE, request)
+                return
+            c.shed += 1
+            c.shed_by_reason[decision.reason] = (
+                c.shed_by_reason.get(decision.reason, 0) + 1
+            )
+            c.per_tenant_shed[request.tenant] = (
+                c.per_tenant_shed.get(request.tenant, 0) + 1
+            )
+            if rec is not None:
+                rec.request_event(
+                    now, SPAN_SHED, request, reason=decision.reason
+                )
+            if closed_loop is not None:
+                # The refused client errors out and retries after a
+                # backoff.  The backoff (reusing the controller's tarpit
+                # delay) guarantees the clock advances even for
+                # zero-think-time pools — an instant retry against a
+                # still-full queue would livelock the simulation.
+                spawn_follow_up(now + admission.tarpit_seconds)
+
+        def on_timeout(now: float, _: object) -> None:
+            try_dispatch(now)  # the queue head may have exceeded its wait
+
+        def on_autoscale(now: float, _: object) -> None:
+            # Observe the interval, maybe resize the fleet.
+            interval_busy = c.busy_integral - c.tick_busy
+            interval_pool = c.pool_integral - c.tick_pool
+            c.tick_busy = c.busy_integral
+            c.tick_pool = c.pool_integral
+            snapshot = FleetSnapshot(
+                now=now,
+                provisioned=fleet.target_size,
+                ready=fleet.ready_count,
+                busy=fleet.busy_count,
+                warming=fleet.warming_count,
+                queue_depth=c.queue_depth,
+                utilization=(
+                    min(interval_busy / interval_pool, 1.0)
+                    if interval_pool > 0
+                    else 0.0
+                ),
+            )
+            target = autoscaler.decide(snapshot)
+            if target != snapshot.provisioned:
+                for handle, ready_at in fleet.scale_to(target, now):
+                    if ready_at > now:
+                        push(ready_at, _WARMED, handle)
+                # The per-type split is reported for typed fleets only
+                # (pre-fleet trajectories and traces are pinned).
+                per_type = fleet.last_scale_detail if typed else ()
+                if rec is not None:
+                    detail = (
+                        {"per_type": [list(row) for row in per_type]}
+                        if typed
+                        else {}
                     )
-                    if now + gap < horizon:
-                        push(now + gap, _FAULT, ("crash", idx))
-                elif what == "slow":
-                    slowdowns += 1
-                    slow_until[idx] = now + fault_spec.slow_duration
-                    if rec is not None:
-                        rec.fleet_event(
-                            now,
-                            FLEET_SLOWDOWN,
-                            type=slices[idx].itype.name,
-                            factor=fault_spec.slow_factor,
-                            until=slow_until[idx],
-                        )
-                    gap = injector.next_slowdown_gap()
-                    if now + gap < horizon:
-                        push(now + gap, _FAULT, ("slow", idx))
-                else:  # zone outage: correlated teardown across slices
-                    zone = injector.pick_zone()
-                    zone_outages += 1
-                    victims = [
-                        (s.index, instance)
-                        for s in slices
-                        for instance in s.pool.instance_ids()
-                        if injector.zone_of(instance) == zone
-                    ]
-                    if rec is not None:
-                        rec.fleet_event(
-                            now,
-                            FLEET_ZONE_OUTAGE,
-                            zone=zone,
-                            killed=len(victims),
-                        )
-                    for crash_handle in victims:
-                        crash_instance(crash_handle, now, fault_spec.zone_mttr)
-                    gap = injector.next_zone_gap()
-                    if now + gap < horizon:
-                        push(now + gap, _FAULT, ("zone", -1))
-            elif kind == _RECOVER:
-                recoveries += 1
-                handle, ready_at = fleet.restore(payload, now)  # type: ignore[arg-type]
+                    rec.fleet_event(
+                        now,
+                        FLEET_SCALE,
+                        previous=snapshot.provisioned,
+                        target=target,
+                        **detail,
+                    )
+                    for label in fleet.last_rescued:
+                        rec.fleet_event(now, FLEET_RESCUE, instance=label)
+                c.scaling.append(
+                    ScalingEvent(
+                        time=now,
+                        previous=snapshot.provisioned,
+                        target=target,
+                        per_type=per_type,
+                    )
+                )
+                try_dispatch(now)
+            c.peak_instances = max(c.peak_instances, fleet.provisioned)
+            c.min_instances = min(c.min_instances, fleet.target_size)
+            if events or c.queue_depth > 0 or fleet.busy_count > 0:
+                push(now + autoscaler.interval_seconds, _AUTOSCALE, None)
+
+        def on_fault(now: float, payload: tuple[str, int]) -> None:
+            what, idx = payload
+            if what == "crash":
+                victim = injector.pick_victim(fleet.instance_ids(idx))
+                if victim is not None:
+                    crash_instance((idx, victim), now, faults.mttr)
+                gap = injector.next_crash_gap(slices[idx].pool.provisioned)
+                if now + gap < horizon:
+                    push(now + gap, _FAULT, ("crash", idx))
+            elif what == "slow":
+                c.slowdowns += 1
+                slow_until[idx] = now + faults.slow_duration
                 if rec is not None:
                     rec.fleet_event(
                         now,
-                        FLEET_RECOVER,
-                        instance=fleet.label(handle),
-                        ready_at=ready_at,
+                        FLEET_SLOWDOWN,
+                        type=slices[idx].itype.name,
+                        factor=slow_factor,
+                        until=slow_until[idx],
                     )
-                if ready_at > now:
-                    push(ready_at, _WARMED, handle)
-                else:
-                    try_dispatch(now)
-            elif kind == _RETRY:
-                requeue(payload, now)  # type: ignore[arg-type]
-            else:  # _HEDGE: duplicate a still-unfinished request
-                request = payload  # type: ignore[assignment]
-                primary = route_of.pop(request.request_id, None)
-                if request.request_id not in finished_ids:
-                    hedges_fired += 1
-                    copies[request.request_id] = (
-                        copies.get(request.request_id, 0) + 1
+                gap = injector.next_slowdown_gap()
+                if now + gap < horizon:
+                    push(now + gap, _FAULT, ("slow", idx))
+            else:  # zone outage: correlated teardown across slices
+                zone = injector.pick_zone()
+                c.zone_outages += 1
+                victims = [
+                    (s.index, instance)
+                    for s in slices
+                    for instance in s.pool.instance_ids()
+                    if injector.zone_of(instance) == zone
+                ]
+                if rec is not None:
+                    rec.fleet_event(
+                        now, FLEET_ZONE_OUTAGE, zone=zone, killed=len(victims)
                     )
-                    if rec is not None:
-                        rec.request_event(now, SPAN_HEDGE_FIRED, request)
-                    requeue(request, now, exclude=primary)
+                for victim_handle in victims:
+                    crash_instance(victim_handle, now, faults.zone_mttr)
+                gap = injector.next_zone_gap()
+                if now + gap < horizon:
+                    push(now + gap, _FAULT, ("zone", -1))
 
-        if stats is not None:
-            stats.offered = offered
+        def on_recover(now: float, index: int) -> None:
+            c.recoveries += 1
+            handle, ready_at = fleet.restore(index, now)
+            if rec is not None:
+                rec.fleet_event(
+                    now,
+                    FLEET_RECOVER,
+                    instance=fleet.label(handle),
+                    ready_at=ready_at,
+                )
+            if ready_at > now:
+                push(ready_at, _WARMED, handle)
+            else:
+                try_dispatch(now)
+
+        def on_retry(now: float, request: Request) -> None:
+            enqueue(request, now)  # admission was paid at the first arrival
+
+        def on_hedge(now: float, request: Request) -> None:
+            rid = request.request_id
+            primary = route_of.pop(rid, None)
+            if rid in finished_ids:
+                return
+            c.hedges_fired += 1
+            copies[rid] = copies.get(rid, 0) + 1
+            if rec is not None:
+                rec.request_event(now, SPAN_HEDGE_FIRED, request)
+            enqueue(request, now, exclude=primary)
+
+        handlers = (
+            on_depart, on_warmed, on_arrive, on_timeout, on_autoscale,
+            on_fault, on_recover, on_retry, on_hedge,
+        )
+        while events:
+            now, kind, _, payload = heapq.heappop(events)
+            dt = now - c.last_time
+            c.depth_integral += c.queue_depth * dt
+            c.busy_integral += fleet.busy_count * dt
+            c.pool_integral += fleet.provisioned * dt
+            c.last_time = now
+            if sampler is not None and now >= sampler.next_time:
+                sampler.record(now, fleet_state())
+            handlers[kind](now, payload)
+
         if rec is not None:
             rec.finish()
         if sampler is not None:
             # Extend the series through the run horizon so its length is a
             # deterministic function of horizon / interval alone.
-            sampler.record(max(horizon, last_time), fleet_state())
-        autoscale_stats = (
-            AutoscaleStats(
-                policy=autoscaler.kind,
-                peak_instances=peak_pool,
-                min_instances=min_pool,
-                final_instances=counts.target_size,
-                scale_out_events=sum(1 for e in scale_events if e.delta > 0),
-                scale_in_events=sum(1 for e in scale_events if e.delta < 0),
-                events=tuple(scale_events),
-            )
-            if autoscaler is not None
-            else None
+            sampler.record(max(horizon, c.last_time), fleet_state())
+        c.final_instances = fleet.target_size
+        c.slo_violations = burn.violations
+        # Per-type usage is billed through the makespan.  The homogeneous
+        # default fleet bills $1/s, so its cost is exactly the
+        # instance-seconds integral and it reports no per-type breakdown
+        # (pre-fleet reports pinned).
+        per_type = fleet.usage() if typed and live else ()
+        c.cost_dollars = (
+            sum(u.cost_dollars for u in per_type) if per_type else c.instance_seconds
         )
-        # Per-type usage + $-cost.  The homogeneous default fleet bills
-        # $1/s, so its cost is exactly the instance-seconds integral and
-        # the per-type breakdown stays empty (pre-fleet reports pinned).
-        if typed:
-            per_type = tuple(
-                TypeUsage(
-                    name=s.itype.name,
-                    initial=self.fleet_spec.slices[i][1],
-                    peak=s.peak,
-                    final=s.pool.target_size,
-                    instance_seconds=usage_at_makespan[i][0],
-                    busy_seconds=usage_at_makespan[i][1],
-                    cost_dollars=(
-                        usage_at_makespan[i][0] * s.itype.cost_per_second
-                    ),
-                    batches=s.batches,
-                    completed=s.completed,
-                )
-                for i, s in enumerate(slices)
-            )
-            cost_dollars = sum(u.cost_dollars for u in per_type)
-        else:
-            per_type = ()
-            cost_dollars = pool_at_makespan
         registry = self.registry
         if registry is not None:
-            if reliable:
-                # Reliability counters appear only when the machinery was
-                # armed: default-run registry contents stay pinned.
-                registry.counter("requests_failed").inc(failed)
-                registry.counter("requests_retried").inc(retry_count)
-                registry.counter("instances_crashed").inc(crashes)
-                registry.counter("instances_recovered").inc(recoveries)
-                registry.counter("hedges_fired").inc(hedges_fired)
-                registry.counter("hedges_cancelled").inc(hedges_cancelled)
-            registry.counter("requests_offered").inc(offered)
-            registry.counter("arrival_events").inc(arrived)
-            registry.counter("requests_completed").inc(served)
-            registry.counter("batches_dispatched").inc(batches)
-            registry.counter("slo_violations").inc(burn.violations)
-            if stats is not None:
-                registry.counter("admission_admitted").inc(stats.admitted)
-                registry.counter("admission_shed").inc(stats.shed)
-                registry.counter("admission_tarpitted").inc(stats.tarpitted)
-            registry.gauge("peak_queue_depth").set(peak_depth)
-            registry.gauge("peak_instances").set(peak_pool)
-            registry.gauge("final_instances").set(counts.target_size)
-            registry.gauge("instance_seconds").set(pool_at_makespan)
-            registry.gauge("makespan_seconds").set(makespan)
-            if typed:
-                registry.gauge("cost_dollars").set(cost_dollars)
-                for u in per_type:
-                    registry.gauge(f"instance_seconds[{u.name}]").set(
-                        u.instance_seconds
-                    )
-                    registry.gauge(f"peak_instances[{u.name}]").set(u.peak)
-                    registry.counter(f"requests_completed[{u.name}]").inc(
-                        u.completed
-                    )
-                    registry.counter(f"batches_dispatched[{u.name}]").inc(
-                        u.batches
-                    )
+            c.export(registry, {
+                "reliability": faulty or retry_policy is not None or hedging,
+                "admission": admission is not None,
+                "typed": typed,
+            })
+            for u in per_type:
+                registry.gauge(f"instance_seconds[{u.name}]").set(
+                    u.instance_seconds
+                )
+                registry.gauge(f"peak_instances[{u.name}]").set(u.peak)
+                registry.counter(f"requests_completed[{u.name}]").inc(
+                    u.completed
+                )
+                registry.counter(f"batches_dispatched[{u.name}]").inc(u.batches)
             registry.attach_histogram("latency_seconds", overall_sketch)
             for tenant in sorted(tenant_sketches):
                 registry.attach_histogram(
                     f"latency_seconds[{tenant}]", tenant_sketches[tenant]
                 )
-        return self._report(
-            horizon=horizon,
-            makespan=makespan,
-            offered=offered,
-            served=served,
-            batches=batches,
-            busy_seconds=busy_at_makespan,
-            instance_seconds=pool_at_makespan,
-            depth_integral=depth_integral,
-            peak_depth=peak_depth,
-            peak_pool=peak_pool,
-            overall_sketch=overall_sketch,
-            tenant_sketches=tenant_sketches,
-            burn=burn,
-            autoscale=autoscale_stats,
-            admission_stats=stats,
-            fleet_label=fleet_label,
-            cost_dollars=cost_dollars,
-            per_type=per_type,
-            faults_label=fault_spec.render() if faulty else "",
-            retry_label=(
-                retry_policy.mode if retry_policy is not None else "none"
-            ),
-            failed=failed,
-            retries=retry_count,
-            crashes=crashes,
-            recoveries=recoveries,
-            slowdowns=slowdowns,
-            zone_outages=zone_outages,
-            hedges_fired=hedges_fired,
-            hedges_cancelled=hedges_cancelled,
-        )
-
-    def _report(
-        self,
-        horizon: float,
-        makespan: float,
-        offered: int,
-        served: int,
-        batches: int,
-        busy_seconds: float,
-        instance_seconds: float,
-        depth_integral: float,
-        peak_depth: int,
-        peak_pool: int,
-        overall_sketch: object,
-        tenant_sketches: dict[str, object],
-        burn: BurnRateTracker,
-        autoscale: AutoscaleStats | None,
-        admission_stats: AdmissionStats | None,
-        fleet_label: str = "",
-        cost_dollars: float = 0.0,
-        per_type: tuple[TypeUsage, ...] = (),
-        faults_label: str = "",
-        retry_label: str = "none",
-        failed: int = 0,
-        retries: int = 0,
-        crashes: int = 0,
-        recoveries: int = 0,
-        slowdowns: int = 0,
-        zone_outages: int = 0,
-        hedges_fired: int = 0,
-        hedges_cancelled: int = 0,
-    ) -> ServingReport:
-        window = makespan if makespan > 0 else 1.0
-        tenants: dict[str, TenantReport] = {}
-        for name in sorted(tenant_sketches):
-            sketch = tenant_sketches[name]
-            completed = sketch.count  # type: ignore[attr-defined]
-            tenants[name] = TenantReport(
-                tenant=name,
-                completed=completed,
-                throughput_qps=completed / window,
-                latency=sketch.summary(),  # type: ignore[attr-defined]
-                slo_violation_rate=burn.violations_for(name) / completed,
-            )
+        window = c.makespan_seconds if c.makespan_seconds > 0 else 1.0
+        settled = c.completed + c.failed
         return ServingReport(
+            **{f.name: getattr(c, f.name) for f in fields(c)},
             horizon_seconds=horizon,
-            makespan_seconds=makespan,
             instances=self.instances,
             slo_seconds=self.slo_seconds,
-            offered=offered,
-            completed=served,
-            batches=batches,
-            throughput_qps=served / window,
+            throughput_qps=c.completed / window,
             utilization=(
-                busy_seconds / instance_seconds if instance_seconds > 0 else 0.0
+                c.busy_seconds / c.instance_seconds
+                if c.instance_seconds > 0
+                else 0.0
             ),
-            mean_batch_size=served / batches if batches else 0.0,
-            mean_queue_depth=depth_integral / window,
-            peak_queue_depth=peak_depth,
-            latency=overall_sketch.summary(),  # type: ignore[attr-defined]
-            slo_violation_rate=burn.violations / served if served else 0.0,
-            tenants=tenants,
-            instance_seconds=instance_seconds,
-            peak_instances=peak_pool,
-            autoscale=autoscale,
-            admission=admission_stats,
+            mean_batch_size=c.completed / c.batches if c.batches else 0.0,
+            mean_queue_depth=c.depth_integral / window,
+            latency=overall_sketch.summary(),
+            slo_violation_rate=(
+                c.slo_violations / c.completed if c.completed else 0.0
+            ),
+            tenants={
+                name: TenantReport(
+                    tenant=name,
+                    completed=sketch.count,
+                    throughput_qps=sketch.count / window,
+                    latency=sketch.summary(),
+                    slo_violation_rate=burn.violations_for(name) / sketch.count,
+                )
+                for name, sketch in sorted(tenant_sketches.items())
+            },
+            autoscale=(
+                AutoscaleStats(
+                    policy=autoscaler.kind,
+                    peak_instances=c.peak_instances,
+                    min_instances=c.min_instances,
+                    final_instances=c.final_instances,
+                    scale_out_events=sum(1 for e in c.scaling if e.delta > 0),
+                    scale_in_events=sum(1 for e in c.scaling if e.delta < 0),
+                    events=tuple(c.scaling),
+                )
+                if autoscaler is not None
+                else None
+            ),
+            admission=(
+                AdmissionStats(
+                    mode=admission.mode,
+                    offered=c.offered,
+                    admitted=c.admitted,
+                    shed=c.shed,
+                    tarpitted=c.tarpitted,
+                    shed_by_reason=c.shed_by_reason,
+                    per_tenant_shed=c.per_tenant_shed,
+                )
+                if admission is not None
+                else None
+            ),
             burn=burn.report(),
-            fleet=fleet_label,
+            fleet=self.fleet_spec.render() if typed else "",
             routing=self.routing,
-            cost_dollars=cost_dollars,
             per_type=per_type,
-            faults=faults_label,
-            retry=retry_label,
-            failed=failed,
-            retries=retries,
-            crashes=crashes,
-            recoveries=recoveries,
-            slowdowns=slowdowns,
-            zone_outages=zone_outages,
-            hedges_fired=hedges_fired,
-            hedges_cancelled=hedges_cancelled,
-            availability=(
-                served / (served + failed) if served + failed > 0 else 1.0
-            ),
+            faults=faults.render() if faulty else "",
+            retry=retry_policy.mode if retry_policy is not None else "none",
+            availability=c.completed / settled if settled > 0 else 1.0,
         )

@@ -463,7 +463,7 @@ class _Slice:
 
     __slots__ = (
         "itype", "pool", "index", "instance_integral", "busy_integral",
-        "last_accrued", "peak", "minimum", "batches", "completed",
+        "last_accrued", "peak", "minimum", "batches", "completed", "at_mark",
     )
 
     def __init__(self, itype: InstanceType, pool: ReplicaPool, index: int) -> None:
@@ -477,12 +477,19 @@ class _Slice:
         self.minimum = pool.provisioned
         self.batches = 0
         self.completed = 0
+        #: ``(instance_seconds, busy_seconds)`` at the fleet's billing
+        #: mark, kept by the first accrual that moves past it.
+        self.at_mark = (0.0, 0.0)
 
-    def accrue(self, now: float) -> None:
+    def accrue(self, now: float, mark: float) -> None:
         """Integrate billed/busy occupancy up to ``now`` (call *before*
         any mutation that changes the occupancy)."""
         dt = now - self.last_accrued
         if dt > 0:
+            if self.last_accrued <= mark < now:
+                self.at_mark = (
+                    self.instance_seconds(mark), self.busy_seconds(mark)
+                )
             self.instance_integral += self.pool.provisioned * dt
             self.busy_integral += self.pool.busy_count * dt
             self.last_accrued = now
@@ -512,7 +519,10 @@ class TypedReplicaPool:
     Per-type billing (instance-seconds and $-cost) is accrued lazily on
     occupancy changes rather than per event: the hot event loop keeps
     its integer-count integrals, and the typed accounting costs one
-    accrual per scale/dispatch transition.
+    accrual per scale/dispatch transition.  Each departure
+    (:meth:`release`) moves the *billing mark*: :meth:`usage` bills
+    through the last departure by default, so scale or fault events
+    after it never bill.
 
     Scale decisions arrive as a *total* fleet size (the autoscaler
     policies are composition-blind); :func:`repro.serve.autoscale
@@ -540,17 +550,19 @@ class TypedReplicaPool:
             pool = ReplicaPool(count, warmup_seconds=warmup, min_size=0)
             self.slices.append(_Slice(itype, pool, index))
         self.types: tuple[InstanceType, ...] = tuple(s.itype for s in self.slices)
-        # Aggregate occupancy, maintained incrementally: the engine's
-        # event loop reads these once per event, so they must stay O(1)
-        # rather than a sum over slices.
-        self._provisioned = sum(s.pool.provisioned for s in self.slices)
-        self._busy = 0
+        #: Aggregate occupancy, maintained incrementally: the engine's
+        #: event loop reads both once per event, so they are plain
+        #: attributes rather than sums over slices.
+        self.provisioned = sum(s.pool.provisioned for s in self.slices)
+        self.busy_count = 0
         #: Per-type ``(name, previous, target)`` detail of the most
         #: recent :meth:`scale_to` (what typed scale events report).
         self.last_scale_detail: tuple[tuple[str, int, int], ...] = ()
         #: Rescued-instance labels of the most recent :meth:`scale_to`
         #: (bare ints on the pure-default path, matching pre-fleet traces).
         self.last_rescued: tuple[int | str, ...] = ()
+        #: Time of the last departure: where :meth:`usage` stops billing.
+        self.billing_mark = 0.0
 
     # ------------------------------------------------------------------
     # Aggregate state (the engine's event-loop view)
@@ -561,20 +573,12 @@ class TypedReplicaPool:
         return not self.spec.is_default
 
     @property
-    def provisioned(self) -> int:
-        return self._provisioned
-
-    @property
     def target_size(self) -> int:
         return sum(s.pool.target_size for s in self.slices)
 
     @property
     def ready_count(self) -> int:
         return sum(s.pool.ready_count for s in self.slices)
-
-    @property
-    def busy_count(self) -> int:
-        return self._busy
 
     @property
     def warming_count(self) -> int:
@@ -592,25 +596,26 @@ class TypedReplicaPool:
     # ------------------------------------------------------------------
     def acquire(self, index: int, now: float) -> tuple[int, int]:
         slice_ = self.slices[index]
-        slice_.accrue(now)
+        slice_.accrue(now, self.billing_mark)
         slice_.batches += 1
-        self._busy += 1
+        self.busy_count += 1
         return (index, slice_.pool.acquire())
 
     def release(self, handle: tuple[int, int], now: float) -> bool:
         index, instance = handle
         slice_ = self.slices[index]
-        slice_.accrue(now)
-        self._busy -= 1
+        self.billing_mark = now
+        slice_.accrue(now, self.billing_mark)
+        self.busy_count -= 1
         returned = slice_.pool.release(instance)
         if not returned:  # the instance retired instead of going free
-            self._provisioned -= 1
+            self.provisioned -= 1
         return returned
 
     def warmed(self, handle: tuple[int, int], now: float) -> bool:
         index, instance = handle
         slice_ = self.slices[index]
-        slice_.accrue(now)
+        slice_.accrue(now, self.billing_mark)
         return slice_.pool.warmed(instance)
 
     # ------------------------------------------------------------------
@@ -625,17 +630,17 @@ class TypedReplicaPool:
 
         Billing invariant: the slice accrues up to ``now`` *before* the
         kill, so a busy victim's partial busy-seconds land in its type's
-        integrals and the cached ``_busy`` aggregate never goes negative
+        integrals and the ``busy_count`` aggregate never goes negative
         — the crash is billed exactly like a departure that happened at
         the crash instant.
         """
         index, instance = handle
         slice_ = self.slices[index]
-        slice_.accrue(now)
+        slice_.accrue(now, self.billing_mark)
         state = slice_.pool.kill(instance)
-        self._provisioned -= 1
+        self.provisioned -= 1
         if state in ("busy", "retiring"):
-            self._busy -= 1
+            self.busy_count -= 1
         slice_.minimum = min(slice_.minimum, slice_.pool.target_size)
         return state
 
@@ -647,9 +652,9 @@ class TypedReplicaPool:
         unless provisioning itself is.
         """
         slice_ = self.slices[index]
-        slice_.accrue(now)
+        slice_.accrue(now, self.billing_mark)
         instance, ready_at = slice_.pool.provision(now)
-        self._provisioned += 1
+        self.provisioned += 1
         slice_.peak = max(slice_.peak, slice_.pool.provisioned)
         return ((index, instance), ready_at)
 
@@ -695,7 +700,7 @@ class TypedReplicaPool:
         for slice_, previous, want in zip(self.slices, current, desired):
             if want == previous:
                 continue
-            slice_.accrue(now)
+            slice_.accrue(now, self.billing_mark)
             for instance, ready_at in slice_.pool.scale_to(want, now):
                 started.append(((slice_.index, instance), ready_at))
             detail.append((slice_.itype.name, previous, want))
@@ -710,8 +715,8 @@ class TypedReplicaPool:
         # Scaling moves instances through every state (cancelled
         # warm-ups, retired idlers, fresh provisions): recompute the
         # cached aggregates once per scale decision, O(slices).
-        self._provisioned = sum(s.pool.provisioned for s in self.slices)
-        self._busy = sum(s.pool.busy_count for s in self.slices)
+        self.provisioned = sum(s.pool.provisioned for s in self.slices)
+        self.busy_count = sum(s.pool.busy_count for s in self.slices)
         return started
 
     # ------------------------------------------------------------------
@@ -724,29 +729,41 @@ class TypedReplicaPool:
             for s in self.slices
         )
 
-    def usage(self, now: float, initial: Sequence[int] | None = None) -> tuple[
-        TypeUsage, ...
-    ]:
-        """Per-type usage snapshot through ``now``."""
+    def usage(
+        self, now: float | None = None, initial: Sequence[int] | None = None
+    ) -> tuple[TypeUsage, ...]:
+        """Per-type usage snapshot through ``now``.
+
+        ``None`` bills through the billing mark (the last departure), as
+        the engine's report does: a slice that accrued past the mark
+        answers with the reading it kept there.
+        """
         initial = (
             initial
             if initial is not None
             else [count for _, count in self.spec.slices]
         )
-        return tuple(
-            TypeUsage(
+        usage = []
+        for s in self.slices:
+            if now is None and s.last_accrued > self.billing_mark:
+                instance_seconds, busy_seconds = s.at_mark
+            else:
+                t = self.billing_mark if now is None else now
+                instance_seconds, busy_seconds = (
+                    s.instance_seconds(t), s.busy_seconds(t)
+                )
+            usage.append(TypeUsage(
                 name=s.itype.name,
                 initial=initial[s.index],
                 peak=s.peak,
                 final=s.pool.target_size,
-                instance_seconds=s.instance_seconds(now),
-                busy_seconds=s.busy_seconds(now),
-                cost_dollars=s.instance_seconds(now) * s.itype.cost_per_second,
+                instance_seconds=instance_seconds,
+                busy_seconds=busy_seconds,
+                cost_dollars=instance_seconds * s.itype.cost_per_second,
                 batches=s.batches,
                 completed=s.completed,
-            )
-            for s in self.slices
-        )
+            ))
+        return tuple(usage)
 
 
 def fleet_with_total(spec: FleetSpec, total: int) -> FleetSpec:

@@ -424,6 +424,13 @@ def serving_key(scenario: ServingScenario) -> str:
     return stable_digest(payload)
 
 
+#: :class:`ServingRecord` fields that identify or describe a run rather
+#: than measure it (left out of :meth:`ServingRecord.metrics`).
+_NOT_METRICS = frozenset(
+    {"label", "key", "scenario", "eval_seconds", "fleet", "routing", "cached"}
+)
+
+
 @dataclass(frozen=True)
 class ServingRecord:
     """Flat, JSON-serializable outcome of one serving scenario."""
@@ -468,35 +475,9 @@ class ServingRecord:
     def metrics(self) -> dict[str, float]:
         """The measured outcome alone — invariant under caching/timing."""
         return {
-            "offered": self.offered,
-            "completed": self.completed,
-            "throughput_qps": self.throughput_qps,
-            "utilization": self.utilization,
-            "mean_latency_seconds": self.mean_latency_seconds,
-            "p50_latency_seconds": self.p50_latency_seconds,
-            "p95_latency_seconds": self.p95_latency_seconds,
-            "p99_latency_seconds": self.p99_latency_seconds,
-            "max_latency_seconds": self.max_latency_seconds,
-            "slo_violation_rate": self.slo_violation_rate,
-            "mean_queue_depth": self.mean_queue_depth,
-            "peak_queue_depth": self.peak_queue_depth,
-            "mean_batch_size": self.mean_batch_size,
-            "instance_seconds": self.instance_seconds,
-            "peak_instances": self.peak_instances,
-            "scale_events": self.scale_events,
-            "admitted": self.admitted,
-            "shed": self.shed,
-            "shed_rate": self.shed_rate,
-            "tarpitted": self.tarpitted,
-            "overall_burn_rate": self.overall_burn_rate,
-            "peak_burn_rate": self.peak_burn_rate,
-            "cost_dollars": self.cost_dollars,
-            "failed": self.failed,
-            "retries": self.retries,
-            "crashes": self.crashes,
-            "hedges_fired": self.hedges_fired,
-            "hedges_cancelled": self.hedges_cancelled,
-            "availability": self.availability,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in _NOT_METRICS
         }
 
     def to_dict(self) -> dict[str, Any]:
@@ -524,57 +505,35 @@ class ServingRecord:
         key: str,
         eval_seconds: float,
     ) -> "ServingRecord":
-        """Flatten a full engine report into the storable record."""
+        """Flatten a full engine report into the storable record.
+
+        Every record field the report carries under the same name (each
+        :class:`~repro.serve.engine.RunCounters` field included) is
+        copied as is; the rest derive from the report's summaries.
+        """
+        shared = {
+            f.name: getattr(report, f.name)
+            for f in fields(cls)
+            if hasattr(report, f.name)
+        }
+        burn = report.burn
         return cls(
+            **shared,
             label=scenario.display_label,
             key=key,
             scenario=scenario.describe(),
-            offered=report.offered,
-            completed=report.completed,
-            throughput_qps=report.throughput_qps,
-            utilization=report.utilization,
+            eval_seconds=eval_seconds,
             mean_latency_seconds=report.latency.mean,
             p50_latency_seconds=report.latency.p50,
             p95_latency_seconds=report.latency.p95,
             p99_latency_seconds=report.latency.p99,
             max_latency_seconds=report.latency.max,
-            slo_violation_rate=report.slo_violation_rate,
-            mean_queue_depth=report.mean_queue_depth,
-            peak_queue_depth=report.peak_queue_depth,
-            mean_batch_size=report.mean_batch_size,
-            eval_seconds=eval_seconds,
-            instance_seconds=report.instance_seconds,
-            peak_instances=report.peak_instances,
-            scale_events=(
-                len(report.autoscale.events) if report.autoscale is not None else 0
-            ),
-            admitted=(
-                report.admission.admitted
-                if report.admission is not None
-                else report.offered
-            ),
-            shed=report.admission.shed if report.admission is not None else 0,
+            scale_events=len(report.scaling),
             shed_rate=(
                 report.admission.shed_rate if report.admission is not None else 0.0
             ),
-            tarpitted=(
-                report.admission.tarpitted if report.admission is not None else 0
-            ),
-            overall_burn_rate=(
-                report.burn.overall_burn_rate if report.burn is not None else 0.0
-            ),
-            peak_burn_rate=(
-                report.burn.peak_burn_rate if report.burn is not None else 0.0
-            ),
-            fleet=report.fleet,
-            routing=report.routing,
-            cost_dollars=report.cost_dollars,
-            failed=report.failed,
-            retries=report.retries,
-            crashes=report.crashes,
-            hedges_fired=report.hedges_fired,
-            hedges_cancelled=report.hedges_cancelled,
-            availability=report.availability,
+            overall_burn_rate=burn.overall_burn_rate if burn is not None else 0.0,
+            peak_burn_rate=burn.peak_burn_rate if burn is not None else 0.0,
         )
 
 

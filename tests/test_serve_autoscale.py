@@ -16,7 +16,8 @@ from repro.serve.autoscale import (
     TargetUtilizationAutoscaler,
     make_autoscaler,
 )
-from repro.serve.engine import ReplicaPool, ServingEngine
+from repro.serve.engine import ServingEngine
+from repro.serve.fleet import ReplicaPool
 from repro.serve.scheduler import BatchingScheduler
 from repro.serve.service import LinearServiceModel
 

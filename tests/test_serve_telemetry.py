@@ -9,6 +9,7 @@ guarantee: telemetry must never change what the engine measures.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.obs import (
     NullRecorder,
     Sampler,
 )
+from repro.serve.engine import RunCounters
 from repro.serve.scenario import ServingScenario, simulate_serving_scenario
 from repro.serve.scenario import ServingRecord
 
@@ -40,6 +42,17 @@ SCENARIO = ServingScenario(
     queue_budget=16,
     seed=3,
 )
+
+#: Every declared run counter the registry exports, by the gate that
+#: arms its export: a counter declared but not exported fails below.
+EXPORTED = {
+    f.name: f.metadata for f in fields(RunCounters) if "metric" in f.metadata
+}
+
+
+def exported(*gates):
+    return [name for name, meta in EXPORTED.items() if meta["gate"] in gates]
+
 
 LIFECYCLE_ORDER = {
     SPAN_ARRIVE: 0, SPAN_TARPIT: 1, SPAN_SHED: 2, SPAN_ADMIT: 2,
@@ -131,14 +144,14 @@ class TestTraceRoundTrip:
 
 
 class TestMetricsAndSampling:
-    def test_registry_totals_match_the_report(self, traced_run):
+    @pytest.mark.parametrize("counter", exported("", "admission"))
+    def test_registry_totals_match_the_report(self, traced_run, counter):
         report, _, registry, _ = traced_run
         value = {m.name: m for m in registry}
-        assert value["requests_completed"].value == report.completed
-        assert value["requests_offered"].value == report.offered
-        assert value["batches_dispatched"].value == report.batches
+        assert value[EXPORTED[counter]["metric"]].value == getattr(
+            report, counter
+        )
         assert value["admission_shed"].value == report.admission.shed
-        assert value["peak_instances"].value == report.peak_instances
         assert value["latency_seconds"].count == report.completed
 
     def test_per_tenant_histograms_attached(self, traced_run):
@@ -335,15 +348,17 @@ class TestFaultedTelemetry:
         assert kinds.count(FLEET_CRASH) == report.crashes
         assert kinds.count(FLEET_RECOVER) == report.recoveries
 
-    def test_registry_carries_the_reliability_counters(self, faulted_run):
+    @pytest.mark.parametrize("counter", exported("reliability", "typed"))
+    def test_registry_carries_the_reliability_counters(
+        self, faulted_run, counter
+    ):
+        """The reliability counters, plus the typed-fleet metrics this
+        heterogeneous run also arms."""
         report, _, registry = faulted_run
         value = {m.name: m for m in registry}
-        assert value["requests_failed"].value == report.failed
-        assert value["requests_retried"].value == report.retries
-        assert value["instances_crashed"].value == report.crashes
-        assert value["instances_recovered"].value == report.recoveries
-        assert value["hedges_fired"].value == report.hedges_fired
-        assert value["hedges_cancelled"].value == report.hedges_cancelled
+        assert value[EXPORTED[counter]["metric"]].value == getattr(
+            report, counter
+        )
 
     def test_killed_instances_rendered_in_the_report(self, faulted_run):
         report, _, _ = faulted_run
