@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.graph import CSRGraph
+from repro.graph.graph import CSRGraph, distinct, edge_keys
 from repro.utils.rng import rng_from_seed
 
 
@@ -95,12 +95,12 @@ def powerlaw_community_graph(
     global_probs = weights / weights.sum()
     nodes = np.arange(num_nodes)
 
-    edges: list[np.ndarray] = []
-    collected = 0
-    # Oversample in rounds; duplicate edges and self-loops are discarded by
-    # CSRGraph.from_edges, so we keep drawing until the target is met.
+    # Sorted distinct edge keys drawn so far (see graph.edge_keys).
+    keys = np.empty(0, dtype=np.int64)
+    # Oversample in rounds, dropping duplicate edges and self-loops, until
+    # the target is met.
     for _round in range(20):
-        need = num_edges - collected
+        need = num_edges - keys.size
         if need <= 0:
             break
         batch = int(need * 1.6) + 32
@@ -119,14 +119,10 @@ def powerlaw_community_graph(
                 dst[sel] = rng.choice(members[c], size=sel.size, p=member_probs[c])
         new = np.stack([src, dst], axis=1)
         new = new[new[:, 0] != new[:, 1]]
-        edges.append(new)
-        stacked = np.concatenate(edges)
-        lo = np.minimum(stacked[:, 0], stacked[:, 1])
-        hi = np.maximum(stacked[:, 0], stacked[:, 1])
-        collected = np.unique(lo * np.int64(num_nodes) + hi).size
+        keys = distinct(np.concatenate([keys, edge_keys(new, num_nodes)]))
 
-    all_edges = np.concatenate(edges) if edges else np.empty((0, 2), dtype=np.int64)
-    graph = CSRGraph.from_edges(num_nodes, all_edges, name=name)
+    n = np.int64(num_nodes)
+    graph = CSRGraph.from_edges(num_nodes, np.stack([keys // n, keys % n], axis=1), name=name)
     graph = _trim_to_edge_count(graph, num_edges, rng)
     graph.community = community  # planted structure, used by feature synthesis
     return graph

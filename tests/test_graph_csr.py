@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.graph.graph import CSRGraph
+from repro.graph.graph import CSRGraph, distinct
 
 
 def edges_strategy(max_nodes: int = 20, max_edges: int = 40):
@@ -206,3 +206,37 @@ class TestProperties:
         assignment = rng.integers(0, 3, size=n)
         cut = g.edge_cut(assignment)
         assert 0 <= cut <= g.num_edges
+
+    @given(
+        st.lists(st.integers(-(2**62), 2**62), max_size=60)
+        | st.lists(st.integers(-5, 5), max_size=60)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_distinct_matches_unique(self, values):
+        x = np.array(values, dtype=np.int64)
+        got = distinct(x)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(x))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [7], [3, 3, 3, 3], [-1, -1], [0, -5, 5, -5, 0], [2**62, -(2**62), 2**62]],
+    )
+    def test_distinct_edge_cases(self, values):
+        x = np.array(values, dtype=np.int64)
+        assert np.array_equal(distinct(x), np.unique(x))
+
+    @given(edges_strategy(max_edges=80))
+    @settings(max_examples=60, deadline=None)
+    def test_from_edges_matches_from_scipy(self, data):
+        """Duplicates (in either direction) and self-loops: the CSR built
+        from the edge list equals the one built from the COO matrix."""
+        n, edges = data
+        edges = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        coo = sparse.coo_matrix(
+            (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n)
+        )
+        got = CSRGraph.from_edges(n, edges)
+        want = CSRGraph.from_scipy(coo)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)

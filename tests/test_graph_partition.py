@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from oracles import partition_loops as oracle
+from repro.graph import partition as lib
 from repro.graph.generators import powerlaw_community_graph
 from repro.graph.graph import CSRGraph
 from repro.graph.partition import partition_graph
@@ -116,3 +119,56 @@ class TestProperties:
         assert set(np.unique(result.assignment)) <= set(range(k))
         assert result.part_sizes.sum() == n
         assert 0 <= result.edge_cut <= g.num_edges
+
+
+@st.composite
+def weighted_levels(draw):
+    """A small symmetric weighted adjacency (integer edge weights, so
+    connections tie often), integer node weights, a part count and an
+    initial assignment: one level as the partitioner's loops see it."""
+    n = draw(st.integers(2, 30))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2)),
+            min_size=n,
+            max_size=4 * n,
+        )
+    )
+    rows = [u for u, v, _ in pairs if u != v]
+    cols = [v for u, v, _ in pairs if u != v]
+    data = [float(w) for u, v, w in pairs if u != v]
+    upper = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    adj = (upper + upper.T).tocsr()
+    adj.sum_duplicates()
+    adj.sort_indices()
+    node_weight = np.array(
+        draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.float64
+    )
+    k = draw(st.integers(1, min(n, 6)))
+    assignment = np.array(
+        draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)), dtype=np.int64
+    )
+    return adj, node_weight, k, assignment
+
+
+class TestLoopsMatchOracle:
+    """The list-native region growing and refinement reproduce the scalar
+    reference loops node for node, ties included."""
+
+    @given(level=weighted_levels(), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_initial_partition(self, level, seed):
+        adj, node_weight, k, _ = level
+        got = lib._initial_partition(adj, node_weight, k, np.random.default_rng(seed))
+        want = oracle._initial_partition(adj, node_weight, k, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+
+    @given(level=weighted_levels(), max_imbalance=st.sampled_from([1.0, 1.1, 1.5, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_refine(self, level, max_imbalance):
+        adj, node_weight, k, assignment = level
+        got = lib._refine(adj, node_weight, assignment, k, max_imbalance)
+        want = oracle._refine(adj, node_weight, assignment, k, max_imbalance)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
