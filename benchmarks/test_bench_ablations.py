@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for the design choices in docs/architecture.rst.
 
 Not paper figures, but the arguments the paper makes in prose:
 * heterogeneity (Sec. IV.A): an all-128x128 design wastes storage;

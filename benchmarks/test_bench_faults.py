@@ -76,14 +76,12 @@ def test_idle_fault_machinery_overhead(benchmark):
         kwargs={"service": SERVICE},
         rounds=1, iterations=1,
     )
-    t_plain = min(
-        _timed(simulate_serving_scenario, PLAIN, service=SERVICE)
-        for _ in range(3)
-    )
-    t_inert = min(
-        _timed(simulate_serving_scenario, INERT, service=SERVICE)
-        for _ in range(3)
-    )
+    # Interleave the reps so host-speed drift hits both sides alike.
+    plain, inert = [], []
+    for _ in range(3):
+        plain.append(_timed(simulate_serving_scenario, PLAIN, service=SERVICE))
+        inert.append(_timed(simulate_serving_scenario, INERT, service=SERVICE))
+    t_plain, t_inert = min(plain), min(inert)
     ratio = t_inert / t_plain
     plain_rate = plain_report.offered / t_plain
     inert_rate = inert_report.offered / t_inert

@@ -58,17 +58,17 @@ def test_null_recorder_overhead(benchmark):
         kwargs={"service": service},
         rounds=1, iterations=1,
     )
-    t_plain = min(
-        _timed(simulate_serving_scenario, SCENARIO, service=service)
-        for _ in range(3)
-    )
-    t_null = min(
-        _timed(
-            simulate_serving_scenario, SCENARIO, service=service,
-            recorder=NullRecorder(),
+    # Interleave the reps so host-speed drift hits both sides alike.
+    plain, null = [], []
+    for _ in range(3):
+        plain.append(_timed(simulate_serving_scenario, SCENARIO, service=service))
+        null.append(
+            _timed(
+                simulate_serving_scenario, SCENARIO, service=service,
+                recorder=NullRecorder(),
+            )
         )
-        for _ in range(3)
-    )
+    t_plain, t_null = min(plain), min(null)
     ratio = t_null / t_plain
     print(
         f"\nuntraced {t_plain * 1e3:.1f} ms, NullRecorder "

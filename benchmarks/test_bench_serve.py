@@ -72,14 +72,12 @@ def test_typed_fleet_event_rate(benchmark):
         kwargs={"service": SERVICE},
         rounds=1, iterations=1,
     )
-    t_hom = min(
-        _timed(simulate_serving_scenario, HOM, service=SERVICE)
-        for _ in range(3)
-    )
-    t_het = min(
-        _timed(simulate_serving_scenario, HET, service=SERVICE)
-        for _ in range(3)
-    )
+    # Interleave the reps so host-speed drift hits both sides alike.
+    hom, het = [], []
+    for _ in range(3):
+        hom.append(_timed(simulate_serving_scenario, HOM, service=SERVICE))
+        het.append(_timed(simulate_serving_scenario, HET, service=SERVICE))
+    t_hom, t_het = min(hom), min(het)
     ratio = t_het / t_hom
     hom_rate = hom_report.offered / t_hom
     het_rate = het_report.offered / t_het

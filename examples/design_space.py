@@ -1,7 +1,7 @@
 """Design-space exploration: batch size, mapping policy, and NoC clocks.
 
 Uses the full ReGraphX model to answer three questions a designer would
-ask (all ablations DESIGN.md calls out):
+ask (ablations of the design choices in docs/architecture.rst):
 
 1. How does batch size beta trade training time against E-PE storage?
 2. What does the SA mapper buy over a random placement?

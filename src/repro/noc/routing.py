@@ -5,11 +5,51 @@ in ReGraphX's sandwich the V<->E hop is the single final Z step).  Because
 every route from a given source follows the same deterministic dimension
 order, the union of routes to any destination set forms a tree — exactly
 the 3D tree multicast the paper relies on [12].
+
+Every route is one stride walk: at most one straight segment per axis,
+leaving the routers ``range(start, stop, ±stride)`` through one mesh port.
+:func:`dimension_order_route` reads it as routers, :func:`link_route` as
+dense link ids (:mod:`repro.noc.topology`), one id range per segment.
 """
 
 from __future__ import annotations
 
-from repro.noc.topology import Link, Mesh3D
+from repro.noc.topology import PORTS, Link, Mesh3D, link_id, mesh_port
+
+#: A mesh and a validated dimension order, walked per route:
+#: ``(num_routers, width, routers_per_tier, ((axis, router-id stride), ...))``.
+RoutePlan = tuple[int, int, int, tuple[tuple[int, int], ...]]
+
+
+def route_plan(topo: Mesh3D, order: str = "xyz") -> RoutePlan:
+    """Validate a dimension order once and pair each axis with its stride."""
+    if sorted(order) != ["x", "y", "z"]:
+        raise ValueError(f"order must be a permutation of 'xyz', got {order!r}")
+    strides = (1, topo.width, topo.routers_per_tier)
+    axes = tuple((axis, strides[axis]) for axis in map("xyz".index, order))
+    return topo.num_routers, topo.width, topo.routers_per_tier, axes
+
+
+def _walk(plan: RoutePlan, src: int, dst: int) -> list[tuple[int, int, int, int]]:
+    """Route segments ``(start, stop, step, port)``: each leaves the routers
+    ``range(start, stop, step)`` through mesh port ``port``."""
+    n, width, per_tier, axes = plan
+    if not (0 <= src < n and 0 <= dst < n):
+        raise IndexError(f"route {src} -> {dst} leaves the {n}-router mesh")
+    src_z, rem = divmod(src, per_tier)
+    src_y, src_x = divmod(rem, width)
+    dst_z, rem = divmod(dst, per_tier)
+    dst_y, dst_x = divmod(rem, width)
+    offsets = (dst_x - src_x, dst_y - src_y, dst_z - src_z)
+    segments = []
+    at = src
+    for axis, stride in axes:
+        hops = offsets[axis]
+        if hops:
+            step = stride if hops > 0 else -stride
+            segments.append((at, at + hops * stride, step, mesh_port(axis, hops < 0)))
+            at += hops * stride
+    return segments
 
 
 def dimension_order_route(
@@ -23,18 +63,18 @@ def dimension_order_route(
     Any fixed order is deadlock-free and source-deterministic, so route
     unions still form multicast trees.
     """
-    if sorted(order) != ["x", "y", "z"]:
-        raise ValueError(f"order must be a permutation of 'xyz', got {order!r}")
-    if src == dst:
-        return [src]
-    coords = dict(zip("xyz", topo.coords(src)))
-    target = dict(zip("xyz", topo.coords(dst)))
     path = [src]
-    for axis in order:
-        while coords[axis] != target[axis]:
-            coords[axis] += 1 if target[axis] > coords[axis] else -1
-            path.append(topo.router_id(coords["x"], coords["y"], coords["z"]))
+    for start, stop, step, _ in _walk(route_plan(topo, order), src, dst):
+        path.extend(range(start + step, stop + step, step))
     return path
+
+
+def link_route(plan: RoutePlan, src: int, dst: int) -> list[int]:
+    """Link ids from ``src`` to ``dst`` (see :mod:`repro.noc.topology`)."""
+    route: list[int] = []
+    for start, stop, step, port in _walk(plan, src, dst):
+        route.extend(range(link_id(start, port), link_id(stop, port), step * PORTS))
+    return route
 
 
 def xyz_route(topo: Mesh3D, src: int, dst: int) -> list[int]:
@@ -72,18 +112,3 @@ def multicast_tree(
                 tree[link] = prev
             prev = link
     return tree
-
-
-def tree_depth_order(tree: dict[Link, Link | None]) -> list[Link]:
-    """Tree links sorted root-outward (parents before children)."""
-    depth: dict[Link, int] = {}
-
-    def _depth(link: Link) -> int:
-        if link not in depth:
-            parent = tree[link]
-            depth[link] = 0 if parent is None else _depth(parent) + 1
-        return depth[link]
-
-    for link in tree:
-        _depth(link)
-    return sorted(tree, key=lambda l: (depth[l], l))

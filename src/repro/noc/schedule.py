@@ -11,6 +11,11 @@ statically scheduled NoC does.
 
 Multicast packets traverse their XYZ tree once, forking at branch routers;
 unicast mode replicates one packet per destination.
+
+Links are dense ids ``router * PORTS + port`` (:mod:`repro.noc.topology`):
+per-link free cycles and flit counts are flat lists indexed by the ids
+:func:`~repro.noc.routing.link_route` walks, and the returned
+:class:`~repro.noc.stats.LinkStats` maps loaded ids back to link tuples.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.noc.packet import Message
-from repro.noc.routing import multicast_tree, route_links, tree_depth_order, xyz_route
+from repro.noc.routing import link_route, route_plan
 from repro.noc.stats import LinkStats
-from repro.noc.topology import Link, Mesh3D
+from repro.noc.topology import EJECT, INJECT, PORTS, Mesh3D, link_id
 from repro.utils.units import GHZ, PICO
 
 
@@ -133,15 +138,21 @@ class StaticScheduler:
     def simulate(self, messages: list[Message], multicast: bool = True) -> ScheduleResult:
         """Schedule ``messages`` and return timing/energy statistics.
 
+        Each packet reserves its link tree around earlier reservations, a
+        link starting ``hop_cycles`` after its parent (wormhole pipelining):
+        conflict-free without in-network buffering, as in the paper.
+
         Args:
             messages: the transfer set; multi-destination messages use a
                 multicast tree when ``multicast`` is True, otherwise they
                 are expanded into one unicast packet per destination.
             multicast: select tree-multicast vs. unicast routing.
         """
-        cfg = self.config
-        link_free: dict[Link, int] = {}
-        stats = LinkStats(self.topo)
+        cfg, topo = self.config, self.topo
+        plan = route_plan(topo, cfg.routing_order)
+        atomic, hop = cfg.schedule_mode == "atomic", cfg.hop_cycles
+        link_free = [0] * (topo.num_routers * PORTS)
+        load = [0] * (topo.num_routers * PORTS)
         finish: dict[int, int] = {}
         tag_finish: dict[str, int] = {}
         makespan = 0
@@ -151,22 +162,48 @@ class StaticScheduler:
         )
         for msg in ordered:
             flits = msg.num_flits(cfg.flit_bits)
-            if multicast or not msg.is_multicast:
-                last = self._schedule_tree(msg, flits, link_free, stats)
-            else:
-                last = 0
-                for dst in msg.dests:
-                    unicast = Message(
-                        src=msg.src,
-                        dests=(dst,),
-                        size_bits=msg.size_bits,
-                        inject_cycle=msg.inject_cycle,
-                        tag=msg.tag,
-                        msg_id=msg.msg_id,
-                    )
-                    last = max(
-                        last, self._schedule_tree(unicast, flits, link_free, stats)
-                    )
+            src, inject = msg.src, msg.inject_cycle
+            # One packet per tree: the multicast tree, or a unicast per dest.
+            trees = (msg.dests,) if multicast else [(dst,) for dst in msg.dests]
+            last = 0
+            for dests in trees:
+                paths = [link_route(plan, src, dst) for dst in dests]
+                if cfg.model_local_ports:  # add the tile<->router port links
+                    paths = [
+                        [link_id(src, INJECT), *path, link_id(dst, EJECT)]
+                        for path, dst in zip(paths, dests)
+                    ]
+                if atomic:
+                    # The head waits until each link is free depth * hop later.
+                    tree = {lid: d for path in paths for d, lid in enumerate(path)}
+                    start = inject
+                    for lid, depth in tree.items():
+                        start = max(start, link_free[lid] - depth * hop)
+                    for lid, depth in tree.items():
+                        link_free[lid] = start + depth * hop + flits
+                        load[lid] += flits
+                    end = start + max(map(len, paths)) * hop
+                else:
+                    # Pipelined: a link starts once it frees AND the head
+                    # has crossed the previous link; a link placed by an
+                    # earlier path of this tree keeps its start cycle.
+                    placed: dict[int, int] = {}
+                    end = inject
+                    for path in paths:
+                        arrival = inject
+                        for lid in path:
+                            start = placed.get(lid)
+                            if start is None:
+                                start = link_free[lid]
+                                if start < arrival:
+                                    start = arrival
+                                placed[lid] = start
+                                link_free[lid] = start + flits
+                                load[lid] += flits
+                            arrival = start + hop
+                        end = max(end, arrival)
+                # The tail arrives flits - 1 cycles after the deepest head.
+                last = max(last, end + flits - 1)
             finish[msg.msg_id] = last
             makespan = max(makespan, last)
             if msg.tag:
@@ -175,72 +212,9 @@ class StaticScheduler:
         return ScheduleResult(
             makespan_cycles=makespan,
             message_finish=finish,
-            link_stats=stats,
+            link_stats=LinkStats(
+                topo, {topo.link_of(lid): n for lid, n in enumerate(load) if n}
+            ),
             config=self.config,
             tag_finish=tag_finish,
         )
-
-    def _schedule_tree(
-        self,
-        msg: Message,
-        flits: int,
-        link_free: dict[Link, int],
-        stats: LinkStats,
-    ) -> int:
-        """Reserve the (tree of) links for one packet; return finish cycle.
-
-        The head flit leaves the source when every tree link can accept the
-        full flit train without colliding with earlier reservations; each
-        downstream link starts ``hop_cycles`` after its parent (wormhole
-        pipelining).  This keeps the schedule conflict-free without
-        in-network buffering, matching the paper's static methodology.
-        """
-        cfg = self.config
-        tree = multicast_tree(self.topo, msg.src, msg.dests, cfg.routing_order)
-        if cfg.model_local_ports:
-            # Wrap the router tree with the tile<->router port links.
-            inj = self.topo.injection_link(msg.src)
-            wrapped: dict[Link, Link | None] = {inj: None}
-            for link, parent in tree.items():
-                wrapped[link] = parent if parent is not None else inj
-            for dst in msg.dests:
-                last_in = next(l for l in tree if l[1] == dst)
-                wrapped[self.topo.ejection_link(dst)] = last_in
-            tree = wrapped
-        ordered_links = tree_depth_order(tree)
-        depth: dict[Link, int] = {}
-        for link in ordered_links:
-            parent = tree[link]
-            depth[link] = 0 if parent is None else depth[parent] + 1
-        if cfg.schedule_mode == "atomic":
-            # Earliest head-departure so no link conflicts with prior packets.
-            start = msg.inject_cycle
-            for link in ordered_links:
-                earliest = link_free.get(link, 0) - depth[link] * cfg.hop_cycles
-                start = max(start, earliest)
-            last_finish = start
-            for link in ordered_links:
-                link_start = start + depth[link] * cfg.hop_cycles
-                link_free[link] = link_start + flits
-                stats.add(link, flits)
-                last_finish = max(last_finish, link_start + cfg.hop_cycles + flits - 1)
-            return last_finish
-        # Pipelined (cut-through) mode: each link queues independently; a
-        # link may start once its queue frees AND the head has arrived from
-        # the parent link.  Static conflict-free schedules achieve this
-        # time-division of shared links.
-        start_at: dict[Link, int] = {}
-        last_finish = msg.inject_cycle
-        for link in ordered_links:
-            parent = tree[link]
-            head_arrival = (
-                msg.inject_cycle
-                if parent is None
-                else start_at[parent] + cfg.hop_cycles
-            )
-            link_start = max(link_free.get(link, 0), head_arrival)
-            start_at[link] = link_start
-            link_free[link] = link_start + flits
-            stats.add(link, flits)
-            last_finish = max(last_finish, link_start + cfg.hop_cycles + flits - 1)
-        return last_finish

@@ -4,6 +4,16 @@ Router ids are linearized ``z * (W*H) + y * W + x``.  The ReGraphX instance
 is an ``8 x 8 x 3`` mesh: tier 0 and tier 2 carry E-PEs, tier 1 (the middle,
 sandwiched tier) carries V-PEs with one-hop vertical reach to both E tiers
 (paper Fig. 2).
+
+Links have two spellings.  A :data:`Link` tuple ``(a, b)`` names a directed
+router-to-router link; local ports offset one endpoint by ``num_routers``
+(see :meth:`Mesh3D.is_local`).  A dense integer *link id*,
+``router * PORTS + port`` (:func:`link_id`), names the same link by the
+router it leaves (or, for injection, enters) and a port: ports 0-5 are the
+mesh directions +x, -x, +y, -y, +z and -z (:func:`mesh_port`),
+:data:`EJECT` is the router -> tile port and :data:`INJECT` the tile ->
+router port.  Ids index flat per-link lists in the static scheduler;
+:meth:`Mesh3D.link_of` maps an id back to its tuple.
 """
 
 from __future__ import annotations
@@ -11,6 +21,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 Link = tuple[int, int]  # directed (src_router, dst_router)
+
+#: Link ids per router: six mesh directions, then the two local ports.
+PORTS = 8
+EJECT = 6
+INJECT = 7
+
+
+def link_id(router: int, port: int) -> int:
+    """Dense id of the link through ``port`` of ``router``."""
+    return router * PORTS + port
+
+
+def mesh_port(axis: int, negative: bool) -> int:
+    """Port moving along ``axis`` (0 = x, 1 = y, 2 = z), down if ``negative``."""
+    return 2 * axis + negative
 
 
 @dataclass(frozen=True)
@@ -96,6 +121,17 @@ class Mesh3D:
         if not 0 <= router < self.num_routers:
             raise IndexError(f"router {router} out of range")
         return (router, router + self.num_routers)
+
+    def link_of(self, lid: int) -> Link:
+        """The :data:`Link` tuple the dense link id ``lid`` names."""
+        router, port = divmod(lid, PORTS)
+        if port == EJECT:
+            return self.ejection_link(router)
+        if port == INJECT:
+            return self.injection_link(router)
+        axis, negative = divmod(port, 2)
+        stride = (1, self.width, self.routers_per_tier)[axis]
+        return (router, router - stride if negative else router + stride)
 
     def is_vertical(self, link: Link) -> bool:
         """True for TSV (inter-tier) links; local ports are not vertical."""

@@ -729,11 +729,12 @@ class ServingEngine:
                     push(now + seconds, _DEPART, handle)
 
         def target_healthy(target: str) -> bool:
-            """Whether any slice serving ``target`` has capacity alive."""
-            return any(
-                s.pool.ready_count + s.pool.warming_count > 0
-                for s in serving_slices[target]
-            )
+            """Whether any slice serving ``target`` has capacity alive
+            (ready or warming instances: its pool's provisioned count)."""
+            for s in serving_slices[target]:
+                if s.pool.provisioned:
+                    return True
+            return False
 
         def healthy_route(request: Request, exclude: str | None = None) -> str:
             """Failure-aware routing: fall back to the least-loaded

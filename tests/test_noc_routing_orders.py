@@ -1,15 +1,36 @@
-"""Tests for configurable dimension-order routing (vertical-first ablation)."""
+"""Tests for configurable dimension-order routing (vertical-first ablation)
+and the link-id routes the static scheduler walks."""
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.routing import dimension_order_route, multicast_tree
+from oracles import schedule_tree as oracle
+from repro.noc.routing import (
+    dimension_order_route,
+    link_route,
+    multicast_tree,
+    route_links,
+    route_plan,
+)
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.packet import Message
-from repro.noc.topology import Mesh3D
+from repro.noc.topology import EJECT, INJECT, Mesh3D, link_id
 
 TOPO = Mesh3D(8, 8, 3)
+ORDERS = ["".join(p) for p in permutations("xyz")]
+
+
+@st.composite
+def mesh_routes(draw):
+    """A mesh (width, height or tiers may be 1), an order and a router pair."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    topo = Mesh3D(width, height, draw(st.integers(1, 4)))
+    src = draw(st.integers(0, topo.num_routers - 1))
+    dst = draw(st.integers(0, topo.num_routers - 1))
+    return topo, draw(st.sampled_from(ORDERS)), src, dst
 
 
 class TestDimensionOrderRoute:
@@ -49,6 +70,37 @@ class TestDimensionOrderRoute:
         path = dimension_order_route(TOPO, src, dst, order)
         assert path[0] == src and path[-1] == dst
         assert len(path) - 1 == TOPO.distance(src, dst)
+
+
+class TestStrideWalk:
+    @given(case=mesh_routes())
+    @settings(max_examples=200, deadline=None)
+    def test_router_route_matches_hop_by_hop_walk(self, case):
+        topo, order, src, dst = case
+        assert dimension_order_route(topo, src, dst, order) == (
+            oracle.dimension_order_route(topo, src, dst, order)
+        )
+
+    @given(case=mesh_routes())
+    @settings(max_examples=200, deadline=None)
+    def test_link_ids_name_the_router_route(self, case):
+        topo, order, src, dst = case
+        ids = link_route(route_plan(topo, order), src, dst)
+        assert [topo.link_of(lid) for lid in ids] == route_links(
+            dimension_order_route(topo, src, dst, order)
+        )
+
+    def test_local_port_ids(self):
+        n = TOPO.num_routers
+        assert TOPO.link_of(link_id(5, INJECT)) == (5 + n, 5) == TOPO.injection_link(5)
+        assert TOPO.link_of(link_id(5, EJECT)) == (5, 5 + n) == TOPO.ejection_link(5)
+        assert TOPO.is_local(TOPO.link_of(link_id(5, INJECT)))
+
+    def test_plan_rejects_bad_order_and_routers(self):
+        with pytest.raises(ValueError, match="permutation"):
+            route_plan(TOPO, "xyy")
+        with pytest.raises(IndexError):
+            link_route(route_plan(TOPO), 0, TOPO.num_routers)
 
 
 class TestSchedulerRoutingOrder:

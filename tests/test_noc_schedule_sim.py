@@ -1,5 +1,5 @@
 """Tests for the static scheduler and the flit-level simulator, including
-their cross-validation (DESIGN.md simulation methodology)."""
+their cross-validation (the two NoC models of docs/architecture.rst)."""
 
 import pytest
 
