@@ -15,8 +15,15 @@ architecture :class:`~repro.campaign.results.ScenarioRecord` here, the
 serving layer's ``ServingRecord`` in :mod:`repro.serve.sweep`.
 
 Determinism: every scenario carries its own seed (part of its content
-hash), and each evaluation builds its workload and mapping from that seed
-alone — worker processes share no RNG state.
+hash), and every random draw of an evaluation — graph generation, METIS
+partitioning, cluster batching, SA mapping — comes from that seed alone;
+worker processes share no RNG state.  Within one :func:`run_scenarios`
+call, consecutive scenarios with the same ``(dataset, effective_scale,
+seed, batch_size)`` reuse the graph and partition the first of them
+built: both are pure functions of that key and evaluation never mutates
+them, so a reused build is bit-identical to a fresh one.  The memo lives
+for one call and keeps one graph; each process-pool task gets an empty
+copy, so serial and parallel runs still match.
 """
 
 from __future__ import annotations
@@ -30,9 +37,11 @@ from typing import Any, Callable, Sequence, TypeVar
 from repro.campaign.results import CampaignResult, ScenarioRecord
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore, scenario_key
-from repro.core.accelerator import ReGraphX
+from repro.core.accelerator import ReGraphX, Workload
 from repro.core.config import ReGraphXConfig
 from repro.core.thermal import ThermalModel, ThermalSpec, tier_powers_from_report
+from repro.graph.graph import CSRGraph
+from repro.graph.partition import PartitionResult
 
 ProgressFn = Callable[[str], None]
 
@@ -54,6 +63,9 @@ class ProgressEvent:
         done: scenarios complete after this event.
         label: the scenario's display label.
         eval_seconds: leaf wall time (terminal events; 0 for cache hits).
+            The first scenario of a graph in an architecture sweep also
+            carries that graph's generation and partition time; later
+            scenarios on the same graph reuse it (see :class:`GraphMemo`).
         hits / computed: terminal-event tallies so far, split by origin.
         eta_seconds: projected wall time left, from the mean computed
             leaf time over the remaining uncached work (``None`` until
@@ -89,27 +101,73 @@ class ProgressEvent:
 EventFn = Callable[[ProgressEvent], None]
 
 
+class GraphMemo:
+    """The graph and partition of the most recent scenario built.
+
+    A sweep over architecture knobs evaluates one training graph many
+    times; the graph and its METIS partition depend only on
+    ``(dataset, effective_scale, seed, batch_size)``, so scenarios that
+    share that key build them once and hand them to
+    :meth:`ReGraphX.build_workload` through its ``graph=``/``partition=``
+    parameters.  The cluster batcher, block tiling and layer-count check
+    still run from each scenario's own configuration.
+
+    Only the latest key is kept, so memory does not grow with the number
+    of distinct graphs (presets enumerate their graph axes outermost).  A
+    pickled memo arrives empty: every process-pool task builds its own.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple[Any, ...] | None = None
+        self._graph: CSRGraph | None = None
+        self._partition: PartitionResult | None = None
+
+    def __reduce__(self) -> tuple[type, tuple[()]]:
+        return (GraphMemo, ())
+
+    def build(self, accelerator: ReGraphX, scenario: Scenario) -> Workload:
+        """``scenario``'s workload, reusing the memo's graph when it fits."""
+        key = (
+            scenario.dataset,
+            scenario.effective_scale,
+            scenario.seed,
+            scenario.batch_size,
+        )
+        if key != self._key:
+            # Drop the old graph before the next one is built.
+            self._key, self._graph, self._partition = key, None, None
+        workload = accelerator.build_workload(
+            scenario.dataset,
+            scale=scenario.effective_scale,
+            seed=scenario.seed,
+            batch_size=scenario.batch_size,
+            graph=self._graph,
+            partition=self._partition,
+        )
+        self._graph, self._partition = workload.graph, workload.partition
+        return workload
+
+
 def evaluate_scenario(
     scenario: Scenario,
     base_config: ReGraphXConfig | None = None,
     thermal: ThermalSpec | None = None,
     key: str | None = None,
+    *,
+    graphs: GraphMemo | None = None,
 ) -> ScenarioRecord:
     """Evaluate one scenario end to end (timing, energy, thermals).
 
     This is the leaf evaluator — module-level so process pools can pickle
     it — and the superset of the DSE ``evaluate_design`` path: it honours
     the scenario's multicast/SA flags and batch-size override.
+    ``graphs`` is the memo :func:`run_scenarios` shares across one call;
+    without it the graph and partition are built from scratch.
     """
     start = time.perf_counter()
     config = scenario.to_config(base_config)
     accelerator = ReGraphX(config)
-    workload = accelerator.build_workload(
-        scenario.dataset,
-        scale=scenario.effective_scale,
-        seed=scenario.seed,
-        batch_size=scenario.batch_size,
-    )
+    workload = (graphs or GraphMemo()).build(accelerator, scenario)
     report = accelerator.evaluate(
         workload,
         multicast=scenario.multicast,
@@ -274,10 +332,13 @@ def run_cached_scenarios(
 
 
 def _evaluate_leaf(
-    scenario: Scenario, key: str, base_config: ReGraphXConfig | None = None
+    scenario: Scenario,
+    key: str,
+    base_config: ReGraphXConfig | None = None,
+    graphs: GraphMemo | None = None,
 ) -> ScenarioRecord:
     """Architecture leaf with the ``(scenario, key)`` funnel signature."""
-    return evaluate_scenario(scenario, base_config, key=key)
+    return evaluate_scenario(scenario, base_config, key=key, graphs=graphs)
 
 
 def run_scenarios(
@@ -290,6 +351,9 @@ def run_scenarios(
     on_event: EventFn | None = None,
 ) -> CampaignResult:
     """Run ``scenarios``, reusing stored results and fanning out misses.
+
+    Consecutive misses on the same graph share one build through a
+    :class:`GraphMemo` that lives for this call only.
 
     Args:
         scenarios: evaluation points, already labelled and seeded.
@@ -306,7 +370,7 @@ def run_scenarios(
     records, hits, misses = run_cached_scenarios(
         scenarios,
         keys,
-        partial(_evaluate_leaf, base_config=base_config),
+        partial(_evaluate_leaf, base_config=base_config, graphs=GraphMemo()),
         ScenarioRecord,
         jobs=jobs,
         store=store,

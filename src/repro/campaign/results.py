@@ -17,7 +17,13 @@ from typing import Any, Mapping
 
 @dataclass(frozen=True)
 class ScenarioRecord:
-    """Evaluation outcome of one scenario (see ``Scenario.describe``)."""
+    """Evaluation outcome of one scenario (see ``Scenario.describe``).
+
+    ``eval_seconds`` is the leaf's host wall time.  Within one run, the
+    first scenario evaluated on a graph also carries that graph's
+    generation and partition time; later scenarios on the same graph
+    reuse the build (:class:`repro.campaign.executor.GraphMemo`).
+    """
 
     label: str
     key: str

@@ -2,14 +2,22 @@
 
 The scenarios here use PPI at scale 0.05 (the cheapest real workload) and
 one shared module-scoped first run, so the whole file costs only a
-handful of evaluations.
+handful of evaluations.  The graph-reuse and build-count tests run PPI at
+scales 0.005-0.01, where one evaluation takes well under 0.1 s.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.campaign.executor import ProgressEvent, run_campaign, run_scenarios
+from repro.campaign.executor import (
+    ProgressEvent,
+    evaluate_scenario,
+    run_campaign,
+    run_scenarios,
+)
+from repro.campaign.presets import get_preset
 from repro.campaign.results import CampaignResult, ScenarioRecord
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore
@@ -196,3 +204,88 @@ class TestProgressAndExport:
         rebuilt = ScenarioRecord.from_dict(record.to_dict(), cached=True)
         assert rebuilt.metrics() == record.metrics()
         assert rebuilt.cached
+
+
+# Two seeds x two scales x two batch sizes, visited in Gray-code order so
+# each graph axis changes alone at some step, each graph then swept over
+# two mesh widths (graph axes outermost, as every preset enumerates them).
+# The two trailing points reuse the last graph under other flags.
+_GRAPH_KEYS = [
+    (0, 0.005, 2), (0, 0.005, 5), (0, 0.01, 5), (0, 0.01, 2),
+    (1, 0.01, 2), (1, 0.01, 5), (1, 0.005, 5), (1, 0.005, 2),
+]
+REUSE_SWEEP = [
+    Scenario(dataset="ppi", seed=seed, scale=scale, batch_size=batch,
+             mesh_width=width)
+    for seed, scale, batch in _GRAPH_KEYS
+    for width in (6, 8)
+] + [
+    Scenario(dataset="ppi", seed=1, scale=0.005, batch_size=2, mesh_width=8,
+             multicast=False),
+    Scenario(dataset="ppi", seed=1, scale=0.005, batch_size=2, use_sa=True),
+]
+
+
+def _timeless(records):
+    return [replace(r, eval_seconds=0.0) for r in records]
+
+
+@pytest.fixture(scope="module")
+def reuse_inline():
+    return run_scenarios(REUSE_SWEEP, jobs=1)
+
+
+class TestGraphReuse:
+    """One build per graph within a call, bit-identical to building each."""
+
+    def test_inline_matches_each_scenario_alone(self, reuse_inline):
+        alone = [evaluate_scenario(s) for s in REUSE_SWEEP]
+        assert _timeless(reuse_inline.records) == _timeless(alone)
+
+    def test_pool_matches_inline(self, reuse_inline):
+        pooled = run_scenarios(REUSE_SWEEP, jobs=2)
+        assert _timeless(pooled.records) == _timeless(reuse_inline.records)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Count graph generations and partitions made by ``build_workload``."""
+    import repro.core.accelerator as accelerator
+
+    counts = {"load_dataset": 0, "partition_graph": 0}
+    for name in counts:
+        original = getattr(accelerator, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(accelerator, name, counting)
+    return counts
+
+
+class TestBuildCount:
+    def test_architecture_sweep_builds_once(self, builds):
+        spec = get_preset("nocscale")
+        tiny = replace(spec, base=replace(spec.base, scale=0.005))
+        result = run_campaign(tiny)
+        assert result.misses == len(tiny) > 1
+        assert builds == {"load_dataset": 1, "partition_graph": 1}
+
+    def test_one_build_per_seed(self, builds):
+        spec = CampaignSpec(
+            name="seeds",
+            base=Scenario(dataset="ppi", scale=0.005),
+            axes=(("seed", (0, 1, 2)), ("tiers", (2, 3))),
+        )
+        run_campaign(spec)
+        assert builds == {"load_dataset": 3, "partition_graph": 3}
+
+    def test_no_state_outlives_a_call(self, builds):
+        sweep = [
+            Scenario(dataset="ppi", scale=0.005, tiers=2),
+            Scenario(dataset="ppi", scale=0.005, tiers=3),
+        ]
+        run_scenarios(sweep)
+        run_scenarios(sweep)
+        assert builds == {"load_dataset": 2, "partition_graph": 2}

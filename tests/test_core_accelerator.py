@@ -62,6 +62,54 @@ class TestWorkload:
             accelerator.build_workload("ppi", scale=0.02, batch_size=0)
 
 
+def _workload_digest(workload):
+    """Hash of the graph and partition a sweep reuses across scenarios."""
+    import hashlib
+
+    h = hashlib.blake2b(digest_size=16)
+    for array in (
+        workload.graph.indptr,
+        workload.graph.indices,
+        workload.partition.assignment,
+        workload.partition.part_sizes,
+    ):
+        h.update(array.tobytes())
+    h.update(str(workload.partition.edge_cut).encode())
+    return h.hexdigest()
+
+
+class TestWorkloadNotMutated:
+    """Campaign sweeps hand one graph and partition to many scenarios;
+    that is only exact while building and evaluating leave them as built."""
+
+    @pytest.fixture(scope="class")
+    def workload(self, accelerator):
+        return accelerator.build_workload("ppi", scale=0.02, seed=0)
+
+    @pytest.mark.parametrize("use_sa", [False, True], ids=["contiguous", "sa"])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "infer"])
+    def test_evaluate_leaves_workload_intact(
+        self, accelerator, workload, use_sa, training
+    ):
+        before = _workload_digest(workload)
+        rep = (workload.rep_subgraph.indptr.tobytes(),
+               workload.rep_subgraph.indices.tobytes())
+        accelerator.evaluate(workload, use_sa=use_sa, training=training)
+        assert _workload_digest(workload) == before
+        assert (workload.rep_subgraph.indptr.tobytes(),
+                workload.rep_subgraph.indices.tobytes()) == rep
+
+    def test_rebuild_from_shared_graph_leaves_it_intact(self, workload):
+        before = _workload_digest(workload)
+        other = ReGraphX(ReGraphXConfig(mesh_width=6, mesh_height=6))
+        rebuilt = other.build_workload(
+            "ppi", scale=0.02, seed=0,
+            graph=workload.graph, partition=workload.partition,
+        )
+        other.evaluate(rebuilt, use_sa=True)
+        assert _workload_digest(workload) == before
+
+
 class TestEvaluate:
     def test_report_sanity(self, report):
         assert report.worst_compute > 0
