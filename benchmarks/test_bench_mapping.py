@@ -1,13 +1,15 @@
 """Mapping-optimizer benchmark: incremental-cost annealer vs. full oracle.
 
 The SA stage mapper sits on the critical path of every ``use_sa``
-evaluation: the full-recompute oracle re-materializes every leg's
-O(|A|·|B|) pairwise-distance matrix per proposal, while the incremental
-engine updates exact integer per-leg distance sums for just the legs
-incident to the two swapped stages.  Both draw identical RNG sequences
-and must return the bit-identical best :class:`StageMap` — the speedup is
-pure accounting, not search drift.  The companion measurement times the
-vectorized numpy group-by traffic extraction against its scalar oracle.
+evaluation: the full-recompute oracle (``tests/oracles/anneal_full.py``)
+re-materializes every leg's O(|A|·|B|) pairwise-distance matrix per
+proposal, while the library's incremental engine updates exact integer
+per-leg distance sums for just the legs incident to the two swapped
+stages.  Both draw identical RNG sequences and must return the
+bit-identical best :class:`StageMap` — the speedup is pure accounting,
+not search drift.  The companion measurement times the vectorized numpy
+group-by traffic extraction against its scalar oracle
+(``tests/oracles/traffic_loops.py``).
 
 The timings are printed, not recorded: perfbench's ``core.anneal_mapping.s``
 and ``core.traffic.messages.s`` metrics track the production paths.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import time
 
+from oracles import anneal_full, traffic_loops
 from repro.core.accelerator import ReGraphX
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import (
@@ -51,24 +54,21 @@ def test_incremental_annealer_speedup(benchmark):
     incremental = benchmark.pedantic(
         anneal_mapping,
         args=(CONFIG, volumes),
-        kwargs={"iterations": iterations, "seed": 0, "cost_mode": "incremental"},
+        kwargs={"iterations": iterations, "seed": 0},
         rounds=1, iterations=1,
     )
     # Best-of-3 for the short incremental measurement, so a preempted CI
     # runner cannot inflate a ~50 ms window into a spurious failure.
     t_incremental = min(
-        _timed(
-            anneal_mapping, CONFIG, volumes,
-            iterations=iterations, seed=0, cost_mode="incremental",
-        )
+        _timed(anneal_mapping, CONFIG, volumes, iterations=iterations, seed=0)
         for _ in range(3)
     )
     t_full = _timed(
-        anneal_mapping, CONFIG, volumes,
-        iterations=iterations, seed=0, cost_mode="full",
+        anneal_full.anneal_mapping, CONFIG, volumes,
+        iterations=iterations, seed=0,
     )
-    full = anneal_mapping(
-        CONFIG, volumes, iterations=iterations, seed=0, cost_mode="full"
+    full = anneal_full.anneal_mapping(
+        CONFIG, volumes, iterations=iterations, seed=0
     )
 
     assert incremental.assignment == full.assignment  # bit-identical search
@@ -93,14 +93,10 @@ def test_traffic_extraction_speedup(benchmark):
         workload.num_nodes_per_input,
         workload.layer_dims,
     )
-    vectorized = benchmark.pedantic(
-        model.messages, kwargs={"vectorized": True}, rounds=1, iterations=1
-    )
-    t_vectorized = min(
-        _timed(model.messages, vectorized=True) for _ in range(3)
-    )
-    t_loop = _timed(model.messages, vectorized=False)
-    loop = model.messages(vectorized=False)
+    vectorized = benchmark.pedantic(model.messages, rounds=1, iterations=1)
+    t_vectorized = min(_timed(model.messages) for _ in range(3))
+    t_loop = _timed(traffic_loops.messages, model)
+    loop = traffic_loops.messages(model)
 
     assert vectorized == loop  # same ids, ordering, sizes, tags
 
@@ -113,18 +109,16 @@ def test_traffic_extraction_speedup(benchmark):
 
 
 def test_mapping_smoke(benchmark):
-    """Single fast case for CI: both cost modes agree, restarts behave
-    (run via ``-k smoke`` on every Python version)."""
+    """Single fast case for CI: the annealer agrees with the full-recompute
+    oracle, restarts behave (run via ``-k smoke`` on every Python version)."""
     volumes = _volumes()
     incremental = benchmark.pedantic(
         anneal_mapping,
         args=(CONFIG, volumes),
-        kwargs={"iterations": 300, "seed": 1, "cost_mode": "incremental"},
+        kwargs={"iterations": 300, "seed": 1},
         rounds=1, iterations=1,
     )
-    full = anneal_mapping(
-        CONFIG, volumes, iterations=300, seed=1, cost_mode="full"
-    )
+    full = anneal_full.anneal_mapping(CONFIG, volumes, iterations=300, seed=1)
     assert incremental.assignment == full.assignment
     multi = anneal_mapping(
         CONFIG, volumes, iterations=300, seed=1, restarts=3

@@ -1,18 +1,20 @@
-"""NoC simulator backend benchmark: event-driven engine vs. cycle oracle.
+"""NoC simulator benchmark: event-driven engine vs. cycle-stepped oracle.
 
 The trace is the worst case for a cycle stepper and the common case for
 campaign sweeps: high-contention many-to-one-to-many (GNN-shaped) traffic
 whose injections are spread over a wide window, so the network is sparse
-in time.  The cycle backend pays for every elapsed cycle times every
-pending packet; the event engine pays only per link grant, so its cost
-scales with flit-hops.  Both must produce bit-identical results — the
-speedup is pure accounting, not model drift.
+in time.  The cycle-stepped oracle (``tests/oracles/flit_cycle.py``) pays
+for every elapsed cycle times every pending packet; the library's event
+engine pays only per link grant, so its cost scales with flit-hops.  Both
+must produce bit-identical results — the speedup is pure accounting, not
+model drift.
 """
 
 from __future__ import annotations
 
 import time
 
+from oracles.flit_cycle import CycleFlitSimulator
 from repro.noc.simulator import FlitSimulator
 from repro.noc.topology import Mesh3D
 from repro.noc.traffic_gen import many_to_one_to_many_traffic
@@ -45,16 +47,13 @@ def test_event_backend_speedup(benchmark):
     sim = FlitSimulator(TOPO)
 
     event = benchmark.pedantic(
-        sim.simulate, args=(msgs,), kwargs={"backend": "event"},
-        rounds=1, iterations=1,
+        sim.simulate, args=(msgs,), rounds=1, iterations=1,
     )
     # Best-of-3 for the short event-side measurement, so a preempted CI
     # runner cannot inflate a ~40 ms window into a spurious failure.
-    t_event = min(
-        _timed(sim.simulate, msgs, backend="event") for _ in range(3)
-    )
+    t_event = min(_timed(sim.simulate, msgs) for _ in range(3))
     t0 = time.perf_counter()
-    cycle = sim.simulate(msgs, backend="cycle")
+    cycle = CycleFlitSimulator(TOPO).simulate(msgs)
     t_cycle = time.perf_counter() - t0
 
     assert event.message_finish == cycle.message_finish
@@ -71,15 +70,14 @@ def test_event_backend_speedup(benchmark):
 
 
 def test_event_backend_smoke(benchmark):
-    """Single fast case for CI: the event backend digests a contended trace
+    """Single fast case for CI: the event engine digests a contended trace
     and matches the oracle (run via ``-k smoke`` on every Python version)."""
     msgs = _contended_sparse_trace(inject_window=500)
     sim = FlitSimulator(TOPO)
     event = benchmark.pedantic(
-        sim.simulate, args=(msgs,), kwargs={"backend": "event"},
-        rounds=1, iterations=1,
+        sim.simulate, args=(msgs,), rounds=1, iterations=1,
     )
-    cycle = sim.simulate(msgs, backend="cycle")
+    cycle = CycleFlitSimulator(TOPO).simulate(msgs)
     assert event.message_finish == cycle.message_finish
     assert event.link_stats.flits == cycle.link_stats.flits
     assert event.makespan_cycles >= 500

@@ -7,14 +7,14 @@ routers between stages to pull heavily-communicating stage pairs close,
 minimizing a volume-weighted distance cost — the proxy for long-range and
 multicast traffic the paper optimizes.
 
-Cost evaluation has two modes.  ``cost_mode="incremental"`` (the default)
-keeps per-leg cross-group distance sums as exact integer running state and
-updates only the legs incident to the two swapped stages on each proposal
-— O(legs touched) bookkeeping per step instead of re-materializing every
-O(|A|·|B|) pairwise-distance matrix.  ``cost_mode="full"`` is the original
-full-recompute path, retained as the reference oracle; both modes draw the
-same RNG sequence and produce bit-identical accept/reject decisions, so
-the same seed yields the same :class:`StageMap` either way.
+The annealer keeps per-leg cross-group distance sums as exact integer
+running state (:class:`IncrementalCost`) and updates only the legs
+incident to the two swapped stages on each proposal — O(legs touched)
+bookkeeping per step instead of re-materializing every O(|A|·|B|)
+pairwise-distance matrix.  The original full-recompute annealer lives in
+``tests/oracles/anneal_full.py``; it draws the same RNG sequence, and the
+differential tests assert bit-identical accept/reject decisions, so the
+same seed yields the same :class:`StageMap` either way.
 """
 
 from __future__ import annotations
@@ -165,23 +165,6 @@ def default_sa_iterations(config: ReGraphXConfig) -> int:
     return max(200, round(_BASE_ITERATIONS * routers / _BASE_ROUTERS))
 
 
-def _mapping_cost(
-    assignment: dict[str, tuple[int, ...]],
-    legs: list[tuple[str, str]],
-    leg_volumes: dict[tuple[str, str], float],
-    coords: np.ndarray,
-) -> float:
-    """Volume-weighted mean Manhattan distance between stage groups."""
-    cost = 0.0
-    for leg in legs:
-        src, dst = leg
-        a = np.asarray(assignment[src])
-        b = np.asarray(assignment[dst])
-        dist = np.abs(coords[a][:, None, :] - coords[b][None, :, :]).sum(axis=2)
-        cost += leg_volumes.get(leg, 1.0) * float(dist.mean())
-    return cost
-
-
 class IncrementalCost:
     """Exact running state for the SA cost under single-router swaps.
 
@@ -190,8 +173,9 @@ class IncrementalCost:
     the leg's two stage groups.  Manhattan distances on an integer mesh
     are integers, so ``S_leg`` is maintained as exact integer state and
     :meth:`total_cost` reconstructs the float cost with the same per-leg
-    term and accumulation order as :func:`_mapping_cost` — making the
-    incremental cost bit-identical to a full recompute.
+    term and accumulation order as the full recompute of the cost
+    (``_mapping_cost`` in ``tests/oracles/anneal_full.py``) — making the
+    incremental cost bit-identical to it.
 
     Per leg the state also carries two int64 vectors over *all* routers:
     the distance-sum to the leg's current destination group and from its
@@ -251,7 +235,7 @@ class IncrementalCost:
         self.replace(stage_b, router_b, router_a)
 
     def total_cost(self) -> float:
-        """The current cost, bit-identical to :func:`_mapping_cost`."""
+        """The current cost, bit-identical to a full recompute."""
         cost = 0.0
         for weight, total, size in zip(self._weights, self._sums, self._sizes):
             cost += weight * (total / size)
@@ -265,7 +249,6 @@ def _anneal_once(
     initial_temperature: float,
     rng: np.random.Generator,
     training: bool,
-    cost_mode: str,
 ) -> tuple[dict[str, tuple[int, ...]], float]:
     """One annealing run; returns (best assignment, best cost)."""
     legs = communication_legs(config.num_layers, training)
@@ -282,14 +265,8 @@ def _anneal_once(
     def snapshot() -> dict[str, tuple[int, ...]]:
         return {s: tuple(r) for s, r in current.items()}
 
-    state = (
-        IncrementalCost(current, legs, volumes, coords)
-        if cost_mode == "incremental"
-        else None
-    )
-    cost = state.total_cost() if state is not None else _mapping_cost(
-        snapshot(), legs, volumes, coords
-    )
+    state = IncrementalCost(current, legs, volumes, coords)
+    cost = state.total_cost()
     best, best_cost = snapshot(), cost
     if iterations == 0:
         return best, best_cost
@@ -309,11 +286,8 @@ def _anneal_once(
         ib = int(rng.integers(len(current[stage_b])))
         router_a, router_b = current[stage_a][ia], current[stage_b][ib]
         current[stage_a][ia], current[stage_b][ib] = router_b, router_a
-        if state is not None:
-            state.swap(stage_a, router_a, stage_b, router_b)
-            new_cost = state.total_cost()
-        else:
-            new_cost = _mapping_cost(snapshot(), legs, volumes, coords)
+        state.swap(stage_a, router_a, stage_b, router_b)
+        new_cost = state.total_cost()
         accept = new_cost <= cost or rng.random() < np.exp(
             (cost - new_cost) / max(temperature, 1e-12)
         )
@@ -323,8 +297,7 @@ def _anneal_once(
                 best, best_cost = snapshot(), cost
         else:  # undo
             current[stage_a][ia], current[stage_b][ib] = router_a, router_b
-            if state is not None:
-                state.swap(stage_a, router_b, stage_b, router_a)
+            state.swap(stage_a, router_b, stage_b, router_a)
         temperature *= alpha
     return best, best_cost
 
@@ -341,7 +314,6 @@ def anneal_mapping(
     initial_temperature: float = 2.0,
     seed: int | np.random.Generator | None = 0,
     training: bool = True,
-    cost_mode: str = "incremental",
     restarts: int = 1,
     jobs: int = 1,
 ) -> StageMap:
@@ -359,9 +331,6 @@ def anneal_mapping(
         seed: RNG seed for proposal and acceptance draws.
         training: anneal the 4L training pipeline (default) or the 2L
             forward-only inference pipeline.
-        cost_mode: ``"incremental"`` (delta-cost running state, the fast
-            default) or ``"full"`` (recompute every proposal, the
-            reference oracle).  Both are bit-identical for the same seed.
         restarts: independent annealing runs; the first uses ``seed``
             exactly (so ``restarts=1`` reproduces historical results) and
             the rest use child streams spawned from it.  The best final
@@ -376,15 +345,13 @@ def anneal_mapping(
         iterations = default_sa_iterations(config)
     if iterations < 0:
         raise ValueError("iterations must be non-negative")
-    if cost_mode not in ("incremental", "full"):
-        raise ValueError(f"unknown cost_mode {cost_mode!r}")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     rngs = [rng_from_seed(seed)]
     if restarts > 1:
         rngs += spawn_rngs(seed, restarts - 1)
     payloads = [
-        (config, leg_volumes, iterations, initial_temperature, rng, training, cost_mode)
+        (config, leg_volumes, iterations, initial_temperature, rng, training)
         for rng in rngs
     ]
     if restarts > 1 and jobs > 1:

@@ -31,12 +31,12 @@ Row ownership inside V-type stages is contiguous-chunked over the stage's
 routers.  Messages with identical (source, destination set, tag) are
 coalesced, as a DMA engine would.
 
-**Extraction engines.**  :meth:`GNNTrafficModel.messages` builds the set
-through a vectorized numpy group-by over the nonzero blocks (stable-sorted
-by block row/column, so per-group destination lists come out in the same
-order the scalar code visited them); the original per-router Python loops
-are retained behind ``messages(vectorized=False)`` as the reference
-oracle.  Both engines produce bit-identical message ids and ordering.
+**Extraction.**  :meth:`GNNTrafficModel.messages` builds the set through
+a vectorized numpy group-by over the nonzero blocks, stable-sorted by
+block row/column so per-group destination lists come out in original
+block order.  The original per-router Python loops live in
+``tests/oracles/traffic_loops.py``; the differential tests assert both
+produce bit-identical message ids, ordering and contents.
 """
 
 from __future__ import annotations
@@ -72,56 +72,24 @@ class _EPlacement:
     def grid(self) -> tuple[int, int]:
         return _grid_shape(len(self.routers))
 
-    def block_router(self, br: int, bc: int) -> int:
-        """Router holding block (br, bc)."""
-        a, b = self.grid
-        if self.transposed:
-            br, bc = bc, br
-        return self.routers[(br % a) * b + (bc % b)]
-
     def block_routers(self, brs: np.ndarray, bcs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`block_router` over parallel block arrays."""
+        """Routers holding blocks ``(brs[k], bcs[k])``."""
         a, b = self.grid
         if self.transposed:
             brs, bcs = bcs, brs
         return np.asarray(self.routers)[(brs % a) * b + (bcs % b)]
-
-    def input_dests(self, group: int, partners: np.ndarray) -> set[int]:
-        """Routers needing input rows of block group ``group``.
-
-        ``partners`` are the occupied opposite-dimension groups: block-rows
-        adjacent to an input column (forward) or block-columns adjacent to
-        an input row (backward).
-        """
-        if self.transposed:
-            return {self.block_router(int(group), int(p)) for p in partners}
-        return {self.block_router(int(p), int(group)) for p in partners}
-
-    def row_home(self, group: int) -> int:
-        """Accumulation home of output group ``group``."""
-        return self.routers[group % len(self.routers)]
-
-    def partial_sources(self, group: int, partners: np.ndarray) -> set[int]:
-        """Routers producing partial sums for output group ``group``."""
-        if self.transposed:
-            return {self.block_router(int(p), int(group)) for p in partners}
-        return {self.block_router(int(group), int(p)) for p in partners}
 
 
 @dataclass(frozen=True)
 class _BlockIndex:
     """Row/column adjacency structure of the nonzero blocks.
 
-    Beyond the per-group partner dictionaries the scalar path consumes,
-    the index carries stable group-by orderings of the raw block arrays:
+    The index carries stable group-by orderings of the raw block arrays:
     ``order_by_col`` sorts blocks by block-column while preserving the
     original block order inside each column (likewise ``order_by_row``),
-    so vectorized per-group slices enumerate partners in exactly the
-    order the scalar dictionaries recorded them.
+    so per-group slices enumerate partners in original block order.
     """
 
-    brs_by_col: dict[int, np.ndarray]  # block-col -> occupied block-rows
-    bcs_by_row: dict[int, np.ndarray]  # block-row -> occupied block-cols
     occupied_rows: np.ndarray
     occupied_cols: np.ndarray
     brs: np.ndarray  # block-row of every nonzero block
@@ -136,18 +104,11 @@ def _build_block_index(mapping: BlockMapping) -> _BlockIndex:
     nbc = mapping.num_block_cols
     brs = mapping.block_ids // nbc
     bcs = mapping.block_ids % nbc
-    brs_by_col: dict[int, list[int]] = defaultdict(list)
-    bcs_by_row: dict[int, list[int]] = defaultdict(list)
-    for br, bc in zip(brs.tolist(), bcs.tolist()):
-        brs_by_col[bc].append(br)
-        bcs_by_row[br].append(bc)
     occupied_rows = np.unique(brs)
     occupied_cols = np.unique(bcs)
     order_by_col = np.argsort(bcs, kind="stable")
     order_by_row = np.argsort(brs, kind="stable")
     return _BlockIndex(
-        brs_by_col={k: np.asarray(v) for k, v in brs_by_col.items()},
-        bcs_by_row={k: np.asarray(v) for k, v in bcs_by_row.items()},
         occupied_rows=occupied_rows,
         occupied_cols=occupied_cols,
         brs=brs,
@@ -217,31 +178,6 @@ class GNNTrafficModel:
         r = len(routers)
         return np.asarray([(k * self.num_nodes) // r for k in range(r + 1)])
 
-    def _owners(self, routers: tuple[int, ...], lo: int, hi: int) -> set[int]:
-        """Routers owning any row in ``[lo, hi)``."""
-        bounds = self._chunk_bounds(routers)
-        first = max(int(np.searchsorted(bounds, lo, side="right") - 1), 0)
-        last = min(
-            int(np.searchsorted(bounds, hi - 1, side="right") - 1), len(routers) - 1
-        )
-        return {routers[k] for k in range(first, last + 1)}
-
-    def _chunks_overlapping(
-        self, routers: tuple[int, ...], lo: int, hi: int
-    ) -> list[tuple[int, int]]:
-        """(router, rows) pairs covering ``[lo, hi)`` by chunk ownership."""
-        bounds = self._chunk_bounds(routers)
-        first = max(int(np.searchsorted(bounds, lo, side="right") - 1), 0)
-        last = min(
-            int(np.searchsorted(bounds, hi - 1, side="right") - 1), len(routers) - 1
-        )
-        out = []
-        for k in range(first, last + 1):
-            rows = min(hi, int(bounds[k + 1])) - max(lo, int(bounds[k]))
-            if rows > 0:
-                out.append((routers[k], rows))
-        return out
-
     def _group_rows(self, group: int) -> tuple[int, int]:
         """Row range [lo, hi) covered by block group ``group``."""
         lo = group * self.block_size
@@ -249,7 +185,7 @@ class GNNTrafficModel:
         return lo, hi
 
     # ------------------------------------------------------------------
-    # Vectorized group-by helpers
+    # Group-by helpers
     # ------------------------------------------------------------------
     def _block_routers_by(
         self, layer: int, transposed: bool, axis: str
@@ -258,9 +194,9 @@ class GNNTrafficModel:
 
         ``axis="col"`` groups by block-column (aligned with
         ``occupied_cols``); ``axis="row"`` by block-row.  Within a group,
-        routers appear in original block order — the same enumeration the
-        scalar partner dictionaries produce — so downstream ``set()``
-        construction inserts elements in the historical order.
+        routers appear in original block order, so downstream ``set()``
+        construction inserts elements in the order the reference loops
+        (``tests/oracles/traffic_loops.py``) visit them.
         """
         key = (layer, transposed, axis)
         cached = self._group_cache.get(key)
@@ -297,41 +233,22 @@ class GNNTrafficModel:
     # ------------------------------------------------------------------
     # Message construction
     # ------------------------------------------------------------------
-    def messages(self, vectorized: bool = True) -> list[Message]:
-        """The full message set of one pipeline period, all legs tagged.
-
-        ``vectorized=False`` runs the original scalar construction — kept
-        as the reference oracle; both engines are bit-identical (same
-        message ids, ordering, and contents).
-        """
+    def messages(self) -> list[Message]:
+        """The full message set of one pipeline period, all legs tagged."""
         acc: dict[tuple[int, frozenset[int], str], int] = defaultdict(int)
-        # Pick the engine once; the leg sequence itself is defined in one
-        # place so the two implementations cannot drift apart.
-        if vectorized:
-            into_e = self._vec_leg_into_e
-            partial_sums = self._vec_leg_partial_sums
-            e_out = self._vec_leg_e_out
-            e_to_be = self._vec_leg_e_to_be
-            be_to_bv = self._vec_leg_be_to_bv
-        else:
-            into_e = self._leg_into_e
-            partial_sums = self._leg_partial_sums
-            e_out = self._leg_e_out
-            e_to_be = self._leg_e_to_be
-            be_to_bv = self._leg_be_to_bv
         num_layers = self.config.num_layers
         for i in range(1, num_layers + 1):
             din, dout = self.layer_dims[i - 1]
-            into_e(acc, i, dout, backward=False)
-            partial_sums(acc, i, dout, backward=False)
-            e_out(acc, i, dout, is_last=(i == num_layers))
+            self._vec_leg_into_e(acc, i, dout, backward=False)
+            self._vec_leg_partial_sums(acc, i, dout, backward=False)
+            self._vec_leg_e_out(acc, i, dout, is_last=(i == num_layers))
             if not self.training:
                 continue
-            e_to_be(acc, i, dout, gradient=(i == num_layers))
-            partial_sums(acc, i, dout, backward=True)
-            be_to_bv(acc, i, dout)
+            self._vec_leg_e_to_be(acc, i, dout, gradient=(i == num_layers))
+            self._vec_leg_partial_sums(acc, i, dout, backward=True)
+            self._vec_leg_be_to_bv(acc, i, dout)
             if i > 1:
-                into_e(acc, i, din, backward=True)
+                self._vec_leg_into_e(acc, i, din, backward=True)
         messages: list[Message] = []
         for msg_id, ((src, dests, tag), bits) in enumerate(sorted(acc.items(), key=str)):
             messages.append(
@@ -359,7 +276,7 @@ class GNNTrafficModel:
         acc[(src, frozenset(dests), tag)] += bits
 
     # ------------------------------------------------------------------
-    # Vectorized legs (numpy group-by; the default engine)
+    # Legs (numpy group-by)
     # ------------------------------------------------------------------
     def _vec_leg_into_e(self, acc, layer: int, width: int, backward: bool) -> None:
         """Rows into an E-type stage: Vi->Ei, or BVi->BEi-1 for gradients."""
@@ -461,109 +378,6 @@ class GNNTrafficModel:
             self._add(acc, src, dests, int(his[k] - los[k]) * factor, tag)
 
     # ------------------------------------------------------------------
-    # Scalar legs (the reference oracle behind ``vectorized=False``)
-    # ------------------------------------------------------------------
-    def _leg_into_e(self, acc, layer: int, width: int, backward: bool) -> None:
-        """Rows into an E-type stage: Vi->Ei, or BVi->BEi-1 for gradients."""
-        if backward:
-            src_routers = self.stage_map.routers(f"BV{layer}")
-            placement = self._placement(layer - 1, backward=True)
-            groups = self._index.occupied_rows
-            partners_of = self._index.bcs_by_row
-            tag = f"BV{layer}->BE{layer - 1}"
-        else:
-            src_routers = self.stage_map.routers(f"V{layer}")
-            placement = self._placement(layer, backward=False)
-            groups = self._index.occupied_cols
-            partners_of = self._index.brs_by_col
-            tag = f"V{layer}->E{layer}"
-        for g in groups:
-            lo, hi = self._group_rows(int(g))
-            dests = placement.input_dests(int(g), partners_of[int(g)])
-            for router, rows in self._chunks_overlapping(src_routers, lo, hi):
-                self._add(
-                    acc,
-                    router,
-                    dests,
-                    rows * width * self.data_bits * self.e_rounds,
-                    tag,
-                )
-
-    def _leg_partial_sums(self, acc, layer: int, dout: int, backward: bool) -> None:
-        """Within-stage reduction: partial block products to the row home."""
-        placement = self._placement(layer, backward)
-        if backward:
-            groups = self._index.occupied_cols
-            partners_of = self._index.brs_by_col
-            stage = f"BE{layer}"
-        else:
-            groups = self._index.occupied_rows
-            partners_of = self._index.bcs_by_row
-            stage = f"E{layer}"
-        tag = f"{stage}->{stage}"
-        for g in groups:
-            lo, hi = self._group_rows(int(g))
-            home = placement.row_home(int(g))
-            for src in placement.partial_sources(int(g), partners_of[int(g)]):
-                self._add(acc, src, {home}, (hi - lo) * dout * self.data_bits, tag)
-
-    def _leg_e_out(self, acc, layer: int, dout: int, is_last: bool) -> None:
-        """Ei -> Vi+1 (and BVi+1): aggregated rows fan out (multicast)."""
-        if is_last:
-            return  # the last E stage feeds the loss turnaround instead
-        placement = self._placement(layer, backward=False)
-        v_next = self.stage_map.routers(f"V{layer + 1}")
-        bv_next = (
-            self.stage_map.routers(f"BV{layer + 1}") if self.training else ()
-        )
-        for br in self._index.occupied_rows:
-            lo, hi = self._group_rows(int(br))
-            src = placement.row_home(int(br))
-            dests = self._owners(v_next, lo, hi)
-            if bv_next:
-                dests |= self._owners(bv_next, lo, hi)
-            self._add(
-                acc,
-                src,
-                dests,
-                (hi - lo) * dout * self.data_bits,
-                f"E{layer}->V{layer + 1}",
-            )
-
-    def _leg_e_to_be(self, acc, layer: int, dout: int, gradient: bool) -> None:
-        """Ei -> BEi: ReLU masks (plus the loss gradient at the last layer)."""
-        placement = self._placement(layer, backward=False)
-        be_placement = self._placement(layer, backward=True)
-        bits_per_value = self.data_bits + 1 if gradient else 1
-        for br in self._index.occupied_rows:
-            lo, hi = self._group_rows(int(br))
-            src = placement.row_home(int(br))
-            dests = be_placement.input_dests(int(br), self._index.bcs_by_row[int(br)])
-            self._add(
-                acc,
-                src,
-                dests,
-                (hi - lo) * dout * bits_per_value * self.e_rounds,
-                f"E{layer}->BE{layer}",
-            )
-
-    def _leg_be_to_bv(self, acc, layer: int, dout: int) -> None:
-        """BEi -> BVi: back-propagated rows to their chunk owners."""
-        placement = self._placement(layer, backward=True)
-        bv_routers = self.stage_map.routers(f"BV{layer}")
-        for bc in self._index.occupied_cols:
-            lo, hi = self._group_rows(int(bc))
-            src = placement.row_home(int(bc))
-            dests = self._owners(bv_routers, lo, hi)
-            self._add(
-                acc,
-                src,
-                dests,
-                (hi - lo) * dout * self.data_bits,
-                f"BE{layer}->BV{layer}",
-            )
-
-    # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     def leg_volumes(self) -> dict[tuple[str, str], float]:
@@ -612,13 +426,12 @@ def cross_validate_traffic(
     topo,
     noc_config,
     messages: list[Message],
-    backend: str = "event",
 ) -> NoCValidation:
     """Check a message set against both NoC models (paper Sec. V.A).
 
-    Runs the static conflict-free schedule analyzer and the flit-level
-    simulator (event backend by default, so even full GNN traffic sets are
-    affordable) over the same unicast expansion and reports how closely
+    Runs the static conflict-free schedule analyzer and the event-driven
+    flit-level simulator (affordable even on full GNN traffic sets) over
+    the same unicast expansion and reports how closely
     they agree.  Used by the integration suite and NoC-scaling studies to
     confirm the scheduler's contention model on real pipeline traffic.
     """
@@ -626,7 +439,7 @@ def cross_validate_traffic(
     from repro.noc.simulator import FlitSimulator
 
     static = StaticScheduler(topo, noc_config).simulate(messages, multicast=False)
-    simulated = FlitSimulator(topo, noc_config, backend=backend).simulate(messages)
+    simulated = FlitSimulator(topo, noc_config).simulate(messages)
     return NoCValidation(
         static_makespan_cycles=static.makespan_cycles,
         simulated_makespan_cycles=simulated.makespan_cycles,

@@ -6,9 +6,9 @@ two complementary performance models.
   serializes wormhole packets over shared links and reports makespan,
   per-message latency, link loads, and energy.
 * :mod:`repro.noc.simulator` — a flit-level wormhole simulator used to
-  validate the static scheduler.  Two bit-identical backends: the default
-  event-driven engine (:mod:`repro.noc.events`, cost scales with
-  flit-hops) and the cycle-stepped reference oracle.
+  validate the static scheduler.  It runs on the event-driven engine
+  (:mod:`repro.noc.events`, cost scales with flit-hops); the cycle-stepped
+  loop it is differentially tested against lives in ``tests/oracles/``.
 """
 
 from repro.noc.analysis import (
@@ -20,13 +20,12 @@ from repro.noc.analysis import (
 from repro.noc.packet import Message
 from repro.noc.routing import (
     dimension_order_route,
-    multicast_tree,
     route_links,
     xyz_route,
 )
 from repro.noc.events import EventEngine, ExpandedPacket
 from repro.noc.schedule import NoCConfig, ScheduleResult, StaticScheduler
-from repro.noc.simulator import BACKENDS, FlitSimulator, SimulationResult
+from repro.noc.simulator import FlitSimulator, SimulationResult
 from repro.noc.stats import (
     LatencySummary,
     LinkStats,
@@ -47,13 +46,11 @@ __all__ = [
     "xyz_route",
     "dimension_order_route",
     "route_links",
-    "multicast_tree",
     "NoCConfig",
     "StaticScheduler",
     "ScheduleResult",
     "FlitSimulator",
     "SimulationResult",
-    "BACKENDS",
     "EventEngine",
     "ExpandedPacket",
     "LinkStats",

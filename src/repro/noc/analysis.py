@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
-from repro.noc.simulator import BACKENDS, FlitSimulator
+from repro.noc.simulator import FlitSimulator
 from repro.noc.stats import summarize_latencies
 from repro.noc.topology import Mesh3D
 from repro.utils.rng import rng_from_seed
@@ -62,8 +62,9 @@ def latency_throughput_sweep(
         size_bits: message payload.
         seed: RNG seed.
         backend: ``"static"`` evaluates the paper's conflict-free schedule
-            analyzer; ``"event"``/``"cycle"`` run the flit-level simulator
-            instead (the event engine makes long windows affordable).
+            analyzer; ``"event"`` runs the event-driven flit-level simulator
+            instead (its cost scales with flit-hops, so long windows stay
+            affordable).
 
     Returns:
         One :class:`SweepPoint` per rate, in order.
@@ -72,10 +73,8 @@ def latency_throughput_sweep(
         raise ValueError("need at least one rate")
     if any(r <= 0 for r in rates):
         raise ValueError("rates must be positive")
-    if backend != "static" and backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be 'static' or one of {BACKENDS}, got {backend!r}"
-        )
+    if backend not in ("static", "event"):
+        raise ValueError(f"backend must be 'static' or 'event', got {backend!r}")
     config = config or NoCConfig()
     scheduler = StaticScheduler(topo, config)
     points: list[SweepPoint] = []
@@ -103,7 +102,7 @@ def latency_throughput_sweep(
                 result.message_finish[m.msg_id] - m.inject_cycle for m in messages
             ]
         else:
-            result = FlitSimulator(topo, config, backend=backend).simulate(messages)
+            result = FlitSimulator(topo, config).simulate(messages)
             latencies = [
                 result.message_finish[(m.msg_id, m.dests[0])] - m.inject_cycle
                 for m in messages

@@ -1,14 +1,15 @@
 """Event-driven engine for the flit-level wormhole simulator.
 
-Replaces the cycle-stepped inner loop of :mod:`repro.noc.simulator` with a
-priority queue of link events, so simulation cost scales with the number of
-*link grants* (one per packet per hop) instead of
+Runs the model of :mod:`repro.noc.simulator` as a priority queue of link
+events instead of a cycle-stepped loop, so simulation cost scales with the
+number of *link grants* (one per packet per hop) instead of
 ``elapsed cycles x pending packets x hops``.  On sparse-in-time traffic
 (wide injection windows) this is orders of magnitude faster, which is what
 makes large-mesh campaign sweeps affordable.
 
-The engine is **bit-identical** to the cycle-stepped reference.  The
-reference executes three phases per cycle; each maps onto an event:
+The engine is **bit-identical** to the cycle-stepped reference kept in
+``tests/oracles/flit_cycle.py``.  The reference executes three phases per
+cycle; each maps onto an event:
 
 * *Phase 1 (acquisition)* — a packet becomes a contender for hop ``i``
   exactly ``hop_cycles`` after its head flit crossed hop ``i-1`` (or at
@@ -90,8 +91,8 @@ class EventEngine:
     ) -> dict[tuple[int, int], int]:
         """Simulate ``packets`` and return per-``(msg_id, dest)`` finish cycles.
 
-        ``stats`` accumulates per-link flit counts (identical to the cycle
-        backend's).  Raises :class:`RuntimeError` when delivery needs
+        ``stats`` accumulates per-link flit counts (identical to the
+        cycle-stepped reference's).  Raises :class:`RuntimeError` when delivery needs
         ``max_cycles`` cycles or more, mirroring the reference watchdog.
         """
         hop_cycles = self.config.hop_cycles

@@ -1,4 +1,4 @@
-"""Deterministic routing: dimension-ordered unicast and tree multicast.
+"""Deterministic routing: dimension-ordered unicast routes.
 
 Unicast uses X-Y-Z dimension order (planar first, then the vertical hop —
 in ReGraphX's sandwich the V<->E hop is the single final Z step).  Because
@@ -86,29 +86,3 @@ def route_links(path: list[int]) -> list[Link]:
     """Consecutive-router pairs of a path."""
     return list(zip(path[:-1], path[1:]))
 
-
-def multicast_tree(
-    topo: Mesh3D, src: int, dests: tuple[int, ...], order: str = "xyz"
-) -> dict[Link, Link | None]:
-    """Tree multicast: union of the XYZ routes from ``src`` to each dest.
-
-    Returns a parent map over links: ``tree[link]`` is the upstream link the
-    packet arrives on before being forwarded over ``link`` (``None`` for
-    links leaving the source router).  Deterministic dimension-order routes
-    from one source can never reconverge after diverging, so the union is a
-    tree; a packet crosses every tree link exactly once, duplicating only at
-    branch routers.
-    """
-    if not dests:
-        raise ValueError("multicast needs at least one destination")
-    tree: dict[Link, Link | None] = {}
-    for dst in dests:
-        if dst == src:
-            raise ValueError("multicast destination equals source")
-        path = dimension_order_route(topo, src, dst, order)
-        prev: Link | None = None
-        for link in route_links(path):
-            if link not in tree:
-                tree[link] = prev
-            prev = link
-    return tree

@@ -1,4 +1,4 @@
-"""Flit-level wormhole/cut-through simulator with two backends.
+"""Flit-level wormhole/cut-through simulator.
 
 Used to validate the static schedule analyzer: for an uncontended packet
 both models give *identical* latencies (``hops * hop_cycles + flits - 1``
@@ -13,48 +13,24 @@ is owned by a single packet from head acquisition until its tail has
 crossed (wormhole ownership with unlimited router buffering, i.e. virtual
 cut-through).  Arbitration is deterministic by message id.
 
-Two interchangeable backends implement the model:
-
-* ``"event"`` (default) — :class:`repro.noc.events.EventEngine`, a
-  priority queue of link grant/release events whose cost scales with
-  flit-hops, not elapsed cycles.  Use it for sweeps and large traces.
-* ``"cycle"`` — the original cycle-stepped loop, kept as the reference
-  oracle the event engine is differentially tested against.
-
-Both backends produce bit-identical results (finish times, makespan, and
-link statistics); ``benchmarks/test_bench_noc_sim.py`` records the
-speedup and ``tests/test_noc_events.py`` enforces the equivalence.
+:class:`repro.noc.events.EventEngine` runs the model: a priority queue of
+link grant/release events whose cost scales with flit-hops, not elapsed
+cycles.  The original cycle-stepped loop lives in
+``tests/oracles/flit_cycle.py``; ``tests/test_noc_events.py`` asserts the
+engine is bit-identical to it (finish times, makespan, link statistics)
+and ``benchmarks/test_bench_noc_sim.py`` records the speedup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.noc.events import EventEngine, ExpandedPacket
 from repro.noc.packet import Message
 from repro.noc.routing import dimension_order_route, route_links
 from repro.noc.schedule import NoCConfig
 from repro.noc.stats import LinkStats
-from repro.noc.topology import Link, Mesh3D
-
-#: Valid ``backend`` arguments for :class:`FlitSimulator`.
-BACKENDS = ("event", "cycle")
-
-
-@dataclass
-class _PacketState:
-    """Cycle-backend bookkeeping for one unicast packet."""
-
-    packet: ExpandedPacket
-    acquired: int = 0  # links acquired so far
-    crossed: list[int] = field(default_factory=list)  # flits crossed per link
-    cross_time: list[list[int]] = field(default_factory=list)
-    finish_cycle: int | None = None
-
-    def __post_init__(self) -> None:
-        self.crossed = [0] * len(self.packet.route)
-        self.cross_time = [[-1] * self.packet.flits for _ in self.packet.route]
-
+from repro.noc.topology import Mesh3D
 
 @dataclass
 class SimulationResult:
@@ -95,37 +71,20 @@ class FlitSimulator:
     Args:
         topo: the mesh.
         config: NoC parameters (paper defaults when omitted).
-        backend: ``"event"`` (fast, default) or ``"cycle"`` (the reference
-            oracle); both are bit-identical.
     """
 
-    def __init__(
-        self,
-        topo: Mesh3D,
-        config: NoCConfig | None = None,
-        backend: str = "event",
-    ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    def __init__(self, topo: Mesh3D, config: NoCConfig | None = None) -> None:
         self.topo = topo
         self.config = config or NoCConfig()
-        self.backend = backend
 
     def simulate(
-        self,
-        messages: list[Message],
-        max_cycles: int = 1_000_000,
-        backend: str | None = None,
+        self, messages: list[Message], max_cycles: int = 1_000_000
     ) -> SimulationResult:
         """Run until every packet is delivered.
 
         Raises :class:`RuntimeError` if delivery does not complete within
         ``max_cycles`` simulated cycles (cycles ``0 .. max_cycles - 1``).
-        ``backend`` overrides the instance default for this call.
         """
-        backend = backend or self.backend
-        if backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         cfg = self.config
         packets = self._expand(messages)
         stats = LinkStats(self.topo)
@@ -133,10 +92,7 @@ class FlitSimulator:
             return SimulationResult(
                 makespan_cycles=0, message_finish={}, link_stats=stats, config=cfg
             )
-        if backend == "event":
-            finish = EventEngine(self.topo, cfg).run(packets, stats, max_cycles)
-        else:
-            finish = self._run_cycle(packets, stats, max_cycles)
+        finish = EventEngine(self.topo, cfg).run(packets, stats, max_cycles)
         return SimulationResult(
             makespan_cycles=max(finish.values()),
             message_finish=finish,
@@ -145,7 +101,7 @@ class FlitSimulator:
         )
 
     # ------------------------------------------------------------------
-    # Multicast expansion (shared by both backends)
+    # Multicast expansion
     # ------------------------------------------------------------------
     def _expand(self, messages: list[Message]) -> list[ExpandedPacket]:
         """Expand multicasts into unicast packets in priority order.
@@ -186,93 +142,3 @@ class FlitSimulator:
                     )
                 )
         return packets
-
-    # ------------------------------------------------------------------
-    # Cycle-stepped reference backend
-    # ------------------------------------------------------------------
-    def _run_cycle(
-        self,
-        packets: list[ExpandedPacket],
-        stats: LinkStats,
-        max_cycles: int,
-    ) -> dict[tuple[int, int], int]:
-        cfg = self.config
-        states = [_PacketState(packet=p) for p in packets]
-        owner: dict[Link, int] = {}
-        pending = set(range(len(states)))
-        cycle = -1
-        while pending:
-            cycle += 1
-            if cycle >= max_cycles:
-                raise RuntimeError(
-                    f"simulation exceeded {max_cycles} cycles with "
-                    f"{len(pending)} packets in flight"
-                )
-            # Phase 1: head-flit link acquisition, deterministic priority.
-            for pid in sorted(pending):
-                pkt = states[pid]
-                while pkt.acquired < len(pkt.packet.route):
-                    link = pkt.packet.route[pkt.acquired]
-                    if self._head_ready(pkt, pkt.acquired) > cycle:
-                        break
-                    if link in owner:
-                        break
-                    owner[link] = pid
-                    pkt.acquired += 1
-            # Phase 2: flit transfers on owned links.
-            for pid in sorted(pending):
-                pkt = states[pid]
-                for i in range(pkt.acquired):
-                    f = pkt.crossed[i]
-                    if f >= pkt.packet.flits:
-                        continue
-                    if self._flit_ready(pkt, i, f) > cycle:
-                        continue
-                    pkt.cross_time[i][f] = cycle
-                    pkt.crossed[i] += 1
-                    stats.add(pkt.packet.route[i], 1)
-                    if pkt.crossed[i] == pkt.packet.flits:
-                        del owner[pkt.packet.route[i]]
-            # Phase 3: retire finished packets.
-            done = [
-                pid
-                for pid in pending
-                if states[pid].crossed
-                and states[pid].crossed[-1] == states[pid].packet.flits
-            ]
-            for pid in done:
-                pkt = states[pid]
-                pkt.finish_cycle = pkt.cross_time[-1][-1] + cfg.hop_cycles
-                pending.discard(pid)
-            # Zero-hop packets cannot exist (Message forbids src == dst).
-
-        return {
-            s.packet.key: s.finish_cycle
-            for s in states
-            if s.finish_cycle is not None
-        }
-
-    def _head_ready(self, pkt: _PacketState, hop: int) -> int:
-        """Earliest cycle the head flit can start crossing link ``hop``."""
-        if hop == 0:
-            return pkt.packet.inject_cycle
-        t_prev = pkt.cross_time[hop - 1][0]
-        if t_prev < 0:
-            return 1 << 60  # head has not crossed the previous link yet
-        return t_prev + self.config.hop_cycles
-
-    def _flit_ready(self, pkt: _PacketState, hop: int, flit: int) -> int:
-        """Earliest cycle flit ``flit`` can start crossing link ``hop``."""
-        if hop == 0:
-            upstream = pkt.packet.inject_cycle
-        else:
-            t_prev = pkt.cross_time[hop - 1][flit]
-            if t_prev < 0:
-                return 1 << 60
-            upstream = t_prev + self.config.hop_cycles
-        if flit == 0:
-            return upstream
-        t_before = pkt.cross_time[hop][flit - 1]
-        if t_before < 0:
-            return 1 << 60
-        return max(upstream, t_before + 1)

@@ -6,8 +6,8 @@ time the caller passes in, deterministic from the seeded scenario, and
 designed for the million-request scale the serving roadmap targets:
 
 * :mod:`repro.obs.sketch` — P² streaming quantile sketches: latency
-  percentiles in O(1) memory, with a store-everything exact oracle
-  behind the same ``backend=`` switch.
+  percentiles in O(1) memory, or a store-everything exact sketch (the
+  serving default) chosen by a ``backend=`` switch.
 * :mod:`repro.obs.metrics` — the :class:`~repro.obs.metrics
   .MetricRegistry` of counters, gauges, and sketch-backed histograms,
   plus the fixed-interval fleet-state :class:`~repro.obs.metrics

@@ -10,8 +10,8 @@ them in O(1) per observation, so a whole latency distribution summary
 costs a fixed few hundred bytes no matter how many samples stream
 through.
 
-Two interchangeable backends, same idiom as
-:class:`~repro.noc.simulator.FlitSimulator`'s ``backend=`` switch:
+Two interchangeable backends, chosen by name through ``backend=``; both
+are in use, so the switch selects behaviour, not a test reference:
 
 * ``"p2"`` — :class:`P2Sketch`, the constant-memory estimator (one
   :class:`P2Quantile` per tracked percentile plus exact count / mean /

@@ -1,1 +1,22 @@
-"""Reference implementations that differential tests compare the library against."""
+"""Reference implementations that differential tests compare the library against.
+
+Each module keeps, verbatim, a slower implementation the library once
+shipped, so a test can assert the library returns the same result:
+
+* :mod:`oracles.anneal_full` — the full-recompute simulated-annealing
+  stage mapper and its ``_mapping_cost``; reference for
+  ``repro.core.mapping.anneal_mapping`` and ``IncrementalCost``.
+* :mod:`oracles.flit_cycle` — the cycle-stepped flit-level simulator loop
+  (``CycleFlitSimulator``); reference for ``repro.noc.events.EventEngine``
+  behind ``repro.noc.simulator.FlitSimulator``.
+* :mod:`oracles.partition_loops` — the numpy-indexed region-growing and
+  refinement loops; reference for ``repro.graph.partition``.
+* :mod:`oracles.schedule_tree` — the tuple-keyed static scheduler, its
+  router-list routes and ``multicast_tree``; reference for
+  ``repro.noc.schedule.StaticScheduler`` and ``repro.noc.routing``.
+* :mod:`oracles.traffic_loops` — the scalar per-router traffic legs;
+  reference for ``repro.core.traffic.GNNTrafficModel.messages``.
+
+pytest puts ``tests/`` on ``sys.path`` (``pythonpath`` in
+``pyproject.toml``), so tests and benchmarks import ``oracles`` directly.
+"""

@@ -7,7 +7,9 @@ The library now walks dense link-id routes instead.  The old scheduler and
 the routing helpers it stood on (dimension-order routes, the multicast
 tree, the depth sort) are kept here verbatim, so the differential test in
 ``tests/test_noc_schedule_oracle.py`` compares the library against a
-reference that shares none of the new routing code.
+reference that shares none of the new routing code.  ``multicast_tree``
+exists only here now; the tree-property tests in
+``tests/test_noc_topology_routing.py`` pin it.
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ class TestAnnealing:
 
     def test_improves_on_random_start_cost(self):
         """SA's proxy cost should not exceed the contiguous baseline."""
-        from repro.core.mapping import _mapping_cost
+        from oracles.anneal_full import _mapping_cost
 
         legs = communication_legs(4)
         topo = self.config.topology

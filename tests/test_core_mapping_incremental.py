@@ -1,12 +1,13 @@
 """Differential + property tests for the incremental-cost annealer.
 
-The incremental engine maintains exact integer per-leg distance sums, so
-``cost_mode="incremental"`` must be *bit-identical* to the full-recompute
-oracle: same seed, same accepted/rejected proposal sequence, same best
-:class:`StageMap`.  These tests sweep seeds, layer counts, training and
-inference pipelines, and non-uniform leg volumes, and property-test the
-running delta-cost state against :func:`_mapping_cost` recomputation
-under long random swap sequences (with rejections/reverts mixed in).
+The annealer maintains exact integer per-leg distance sums, so
+``anneal_mapping`` must be *bit-identical* to the full-recompute oracle
+in ``tests/oracles/anneal_full.py``: same seed, same accepted/rejected
+proposal sequence, same best :class:`StageMap`.  These tests sweep seeds,
+layer counts, training and inference pipelines, and non-uniform leg
+volumes, and property-test the running delta-cost state against the
+oracle's ``_mapping_cost`` recomputation under long random swap
+sequences (with rejections/reverts mixed in).
 """
 
 import numpy as np
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import anneal_full as oracle
+from oracles.anneal_full import _mapping_cost
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import (
     IncrementalCost,
-    _mapping_cost,
     anneal_mapping,
     communication_legs,
     contiguous_mapping,
@@ -40,7 +42,7 @@ def _volumes(num_layers: int, training: bool, scale: float = 1.0):
 
 
 class TestDifferential:
-    """Incremental vs full cost mode: identical costs and best maps."""
+    """Library vs full-recompute oracle: identical costs and best maps."""
 
     @pytest.mark.parametrize("num_layers", [1, 2, 3, 4])
     @pytest.mark.parametrize("training", [True, False])
@@ -48,25 +50,21 @@ class TestDifferential:
         config = ReGraphXConfig(num_layers=num_layers)
         volumes = _volumes(num_layers, training, scale=7.25)
         for seed in (0, 1):
-            full = anneal_mapping(
+            full = oracle.anneal_mapping(
                 config, volumes, iterations=150, seed=seed,
-                training=training, cost_mode="full",
+                training=training,
             )
             incremental = anneal_mapping(
                 config, volumes, iterations=150, seed=seed,
-                training=training, cost_mode="incremental",
+                training=training,
             )
             assert incremental.assignment == full.assignment, (seed, num_layers)
 
     @pytest.mark.parametrize("seed", [0, 3, 11, 42])
     def test_seeds_uniform_volumes(self, seed):
         config = ReGraphXConfig()
-        full = anneal_mapping(
-            config, None, iterations=200, seed=seed, cost_mode="full"
-        )
-        incremental = anneal_mapping(
-            config, None, iterations=200, seed=seed, cost_mode="incremental"
-        )
+        full = oracle.anneal_mapping(config, None, iterations=200, seed=seed)
+        incremental = anneal_mapping(config, None, iterations=200, seed=seed)
         assert incremental.assignment == full.assignment
 
     def test_final_costs_bit_identical(self):
@@ -76,10 +74,8 @@ class TestDifferential:
         coords = _coords(config)
         for seed in range(4):
             maps = [
-                anneal_mapping(
-                    config, volumes, iterations=120, seed=seed, cost_mode=mode
-                )
-                for mode in ("full", "incremental")
+                anneal(config, volumes, iterations=120, seed=seed)
+                for anneal in (oracle.anneal_mapping, anneal_mapping)
             ]
             costs = [
                 _mapping_cost(m.assignment, legs, volumes, coords) for m in maps
@@ -88,15 +84,42 @@ class TestDifferential:
 
     def test_nonsquare_mesh(self):
         config = ReGraphXConfig(mesh_width=6, mesh_height=4, num_layers=2)
-        full = anneal_mapping(config, iterations=150, seed=9, cost_mode="full")
-        incremental = anneal_mapping(
-            config, iterations=150, seed=9, cost_mode="incremental"
-        )
+        full = oracle.anneal_mapping(config, iterations=150, seed=9)
+        incremental = anneal_mapping(config, iterations=150, seed=9)
         assert incremental.assignment == full.assignment
 
-    def test_unknown_cost_mode_rejected(self):
-        with pytest.raises(ValueError, match="cost_mode"):
-            anneal_mapping(ReGraphXConfig(), iterations=1, cost_mode="magic")
+    @given(
+        width=st.integers(3, 7),
+        height=st.integers(2, 6),
+        tiers=st.integers(2, 4),
+        v_tier=st.integers(0, 3),
+        num_layers=st.integers(1, 3),
+        training=st.booleans(),
+        weights=st.lists(st.floats(0.01, 100.0), min_size=15, max_size=15),
+        iterations=st.integers(0, 80),
+        temperature=st.floats(0.1, 5.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    def test_generated_configs(
+        self, width, height, tiers, v_tier, num_layers, training, weights,
+        iterations, temperature, seed,
+    ):
+        """Generated knob combinations: mesh shape (non-square, 2-4 tiers,
+        any V tier), layers, training/inference, leg weights, budget,
+        temperature and seed."""
+        config = ReGraphXConfig(
+            mesh_width=width, mesh_height=height, tiers=tiers,
+            v_tier=v_tier % tiers, num_layers=num_layers,
+        )
+        volumes = dict(zip(communication_legs(num_layers, training), weights))
+        kwargs = dict(
+            iterations=iterations, initial_temperature=temperature,
+            seed=seed, training=training,
+        )
+        full = oracle.anneal_mapping(config, volumes, **kwargs)
+        incremental = anneal_mapping(config, volumes, **kwargs)
+        assert incremental.assignment == full.assignment
 
 
 class TestIncrementalCostState:

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import traffic_loops as oracle
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import contiguous_mapping, random_mapping, stage_names
 from repro.core.pipeline import PipelineModel, PipelineTiming, StageCost
 from repro.core.traffic import GNNTrafficModel, _grid_shape
+from repro.graph.generators import powerlaw_community_graph
+from repro.reram.sparse_mapping import block_tile_adjacency
 
 
 def _message_tuples(msgs):
@@ -142,11 +147,12 @@ class TestTrafficModel:
 
 
 class TestVectorizedEngine:
-    """Numpy group-by extraction vs the scalar oracle: bit-identical."""
+    """Numpy group-by extraction vs the scalar loops in
+    ``tests/oracles/traffic_loops.py``: bit-identical."""
 
     def test_matches_loop_engine(self, traffic_model):
-        vectorized = traffic_model.messages(vectorized=True)
-        loop = traffic_model.messages(vectorized=False)
+        vectorized = traffic_model.messages()
+        loop = oracle.messages(traffic_model)
         assert _message_tuples(vectorized) == _message_tuples(loop)
 
     def test_matches_on_inference(self, accelerator, ppi_workload):
@@ -158,8 +164,8 @@ class TestVectorizedEngine:
             ppi_workload.layer_dims,
             training=False,
         )
-        assert _message_tuples(model.messages(True)) == _message_tuples(
-            model.messages(False)
+        assert _message_tuples(model.messages()) == _message_tuples(
+            oracle.messages(model)
         )
 
     def test_matches_on_scattered_mapping(self, accelerator, ppi_workload):
@@ -171,8 +177,8 @@ class TestVectorizedEngine:
             ppi_workload.num_nodes_per_input,
             ppi_workload.layer_dims,
         )
-        assert _message_tuples(model.messages(True)) == _message_tuples(
-            model.messages(False)
+        assert _message_tuples(model.messages()) == _message_tuples(
+            oracle.messages(model)
         )
 
     def test_matches_with_e_rounds(self, accelerator, ppi_workload):
@@ -184,8 +190,8 @@ class TestVectorizedEngine:
             ppi_workload.layer_dims,
             e_rounds=3,
         )
-        assert _message_tuples(model.messages(True)) == _message_tuples(
-            model.messages(False)
+        assert _message_tuples(model.messages()) == _message_tuples(
+            oracle.messages(model)
         )
 
     def test_matches_on_alternate_mesh(self, ppi_workload):
@@ -198,8 +204,56 @@ class TestVectorizedEngine:
             ppi_workload.num_nodes_per_input,
             ppi_workload.layer_dims,
         )
-        assert _message_tuples(model.messages(True)) == _message_tuples(
-            model.messages(False)
+        assert _message_tuples(model.messages()) == _message_tuples(
+            oracle.messages(model)
+        )
+
+    @given(
+        width=st.integers(3, 6),
+        height=st.integers(2, 5),
+        tiers=st.integers(2, 4),
+        v_tier=st.integers(0, 3),
+        num_layers=st.integers(1, 3),
+        training=st.booleans(),
+        e_rounds=st.integers(1, 3),
+        mapping_seed=st.none() | st.integers(0, 2**16),
+        num_nodes=st.integers(16, 120),
+        degree=st.integers(1, 6),
+        graph_seed=st.integers(0, 2**16),
+        dims=st.lists(st.integers(1, 64), min_size=4, max_size=4),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_matches_on_generated_inputs(
+        self, width, height, tiers, v_tier, num_layers, training, e_rounds,
+        mapping_seed, num_nodes, degree, graph_seed, dims,
+    ):
+        """Generated knob combinations: mesh shape (non-square, 2-4 tiers),
+        layers, training/inference, rounds, contiguous or random mapping,
+        and small generated graphs (``mapping_seed=None`` is contiguous)."""
+        config = ReGraphXConfig(
+            mesh_width=width, mesh_height=height, tiers=tiers,
+            v_tier=v_tier % tiers, num_layers=num_layers,
+        )
+        graph = powerlaw_community_graph(
+            num_nodes=num_nodes, num_edges=num_nodes * degree,
+            num_communities=max(1, num_nodes // 16), seed=graph_seed,
+        )
+        stage_map = (
+            contiguous_mapping(config, training)
+            if mapping_seed is None
+            else random_mapping(config, seed=mapping_seed, training=training)
+        )
+        model = GNNTrafficModel(
+            config,
+            stage_map,
+            block_tile_adjacency(graph, config.e_tile.crossbar_size),
+            graph.num_nodes,
+            list(zip(dims[:num_layers], dims[1:num_layers + 1])),
+            e_rounds=e_rounds,
+            training=training,
+        )
+        assert _message_tuples(model.messages()) == _message_tuples(
+            oracle.messages(model)
         )
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from oracles.flit_cycle import CycleFlitSimulator
+from repro.noc import analysis
 from repro.noc.analysis import (
     average_hop_count,
     bisection_links,
@@ -51,11 +53,12 @@ class TestSweep:
             latency_throughput_sweep(topo, rates=[])
         with pytest.raises(ValueError):
             latency_throughput_sweep(topo, rates=[-1.0])
-        with pytest.raises(ValueError, match="backend"):
-            latency_throughput_sweep(topo, rates=[0.1], backend="quantum")
+        for backend in ("quantum", "cycle"):
+            with pytest.raises(ValueError, match="backend"):
+                latency_throughput_sweep(topo, rates=[0.1], backend=backend)
 
     def test_event_backend_sweep(self):
-        """The flit-level backends drive the same sweep; the dynamic model
+        """The flit-level simulator drives the same sweep; the dynamic model
         interleaves flits, so it is never slower than the static schedule."""
         topo = Mesh3D(4, 4, 2)
         kwargs = dict(rates=[0.5, 4.0], window_cycles=500, seed=0)
@@ -66,11 +69,14 @@ class TestSweep:
             assert 0 < ev.average_latency_cycles <= st.average_latency_cycles
             assert ev.max_link_load == st.max_link_load  # same flit work
 
-    def test_event_and_cycle_backends_identical(self):
+    def test_event_and_cycle_backends_identical(self, monkeypatch):
+        """The event sweep equals the same sweep run on the cycle-stepped
+        oracle (substituted for the library's flit simulator)."""
         topo = Mesh3D(4, 4, 2)
         kwargs = dict(rates=[2.0], window_cycles=300, seed=1)
         event = latency_throughput_sweep(topo, backend="event", **kwargs)
-        cycle = latency_throughput_sweep(topo, backend="cycle", **kwargs)
+        monkeypatch.setattr(analysis, "FlitSimulator", CycleFlitSimulator)
+        cycle = latency_throughput_sweep(topo, backend="event", **kwargs)
         assert event == cycle
 
 

