@@ -8,6 +8,12 @@ the rendered tables.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+import types
+
+from repro.serve.engine import ServingEngine
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer.
@@ -16,3 +22,45 @@ def run_once(benchmark, fn, *args, **kwargs):
     wall clock), so a single round is both sufficient and honest.
     """
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+
+
+def _nested_code(code: types.CodeType):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _nested_code(const)
+
+
+#: ``ServingEngine.run`` and every function nested in it (the event loop,
+#: its handlers and shared steps), as profiler labels.
+_ENGINE_CODE = frozenset(
+    (code.co_filename, code.co_firstlineno, code.co_name)
+    for code in _nested_code(ServingEngine.run.__code__)
+)
+#: The per-event-kind handlers: one invocation per processed event.
+_HANDLERS = frozenset(label for label in _ENGINE_CODE if label[2].startswith("on_"))
+
+
+def engine_work(fn, *args, **kwargs):
+    """Run ``fn`` and count the serving engine's work per event.
+
+    Returns ``(result, calls_per_event)``.  The work is every call the
+    event loop and its handler and step functions make into a Python
+    function outside the engine — scheduler, fleet, routing, sketch, SLO
+    tracker, service-model and controller methods and properties — and
+    the events are the handler invocations.  C builtins are not counted.
+    Unlike a wall-clock ratio, the count is a deterministic function of
+    the inputs, so a gate on it cannot flake with host load.
+    """
+    profile = cProfile.Profile(builtins=False)
+    result = profile.runcall(fn, *args, **kwargs)
+    stats = pstats.Stats(profile).stats
+    events = sum(stats[label][1] for label in _HANDLERS if label in stats)
+    calls = sum(
+        counts[0]
+        for callee, (*_, callers) in stats.items()
+        if callee not in _ENGINE_CODE
+        for caller, counts in callers.items()
+        if caller in _ENGINE_CODE
+    )
+    return result, calls / events

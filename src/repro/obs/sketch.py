@@ -13,9 +13,11 @@ through.
 Two interchangeable backends, chosen by name through ``backend=``; both
 are in use, so the switch selects behaviour, not a test reference:
 
-* ``"p2"`` — :class:`P2Sketch`, the constant-memory estimator (one
-  :class:`P2Quantile` per tracked percentile plus exact count / mean /
-  min / max, which are trivially streamable).
+* ``"p2"`` — :class:`P2Sketch`, the constant-memory estimator (five
+  P² markers per tracked percentile, all updated by one fused step per
+  observation, plus exact count / mean / min / max, which are trivially
+  streamable).  :class:`P2Quantile` tracks one percentile with the same
+  step.
 * ``"exact"`` — :class:`ExactSketch`, which stores every value and
   answers through :func:`repro.noc.stats.percentile`.  It is the
   differential oracle the P² backend is tested against, and the default
@@ -40,74 +42,71 @@ SKETCH_BACKENDS = ("exact", "p2")
 DEFAULT_QUANTILES = (50.0, 95.0, 99.0)
 
 
-class P2Quantile:
-    """One streaming quantile via the P² algorithm (five markers, O(1)).
+def _p2_markers(q: float) -> tuple[list[float], list[float], list[float], tuple]:
+    """Fresh P² state for the ``q``-th percentile: marker heights (the
+    sorted startup buffer until five observations), positions, desired
+    positions and the per-observation desired-position increments."""
+    p = q / 100.0
+    return (
+        [],
+        [1.0, 2.0, 3.0, 4.0, 5.0],
+        [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0],
+        (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0),
+    )
 
-    Tracks the ``q``-th percentile (``0 < q < 100``) of a stream without
-    storing it: five marker heights approximate the quantile curve, and
-    each observation nudges the markers toward their desired positions
-    with a piecewise-parabolic (fallback: linear) interpolation step.
 
-    Until five observations have arrived the estimator answers exactly
-    from its startup buffer, so small streams lose nothing.
+def _p2_startup(markers, value: float) -> None:
+    """Insert one of the first five observations into each sorted buffer."""
+    for h, _, _, _ in markers:
+        lo, hi = 0, len(h)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if h[mid] < value:
+                lo = mid + 1
+            else:
+                hi = mid
+        h.insert(lo, value)
+
+
+def _p2_update(markers, value: float) -> None:
+    """One P² step (after startup) for every estimator in ``markers``.
+
+    Each estimator is a ``(heights, positions, desired, rates)`` tuple of
+    :func:`_p2_markers`.  The cell search and the increments are written
+    out per cell; the nested ``<=`` tests take the same branch as the
+    textbook scan (``k`` grows while ``heights[k + 1] <= value``), so
+    every float operation happens in the same order as the loop form.
     """
-
-    __slots__ = ("q", "_count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float) -> None:
-        if not 0 < q < 100:
-            raise ValueError(f"tracked quantile must be in (0, 100), got {q}")
-        self.q = q
-        self._count = 0
-        # Until the 5-observation startup completes, _heights doubles as
-        # the (sorted) sample buffer.
-        self._heights: list[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        p = q / 100.0
-        self._desired = [1.0, 1.0 + 2.0 * p, 1.0 + 4.0 * p, 3.0 + 2.0 * p, 5.0]
-        self._rates = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-
-    @property
-    def count(self) -> int:
-        """Observations absorbed so far."""
-        return self._count
-
-    def add(self, value: float) -> None:
-        """Absorb one observation in O(1)."""
-        value = float(value)
-        self._count += 1
-        h = self._heights
-        if self._count <= 5:
-            # Startup: collect and keep sorted; the 5th arrival seeds the
-            # markers with the five order statistics.
-            lo, hi = 0, len(h)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if h[mid] < value:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            h.insert(lo, value)
-            return
-
-        n = self._positions
-        # Locate the cell, stretching the extreme markers if needed.
+    for h, n, d, r in markers:
+        # Locate the cell, stretching the extreme markers if needed, and
+        # shift the positions of every marker above it.
         if value < h[0]:
             h[0] = value
-            k = 0
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
+            n[4] += 1.0
         elif value >= h[4]:
             h[4] = value
-            k = 3
+            n[4] += 1.0
+        elif h[1] <= value:
+            if h[2] <= value:
+                if not h[3] <= value:
+                    n[3] += 1.0
+                n[4] += 1.0
+            else:
+                n[2] += 1.0
+                n[3] += 1.0
+                n[4] += 1.0
         else:
-            k = 0
-            while k < 3 and h[k + 1] <= value:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1.0
-        d = self._desired
-        r = self._rates
-        for i in range(1, 5):
-            d[i] += r[i]
+            n[1] += 1.0
+            n[2] += 1.0
+            n[3] += 1.0
+            n[4] += 1.0
+        d[1] += r[1]
+        d[2] += r[2]
+        d[3] += r[3]
+        d[4] += r[4]
         # Nudge the three interior markers toward their desired positions.
         for i in (1, 2, 3):
             delta = d[i] - n[i]
@@ -130,14 +129,55 @@ class P2Quantile:
                     h[i] += sign * (h[i + step] - h[i]) / (n[i + step] - n[i])
                 n[i] += sign
 
+
+def _p2_estimate(count: int, heights: list[float], q: float) -> float:
+    """The estimate after ``count`` observations (exact while buffered)."""
+    if count == 0:
+        return 0.0
+    if count <= 5:
+        return percentile(heights, q)
+    return heights[2]
+
+
+class P2Quantile:
+    """One streaming quantile via the P² algorithm (five markers, O(1)).
+
+    Tracks the ``q``-th percentile (``0 < q < 100``) of a stream without
+    storing it: five marker heights approximate the quantile curve, and
+    each observation nudges the markers toward their desired positions
+    with a piecewise-parabolic (fallback: linear) interpolation step.
+
+    Until five observations have arrived the estimator answers exactly
+    from its startup buffer, so small streams lose nothing.
+    """
+
+    __slots__ = ("q", "_count", "_markers")
+
+    def __init__(self, q: float) -> None:
+        if not 0 < q < 100:
+            raise ValueError(f"tracked quantile must be in (0, 100), got {q}")
+        self.q = q
+        self._count = 0
+        self._markers = (_p2_markers(q),)
+
+    @property
+    def count(self) -> int:
+        """Observations absorbed so far."""
+        return self._count
+
+    def add(self, value: float) -> None:
+        """Absorb one observation in O(1)."""
+        value = float(value)
+        self._count += 1
+        if self._count <= 5:
+            _p2_startup(self._markers, value)
+        else:
+            _p2_update(self._markers, value)
+
     @property
     def value(self) -> float:
         """Current quantile estimate (exact while the buffer is small)."""
-        if self._count == 0:
-            return 0.0
-        if self._count <= 5:
-            return percentile(self._heights, self.q)
-        return self._heights[2]
+        return _p2_estimate(self._count, self._markers[0][0], self.q)
 
 
 class P2Sketch:
@@ -151,7 +191,7 @@ class P2Sketch:
 
     backend = "p2"
 
-    __slots__ = ("quantiles", "_estimators", "_count", "_sum", "_min", "_max")
+    __slots__ = ("quantiles", "_markers", "_count", "_sum", "_min", "_max")
 
     def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
         if not quantiles:
@@ -159,7 +199,10 @@ class P2Sketch:
         self.quantiles = tuple(float(q) for q in quantiles)
         if len(set(self.quantiles)) != len(self.quantiles):
             raise ValueError(f"duplicate tracked quantiles in {quantiles}")
-        self._estimators = {q: P2Quantile(q) for q in self.quantiles}
+        # One (heights, positions, desired, rates) tuple per percentile,
+        # in ``quantiles`` order: every observation updates them all in
+        # one :func:`_p2_update` pass.
+        self._markers = tuple(_p2_markers(q) for q in self.quantiles)
         self._count = 0
         self._sum = 0.0
         self._min = 0.0
@@ -190,7 +233,7 @@ class P2Sketch:
         """Stored floats — constant in the stream length (the whole point)."""
         # 5 heights + 5 positions + 5 desired positions per estimator,
         # plus the four exact accumulators.
-        return 15 * len(self._estimators) + 4
+        return 15 * len(self._markers) + 4
 
     def add(self, value: float) -> None:
         """Absorb one observation into every tracked estimator, O(1)."""
@@ -204,8 +247,10 @@ class P2Sketch:
                 self._max = value
         self._count += 1
         self._sum += value
-        for estimator in self._estimators.values():
-            estimator.add(value)
+        if self._count <= 5:
+            _p2_startup(self._markers, value)
+        else:
+            _p2_update(self._markers, value)
 
     def quantile(self, q: float) -> float:
         """Estimate of the ``q``-th percentile (must be tracked, 0, or 100)."""
@@ -213,14 +258,16 @@ class P2Sketch:
             return self._min
         if q == 100:
             return self._max
-        estimator = self._estimators.get(float(q))
-        if estimator is None:
+        if float(q) not in self.quantiles:
             raise ValueError(
                 f"percentile {q} is not tracked by this sketch "
                 f"(tracked: {self.quantiles}); construct it with "
                 f"quantiles=(..., {q})"
             )
-        return estimator.value
+        index = self.quantiles.index(float(q))
+        return _p2_estimate(
+            self._count, self._markers[index][0], self.quantiles[index]
+        )
 
     def summary(self) -> LatencySummary:
         """The standard p50/p95/p99 summary, from the streaming state."""

@@ -23,6 +23,7 @@ number of requests in flight.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -85,11 +86,16 @@ class TenantMix:
                 raise ValueError("size weights must be positive")
         # Cumulative draw tables, built once: draw() runs once per request
         # and must not re-normalize weights on the million-request path.
+        # They are numpy's normalized cumsums as Python floats, so a
+        # scalar bisect finds the cell a numpy searchsorted would.
         tenant_cum = np.cumsum([w for _, w in self.tenants])
-        object.__setattr__(self, "_tenant_cum", tenant_cum / tenant_cum[-1])
+        object.__setattr__(
+            self, "_tenant_cum", (tenant_cum / tenant_cum[-1]).tolist()
+        )
+        object.__setattr__(self, "_names", self.tenant_names)
         if self.size_weights is not None:
             size_cum = np.cumsum(self.size_weights)
-            object.__setattr__(self, "_size_cum", size_cum / size_cum[-1])
+            object.__setattr__(self, "_size_cum", (size_cum / size_cum[-1]).tolist())
         else:
             object.__setattr__(self, "_size_cum", None)
 
@@ -119,15 +125,12 @@ class TenantMix:
 
     def draw(self, rng: np.random.Generator) -> tuple[str, int]:
         """One seeded ``(tenant, graph_size)`` draw."""
-        tenant_cum: np.ndarray = self._tenant_cum  # type: ignore[attr-defined]
-        tenant = self.tenants[int(np.searchsorted(tenant_cum, rng.random(), side="right"))][0]
-        size_cum: np.ndarray | None = self._size_cum  # type: ignore[attr-defined]
+        tenant = self._names[bisect_right(self._tenant_cum, rng.random())]  # type: ignore[attr-defined]
+        size_cum: list[float] | None = self._size_cum  # type: ignore[attr-defined]
         if size_cum is None:
             size = int(self.graph_sizes[int(rng.integers(len(self.graph_sizes)))])
         else:
-            size = int(
-                self.graph_sizes[int(np.searchsorted(size_cum, rng.random(), side="right"))]
-            )
+            size = int(self.graph_sizes[bisect_right(size_cum, rng.random())])
         return tenant, size
 
 

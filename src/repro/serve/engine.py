@@ -2,10 +2,12 @@
 
 Same priority-queue idiom as the NoC event engine
 (:mod:`repro.noc.events`): a heap of timestamped events, cost scaling
-with the number of requests rather than with elapsed time.
-:meth:`ServingEngine.run` pops one event at a time, advances the run's
-time integrals, and calls the one handler its kind indexes in a
-nine-entry table:
+with the number of requests rather than with elapsed time.  The initial
+arrival stream, already sorted, stays off the heap as its own list; the
+loop merges the two on the same ``(time, kind, seq)`` key, so the heap
+holds only the few hundred events in flight.  :meth:`ServingEngine.run`
+takes the next event, advances the run's time integrals, and calls the
+one handler its kind indexes in a nine-entry table:
 
 * ``DEPART`` — a replica finishes a batch: record per-request latencies,
   free (or retire) the instance, re-check the queue (and, closed-loop,
@@ -570,13 +572,21 @@ class ServingEngine:
         initial = (
             list(requests) if requests is not None else closed_loop.initial_requests()
         )
-        for request in sorted(
-            initial, key=lambda r: (r.arrival_time, r.request_id)
-        ):
-            if horizon_seconds is not None and request.arrival_time >= horizon_seconds:
-                continue
-            push(request.arrival_time, _ARRIVE, request)
-            c.offered += 1
+        # The initial stream stays off the heap: ``pending`` holds its
+        # ARRIVE events, already in (time, kind, seq) order, and the loop
+        # merges it with the heap on that key.  Each takes its seq from
+        # ``tiebreak`` first, exactly as if pushed, so the event order is
+        # the one a single heap would give.  Kept reversed: the next
+        # arrival is ``pending[-1]``.
+        pending = [
+            (request.arrival_time, _ARRIVE, next(tiebreak), request)
+            for request in sorted(
+                initial, key=lambda r: (r.arrival_time, r.request_id)
+            )
+            if horizon_seconds is None or request.arrival_time < horizon_seconds
+        ]
+        pending.reverse()
+        c.offered = len(pending)
         horizon = horizon_seconds or max(
             (r.arrival_time for r in initial), default=0.0
         )
@@ -1094,7 +1104,7 @@ class ServingEngine:
                 try_dispatch(now)
             c.peak_instances = max(c.peak_instances, fleet.provisioned)
             c.min_instances = min(c.min_instances, fleet.target_size)
-            if events or c.queue_depth > 0 or fleet.busy_count > 0:
+            if pending or events or c.queue_depth > 0 or fleet.busy_count > 0:
                 push(now + autoscaler.interval_seconds, _AUTOSCALE, None)
 
         def on_fault(now: float, payload: tuple[str, int]) -> None:
@@ -1172,8 +1182,17 @@ class ServingEngine:
             on_depart, on_warmed, on_arrive, on_timeout, on_autoscale,
             on_fault, on_recover, on_retry, on_hedge,
         )
-        while events:
-            now, kind, _, payload = heapq.heappop(events)
+        heappop = heapq.heappop
+        while True:
+            if pending:
+                if events and events[0] < pending[-1]:
+                    now, kind, _, payload = heappop(events)
+                else:
+                    now, kind, _, payload = pending.pop()
+            elif events:
+                now, kind, _, payload = heappop(events)
+            else:
+                break
             dt = now - c.last_time
             c.depth_integral += c.queue_depth * dt
             c.busy_integral += fleet.busy_count * dt

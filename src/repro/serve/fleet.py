@@ -281,6 +281,10 @@ class ReplicaPool:
         self._busy: set[int] = set()
         self._retiring: set[int] = set()
         self._warming: dict[int, float] = {}
+        #: Billed instances: warming + free + busy (retiring included).
+        #: A plain attribute kept in step with every state change — the
+        #: engine's failure-aware routing reads it on each enqueue.
+        self.provisioned = instances
         self._next_id = instances
         #: Instances the most recent :meth:`scale_to` rescued from
         #: draining (already warm, so they rejoin without a warm-up) —
@@ -290,11 +294,6 @@ class ReplicaPool:
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-    @property
-    def provisioned(self) -> int:
-        """Billed instances: warming + free + busy (retiring included)."""
-        return len(self._free) + len(self._busy) + len(self._warming)
-
     @property
     def target_size(self) -> int:
         """Where the pool is heading once retiring instances drain."""
@@ -334,6 +333,7 @@ class ReplicaPool:
         self._busy.discard(instance)
         if instance in self._retiring:
             self._retiring.discard(instance)
+            self.provisioned -= 1
             return False
         heapq.heappush(self._free, instance)
         return True
@@ -368,16 +368,19 @@ class ReplicaPool:
         """
         if instance in self._warming:
             del self._warming[instance]
-            return "warming"
-        if instance in self._busy:
+            state = "warming"
+        elif instance in self._busy:
             self._busy.discard(instance)
+            state = "busy"
             if instance in self._retiring:
                 self._retiring.discard(instance)
-                return "retiring"
-            return "busy"
-        self._free.remove(instance)
-        heapq.heapify(self._free)
-        return "free"
+                state = "retiring"
+        else:
+            self._free.remove(instance)
+            heapq.heapify(self._free)
+            state = "free"
+        self.provisioned -= 1
+        return state
 
     def provision(self, now: float) -> tuple[int, float]:
         """Provision one fresh instance (fault recovery).
@@ -388,6 +391,7 @@ class ReplicaPool:
         """
         instance = self._next_id
         self._next_id += 1
+        self.provisioned += 1
         if self.warmup_seconds > 0:
             ready_at = now + self.warmup_seconds
             self._warming[instance] = ready_at
@@ -422,6 +426,7 @@ class ReplicaPool:
         while self.target_size < target:
             instance = self._next_id
             self._next_id += 1
+            self.provisioned += 1
             if self.warmup_seconds > 0:
                 ready_at = now + self.warmup_seconds
                 self._warming[instance] = ready_at
@@ -432,9 +437,11 @@ class ReplicaPool:
         # Shrink: cancel warm-ups, then idle instances, then drain busy ones.
         while self.target_size > target and self._warming:
             del self._warming[max(self._warming)]
+            self.provisioned -= 1
         while self.target_size > target and self._free:
             self._free.remove(max(self._free))
             heapq.heapify(self._free)
+            self.provisioned -= 1
         while self.target_size > target:
             candidates = self._busy - self._retiring
             if not candidates:

@@ -86,6 +86,9 @@ class BatchingScheduler:
         self._vtime: dict[str, float] = {}
         self._vclock = 0.0  # wfq: virtual time service has progressed to
         self._depth = 0
+        # wfq: the earliest arrival among the tenant-queue heads, or None
+        # when a pop or drain may have moved it (recomputed on demand).
+        self._head: float | None = None
 
     # ------------------------------------------------------------------
     # Queue state
@@ -101,7 +104,14 @@ class BatchingScheduler:
             return None
         if self.policy == "fifo":
             return self._fifo[0].arrival_time
-        return min(q[0].arrival_time for q in self._queues.values() if q)
+        if self._head is None:
+            # The minimum over the queue *heads*, not over every queued
+            # request: a retried request keeps its first arrival_time and
+            # may wait behind newer ones.
+            self._head = min(
+                q[0].arrival_time for q in self._queues.values() if q
+            )
+        return self._head
 
     def enqueue(self, request: Request) -> None:
         """Admit one request (the engine calls this in arrival order)."""
@@ -113,6 +123,12 @@ class BatchingScheduler:
                 queue = self._queues[request.tenant] = deque()
             if not queue:
                 self._activate(request.tenant)
+                # The request becomes its queue's head.
+                arrival = request.arrival_time
+                if self._depth == 0:
+                    self._head = arrival
+                elif self._head is not None and arrival < self._head:
+                    self._head = arrival
             queue.append(request)
         self._depth += 1
 
@@ -132,8 +148,11 @@ class BatchingScheduler:
             return True
         oldest = self.oldest_arrival()
         assert oldest is not None
-        # The engine schedules the deadline event at ``arrival + max_wait``;
-        # the epsilon absorbs the float rounding of ``now - arrival`` so a
+        # The engine arms a deadline event at enqueue time + max_wait.  For
+        # a first arrival that is ``arrival + max_wait``; a retried or
+        # hedged request keeps its original ``arrival_time``, so it is
+        # already past its deadline when it is enqueued again.  The
+        # epsilon absorbs the float rounding of ``now - arrival`` so a
         # fired deadline always finds its queue head ready (liveness).
         return now - oldest >= self.max_wait_seconds - 1e-9
 
@@ -174,6 +193,7 @@ class BatchingScheduler:
             else:
                 drained.append(self._pop_fair())
             self._depth -= 1
+        self._head = None
         return tuple(drained)
 
     def spawn(self) -> "BatchingScheduler":
@@ -209,12 +229,17 @@ class BatchingScheduler:
 
     def _pop_fair(self) -> Request:
         """Stride scheduling: serve the lowest virtual time, tie on name."""
-        tenant = min(
-            (t for t, q in self._queues.items() if q),
-            key=lambda t: (self._vtime[t], t),
-        )
-        self._vtime[tenant] += 1.0 / self._weight(tenant)
-        self._vclock = self._vtime[tenant]
+        vtime = self._vtime
+        tenant = None
+        best = 0.0
+        for t, q in self._queues.items():
+            if q:
+                v = vtime[t]
+                if tenant is None or v < best or (v == best and t < tenant):
+                    tenant, best = t, v
+        vtime[tenant] = best + 1.0 / self._weight(tenant)
+        self._vclock = vtime[tenant]
+        self._head = None
         return self._queues[tenant].popleft()
 
 

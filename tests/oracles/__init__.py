@@ -9,11 +9,17 @@ shipped, so a test can assert the library returns the same result:
 * :mod:`oracles.flit_cycle` — the cycle-stepped flit-level simulator loop
   (``CycleFlitSimulator``); reference for ``repro.noc.events.EventEngine``
   behind ``repro.noc.simulator.FlitSimulator``.
+* :mod:`oracles.p2_loop` — the per-estimator P² update loop
+  (``P2Quantile.add``); reference for ``repro.obs.sketch``'s fused
+  ``P2Sketch.add`` step.
 * :mod:`oracles.partition_loops` — the numpy-indexed region-growing and
   refinement loops; reference for ``repro.graph.partition``.
 * :mod:`oracles.schedule_tree` — the tuple-keyed static scheduler, its
   router-list routes and ``multicast_tree``; reference for
   ``repro.noc.schedule.StaticScheduler`` and ``repro.noc.routing``.
+* :mod:`oracles.tenant_draw` — the numpy ``searchsorted`` tenant and
+  size draw (``SearchsortedMix``); reference for
+  ``repro.serve.arrivals.TenantMix.draw``.
 * :mod:`oracles.traffic_loops` — the scalar per-router traffic legs;
   reference for ``repro.core.traffic.GNNTrafficModel.messages``.
 

@@ -10,8 +10,11 @@ and exact streaming count/mean/min/max.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.p2_loop import P2Quantile as LoopP2Quantile
 
-from repro.noc.stats import percentile, summarize_latencies
+from repro.noc.stats import LatencySummary, percentile, summarize_latencies
 from repro.obs import (
     DEFAULT_QUANTILES,
     SKETCH_BACKENDS,
@@ -178,3 +181,104 @@ class TestSummarizeLatenciesRouting:
     def test_plain_sequences_still_work(self):
         assert summarize_latencies([1.0, 2.0, 3.0]).count == 3
         assert summarize_latencies([]).count == 0
+
+
+def _bits(values):
+    """Floats as exact bit patterns (``-0.0`` and ``0.0`` differ)."""
+    return [float(v).hex() for v in values]
+
+
+def _oracle_state(estimator):
+    return (
+        _bits(estimator._heights),
+        _bits(estimator._positions),
+        _bits(estimator._desired),
+    )
+
+
+def _library_state(markers):
+    heights, positions, desired, _ = markers
+    return _bits(heights), _bits(positions), _bits(desired)
+
+
+#: Tracked-percentile sets: one percentile alone, or five including the
+#: 50/95/99 a summary needs.
+_ONE = st.sampled_from([0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9]).map(
+    lambda q: (q,)
+)
+_FIVE = st.lists(
+    st.sampled_from([0.5, 5.0, 10.0, 33.3, 66.7, 75.0, 90.0, 99.9]),
+    min_size=2, max_size=2, unique=True,
+).map(lambda extra: (50.0, 95.0, 99.0, *extra))
+
+
+class TestLoopOracle:
+    """The fused P² step against the per-estimator loop it replaced.
+
+    Streams are generated from a seed: lengths 0-3000, values drawn from
+    a small pool (ties), from a range including negatives, or copied
+    from a current marker height of the oracle.  After every observation
+    the marker heights, positions and desired positions of
+    :class:`P2Quantile` and of each :class:`P2Sketch` estimator must
+    equal the oracle's (exact bit patterns at the end of the stream), and
+    so must the final estimates and ``summary()``.
+    """
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(0, 3000),
+        pool=st.sampled_from([0, 2, 7, 40]),
+        negative=st.booleans(),
+        copy_rate=st.sampled_from([0.0, 0.05, 0.3]),
+        quantiles=st.one_of(_ONE, _FIVE),
+    )
+    def test_matches_the_loop_oracle(
+        self, seed, length, pool, negative, copy_rate, quantiles
+    ):
+        rng = random.Random(seed)
+        low = -50.0 if negative else 0.0
+        values = [round(rng.uniform(low, 50.0), 1) for _ in range(pool)]
+        oracles = [LoopP2Quantile(q) for q in quantiles]
+        singles = [P2Quantile(q) for q in quantiles]
+        sketch = P2Sketch(quantiles)
+        total = 0.0
+        for step in range(length):
+            if step >= 5 and rng.random() < copy_rate:
+                value = rng.choice(rng.choice(oracles)._heights)
+            elif values:
+                value = rng.choice(values)
+            else:
+                value = rng.uniform(low, 50.0)
+            total += value
+            sketch.add(value)
+            for oracle, single, markers in zip(
+                oracles, singles, sketch._markers
+            ):
+                oracle.add(value)
+                single.add(value)
+                state = (oracle._heights, oracle._positions, oracle._desired)
+                assert single._markers[0][:3] == markers[:3] == state
+        for oracle, single, markers in zip(oracles, singles, sketch._markers):
+            assert _library_state(single._markers[0]) == _oracle_state(oracle)
+            assert _library_state(markers) == _oracle_state(oracle)
+            assert single.count == oracle.count == length
+            assert _bits([single.value]) == _bits([oracle.value])
+            assert _bits([sketch.quantile(oracle.q)]) == _bits([oracle.value])
+        if len(quantiles) == 5:
+            by_q = {o.q: o.value for o in oracles}
+            expected = (
+                LatencySummary(
+                    count=length,
+                    mean=total / length,
+                    p50=by_q[50.0],
+                    p95=by_q[95.0],
+                    p99=by_q[99.0],
+                    max=sketch.max,
+                )
+                if length
+                else LatencySummary(
+                    count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0
+                )
+            )
+            assert sketch.summary() == expected

@@ -5,7 +5,12 @@ matching the nominal rate within tolerance, and trace replay
 round-tripping through CSV export.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.tenant_draw import SearchsortedMix
 
 from repro.serve.arrivals import (
     ARRIVALS,
@@ -60,6 +65,101 @@ class TestTenantMix:
             tenant, size = mix.draw(rng)
             assert tenant in mix.tenant_names
             assert size in (64, 256)
+
+
+class _ScriptedRng:
+    """An rng stub replaying scripted ``random()`` / ``integers()`` values."""
+
+    def __init__(self, uniforms, integers=()):
+        self._uniforms = list(uniforms)
+        self._integers = list(integers)
+
+    def random(self):
+        return self._uniforms.pop(0)
+
+    def integers(self, high):
+        return self._integers.pop(0) % high
+
+
+_WEIGHTS = st.lists(
+    st.floats(0.001, 1000.0, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _edges(table):
+    """Each cut point of a cumulative table and its two float neighbours,
+    plus the ends of [0, 1)."""
+    points = {0.0, math.nextafter(1.0, 0.0)}
+    for cut in table:
+        cut = float(cut)
+        points.update(
+            p
+            for p in (math.nextafter(cut, 0.0), cut, math.nextafter(cut, 2.0))
+            if 0.0 <= p < 1.0
+        )
+    return sorted(points)
+
+
+class TestDrawMatchesSearchsorted:
+    """``TenantMix.draw`` picks the cell numpy's ``searchsorted`` did.
+
+    The stub rng returns every cumulative cut point of the old numpy
+    tables exactly (and its float neighbours), where a ``side="right"``
+    mismatch or a rounding difference between the tables would show.
+    """
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        tenant_weights=_WEIGHTS,
+        size_weights=st.one_of(st.none(), _WEIGHTS),
+    )
+    def test_cut_points(self, tenant_weights, size_weights):
+        tenants = tuple((f"t{i}", w) for i, w in enumerate(tenant_weights))
+        sizes = tuple(64 * (i + 1) for i in range(len(size_weights or (1, 2, 3))))
+        mix = TenantMix(
+            tenants=tenants,
+            graph_sizes=sizes,
+            size_weights=None if size_weights is None else tuple(size_weights),
+        )
+        oracle = SearchsortedMix(mix)
+        tenant_points = _edges(oracle._tenant_cum)
+        size_points = (
+            _edges(oracle._size_cum) if oracle._size_cum is not None else [0.5]
+        )
+        # Every tenant cut against every size cut, and the roles swapped.
+        script = [(u, v) for u in tenant_points for v in size_points]
+        script += [(v, u) for u, v in script]
+        for k, (u, v) in enumerate(script):
+            expected = oracle.draw(_ScriptedRng([u, v], [k]))
+            assert mix.draw(_ScriptedRng([u, v], [k])) == expected
+
+    @pytest.mark.parametrize("kind", sorted(ARRIVALS) + ["trace", "closed"])
+    def test_generate_is_unchanged(self, kind):
+        mix = TenantMix(
+            tenants=(("gold", 3.0), ("silver", 1.0), ("bronze", 0.25)),
+            graph_sizes=(256, 1024, 4096),
+            size_weights=(5.0, 2.0, 1.0) if kind != "poisson" else None,
+        )
+
+        def stream(m):
+            if kind == "closed":
+                pool = ClosedLoopPool(num_clients=8, think_seconds=0.01, mix=m, seed=4)
+                return pool.initial_requests() + [
+                    pool.next_request(0.01 * i) for i in range(500)
+                ]
+            process = make_arrivals(
+                "poisson" if kind == "trace" else kind, 2000.0, mix=m, seed=4
+            )
+            requests = process.generate(1.0)
+            if kind == "trace":
+                return TraceArrivals(requests).generate(1.0)
+            return requests
+
+        library = stream(mix)
+        assert len(library) > 500
+        assert stream(SearchsortedMix(mix)) == library
 
 
 class TestSeededDeterminism:

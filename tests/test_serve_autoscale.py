@@ -7,6 +7,8 @@ instance-seconds (deterministic from the seed).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.arrivals import MMPPArrivals, TenantMix
 from repro.serve.autoscale import (
@@ -107,6 +109,50 @@ class TestReplicaPool:
             ReplicaPool(1, warmup_seconds=-1.0)
         with pytest.raises(ValueError):
             ReplicaPool(1).scale_to(0, now=0.0)
+
+
+class TestProvisionedCount:
+    """``ReplicaPool.provisioned`` is a maintained count, not a sum: it
+    must equal the instances the pool holds after any operation."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        start=st.integers(0, 4),
+        warmup=st.sampled_from([0.0, 0.1]),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["acquire", "release", "warmed", "kill", "provision", "scale"]
+                ),
+                st.integers(0, 9),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_matches_the_instances_held(self, start, warmup, ops):
+        pool = ReplicaPool(start, warmup_seconds=warmup, min_size=0)
+        busy, warming = [], []
+        for now, (op, arg) in enumerate(ops):
+            if op == "acquire" and pool.has_free():
+                busy.append(pool.acquire())
+            elif op == "release" and busy:
+                pool.release(busy.pop(arg % len(busy)))
+            elif op == "warmed" and warming:
+                pool.warmed(warming.pop(arg % len(warming)))
+            elif op == "kill" and pool.instance_ids():
+                ids = pool.instance_ids()
+                victim = ids[arg % len(ids)]
+                pool.kill(victim)
+                if victim in busy:
+                    busy.remove(victim)
+            elif op == "provision":
+                instance, ready_at = pool.provision(float(now))
+                if ready_at > now:
+                    warming.append(instance)
+            elif op == "scale":
+                started = pool.scale_to(arg % 7, float(now))
+                warming.extend(i for i, ready_at in started if ready_at > now)
+            assert pool.provisioned == len(pool.instance_ids())
 
 
 class TestPolicies:
