@@ -1,16 +1,60 @@
-"""Reference copies of the partitioner's region-growing and refinement loops.
+"""Reference copies of the partitioner's matching, region-growing and
+refinement loops.
 
-These are the scalar, numpy-indexed loops ``repro.graph.partition`` shipped
-before its inner loops moved to Python lists and a lazy frontier heap.
-They are kept verbatim so the differential test in
-``tests/test_graph_partition.py`` can assert that the library returns the
-same assignment, node for node, on generated graphs with tied edge weights.
+``_initial_partition`` and ``_refine`` are the scalar, numpy-indexed loops
+``repro.graph.partition`` shipped before its inner loops moved to Python
+lists, a lazy frontier heap and a screened refinement pass.
+``_heavy_edge_matching`` is the version built on scipy's per-row
+``argmax``, before proposals became one ``np.maximum.reduceat``.  They are
+kept verbatim so the differential tests in ``tests/test_graph_partition.py``
+can assert that the library returns the same result, node for node, on
+generated graphs with tied edge weights and unsorted indices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+
+
+def _heavy_edge_matching(
+    adj: sparse.csr_matrix, rng: np.random.Generator, rounds: int = 3
+) -> np.ndarray:
+    """Match nodes to a heavy-weight neighbor via mutual proposals.
+
+    Each round, every unmatched node proposes to its heaviest unmatched
+    neighbor; mutual proposals become matches.  Returns the coarse node id
+    per fine node.
+    """
+    n = adj.shape[0]
+    match = np.full(n, -1, dtype=np.int64)
+    work = adj.copy()
+    for _ in range(rounds):
+        unmatched = match < 0
+        if not unmatched.any():
+            break
+        # Mask out matched columns so proposals only target unmatched nodes.
+        col_alive = unmatched[work.indices]
+        masked = work.copy()
+        masked.data = masked.data * col_alive
+        proposals = np.asarray(masked.argmax(axis=1)).ravel()
+        row_max = np.asarray(masked.max(axis=1).todense()).ravel()
+        proposals[row_max <= 0] = -1
+        proposals[~unmatched] = -1
+        # Mutual proposal: i -> j and j -> i with i < j.
+        cand = np.flatnonzero(proposals >= 0)
+        mutual = cand[(proposals[proposals[cand]] == cand) & (cand < proposals[cand])]
+        match[mutual] = proposals[mutual]
+        match[proposals[mutual]] = mutual
+    # Assign coarse ids: matched pairs share one id, singletons get their
+    # own, numbered in the order a random permutation first visits them.
+    # A group's id is the rank of its earliest position in that order.
+    pos = np.empty(n, dtype=np.int64)
+    pos[rng.permutation(n)] = np.arange(n)
+    first = np.where(match >= 0, np.minimum(pos, pos[match]), pos)
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    return np.cumsum(is_first)[first] - 1
 
 
 def _initial_partition(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -123,24 +123,37 @@ class TestProperties:
 
 @st.composite
 def weighted_levels(draw):
-    """A small symmetric weighted adjacency (integer edge weights, so
-    connections tie often), integer node weights, a part count and an
-    initial assignment: one level as the partitioner's loops see it."""
+    """A small symmetric weighted adjacency, node weights, a part count and
+    an initial assignment: one level as the partitioner's loops see it.
+
+    Edge weights are small integers, so connections tie often, or the same
+    integers times 0.1, so sums taken in different orders can round apart.
+    Row indices come canonical or shuffled within each row, as the
+    ``proj @ adj @ proj.T`` product in ``_coarsen`` leaves them.
+    """
     n = draw(st.integers(2, 30))
     pairs = draw(
         st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 2)),
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
             min_size=n,
             max_size=4 * n,
         )
     )
+    scale = draw(st.sampled_from([1.0, 0.1]))
     rows = [u for u, v, _ in pairs if u != v]
     cols = [v for u, v, _ in pairs if u != v]
-    data = [float(w) for u, v, w in pairs if u != v]
+    data = [w * scale for u, v, w in pairs if u != v]
     upper = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     adj = (upper + upper.T).tocsr()
     adj.sum_duplicates()
     adj.sort_indices()
+    if draw(st.booleans()):
+        order = np.array(draw(st.permutations(range(adj.nnz))), dtype=np.int64)
+        src = np.repeat(np.arange(n), np.diff(adj.indptr))
+        keep = np.lexsort((order, src))
+        adj = sparse.csr_matrix(
+            (adj.data[keep], adj.indices[keep], adj.indptr.copy()), shape=(n, n)
+        )
     node_weight = np.array(
         draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.float64
     )
@@ -151,9 +164,52 @@ def weighted_levels(draw):
     return adj, node_weight, k, assignment
 
 
+def _coarsened_levels(seed):
+    """Every matching level ``partition_graph`` builds for a sparse graph
+    that coarsens, with the RNG state each matching starts from."""
+    graph = powerlaw_community_graph(3000, 9000, num_communities=50, seed=seed)
+    adj = graph.to_scipy().astype(np.float64)
+    node_weight = np.ones(graph.num_nodes)
+    rng = np.random.default_rng(seed)
+    levels = []
+    while adj.shape[0] > 256:
+        state = rng.bit_generator.state
+        coarse_map = lib._heavy_edge_matching(adj, rng)
+        levels.append((adj, state))
+        if coarse_map.max() + 1 >= adj.shape[0] * 0.95:
+            break
+        adj, node_weight = lib._coarsen(adj, node_weight, coarse_map)
+    return levels
+
+
 class TestLoopsMatchOracle:
-    """The list-native region growing and refinement reproduce the scalar
-    reference loops node for node, ties included."""
+    """The array-native matching, list-native region growing and screened
+    refinement reproduce the reference loops node for node, ties included."""
+
+    @given(level=weighted_levels(), tied=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_heavy_edge_matching(self, level, tied, seed):
+        adj = level[0].copy()
+        if tied:
+            adj.data[:] = 1.0
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = lib._heavy_edge_matching(adj, rng_got)
+        want = oracle._heavy_edge_matching(adj, rng_want)
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_heavy_edge_matching_on_coarsened_levels(self, seed):
+        levels = _coarsened_levels(seed)
+        assert len(levels) > 3
+        assert any(not adj.has_sorted_indices for adj, _ in levels)
+        for adj, state in levels:
+            rng_got, rng_want = np.random.default_rng(), np.random.default_rng()
+            rng_got.bit_generator.state = rng_want.bit_generator.state = state
+            got = lib._heavy_edge_matching(adj, rng_got)
+            want = oracle._heavy_edge_matching(adj, rng_want)
+            assert np.array_equal(got, want)
 
     @given(level=weighted_levels(), seed=st.integers(0, 2**16))
     @settings(max_examples=100, deadline=None)
@@ -165,6 +221,10 @@ class TestLoopsMatchOracle:
         assert got.dtype == want.dtype
 
     @given(level=weighted_levels(), max_imbalance=st.sampled_from([1.0, 1.1, 1.5, 3.0]))
+    @example(
+        level=(sparse.csr_matrix((3, 3)), np.ones(3), 1, np.zeros(3, dtype=np.int64)),
+        max_imbalance=1.1,
+    )
     @settings(max_examples=100, deadline=None)
     def test_refine(self, level, max_imbalance):
         adj, node_weight, k, assignment = level
