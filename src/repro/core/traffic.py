@@ -34,9 +34,13 @@ coalesced, as a DMA engine would.
 **Extraction.**  :meth:`GNNTrafficModel.messages` builds the set through
 a vectorized numpy group-by over the nonzero blocks, stable-sorted by
 block row/column so per-group destination lists come out in original
-block order.  The original per-router Python loops live in
-``tests/oracles/traffic_loops.py``; the differential tests assert both
-produce bit-identical message ids, ordering and contents.
+block order.  The single-destination partial-sum legs are summed per
+(router, home) pair entirely in numpy.  The multicast legs build each
+destination set exactly as the coalescing helper does, since a set's
+iteration order depends on how it was built and shows in the ``str``
+order that numbers the messages.  The original per-router Python loops
+live in ``tests/oracles/traffic_loops.py``; the differential tests assert
+both produce bit-identical message ids, ordering and contents.
 """
 
 from __future__ import annotations
@@ -161,8 +165,8 @@ class GNNTrafficModel:
         self.e_rounds = e_rounds
         self.block_size = block_mapping.block_size
         self._index = _build_block_index(block_mapping)
-        # (layer, transposed, axis) -> per-group dest-router arrays.
-        self._group_cache: dict[tuple[int, bool, str], list[np.ndarray]] = {}
+        # (layer, transposed, axis) -> per-group dest-router sets.
+        self._group_cache: dict[tuple[int, bool, str], list[set[int]]] = {}
 
     # ------------------------------------------------------------------
     # Placement helpers
@@ -189,14 +193,14 @@ class GNNTrafficModel:
     # ------------------------------------------------------------------
     def _block_routers_by(
         self, layer: int, transposed: bool, axis: str
-    ) -> list[np.ndarray]:
-        """Per-group arrays of block-holding routers, numpy group-by built.
+    ) -> list[set[int]]:
+        """Per-group sets of block-holding routers, numpy group-by built.
 
         ``axis="col"`` groups by block-column (aligned with
-        ``occupied_cols``); ``axis="row"`` by block-row.  Within a group,
-        routers appear in original block order, so downstream ``set()``
-        construction inserts elements in the order the reference loops
-        (``tests/oracles/traffic_loops.py``) visit them.
+        ``occupied_cols``); ``axis="row"`` by block-row.  Each set is
+        built from its group's routers in original block order, the order
+        the reference loops (``tests/oracles/traffic_loops.py``) insert
+        them, so it iterates as theirs do.  Callers must not mutate it.
         """
         key = (layer, transposed, axis)
         cached = self._group_cache.get(key)
@@ -206,9 +210,12 @@ class GNNTrafficModel:
         placement = self._placement(layer, backward=transposed)
         per_block = placement.block_routers(idx.brs, idx.bcs)
         if axis == "col":
-            grouped = np.split(per_block[idx.order_by_col], idx.col_splits)
+            order, splits = idx.order_by_col, idx.col_splits
         else:
-            grouped = np.split(per_block[idx.order_by_row], idx.row_splits)
+            order, splits = idx.order_by_row, idx.row_splits
+        flat = per_block[order].tolist()
+        cuts = [0, *splits.tolist(), len(flat)]
+        grouped = [set(flat[a:b]) for a, b in zip(cuts, cuts[1:])]
         self._group_cache[key] = grouped
         return grouped
 
@@ -249,18 +256,25 @@ class GNNTrafficModel:
             self._vec_leg_be_to_bv(acc, i, dout)
             if i > 1:
                 self._vec_leg_into_e(acc, i, din, backward=True)
-        messages: list[Message] = []
-        for msg_id, ((src, dests, tag), bits) in enumerate(sorted(acc.items(), key=str)):
-            messages.append(
-                Message(
-                    src=src,
-                    dests=tuple(sorted(dests)),
-                    size_bits=bits,
-                    tag=tag,
-                    msg_id=msg_id,
-                )
+        # Message ids follow the ``str`` order of the ``(key, bits)`` items,
+        # spelled out as ``str`` would.  A destination set's repr follows
+        # its iteration order, which depends on how the set was built.
+        items = list(acc.items())
+        text = [
+            f"(({src!r}, {dests!r}, {tag!r}), {bits!r})"
+            for (src, dests, tag), bits in items
+        ]
+        keyed = [items[k] for k in sorted(range(len(items)), key=text.__getitem__)]
+        return [
+            Message(
+                src=src,
+                dests=tuple(sorted(dests)),
+                size_bits=bits,
+                tag=tag,
+                msg_id=msg_id,
             )
-        return messages
+            for msg_id, ((src, dests, tag), bits) in enumerate(keyed)
+        ]
 
     def _add(
         self,
@@ -293,35 +307,65 @@ class GNNTrafficModel:
             tag = f"V{layer}->E{layer}"
         bounds, los, his, firsts, lasts = self._chunk_spans(src_routers, groups)
         factor = width * self.data_bits * self.e_rounds
-        for k in range(len(groups)):
-            dests = set(dest_groups[k].tolist())
-            lo, hi = int(los[k]), int(his[k])
-            for c in range(int(firsts[k]), int(lasts[k]) + 1):
-                rows = min(hi, int(bounds[c + 1])) - max(lo, int(bounds[c]))
-                if rows > 0:
-                    self._add(acc, src_routers[c], dests, rows * factor, tag)
+        if factor <= 0:
+            return
+        bounds = bounds.tolist()
+        for dests, lo, hi, first, last in zip(
+            dest_groups, los.tolist(), his.tolist(), firsts.tolist(), lasts.tolist()
+        ):
+            # ``frozenset(dests - {src})`` is built the same way, with the
+            # same iteration order, for every source outside ``dests``.
+            outside = None
+            for c in range(first, last + 1):
+                rows = min(hi, bounds[c + 1]) - max(lo, bounds[c])
+                if rows <= 0:
+                    continue
+                src = src_routers[c]
+                if src in dests:
+                    key = frozenset(dests - {src})
+                    if not key:
+                        continue
+                else:
+                    if outside is None:
+                        outside = frozenset(dests - {src})
+                    key = outside
+                acc[(src, key, tag)] += rows * factor
 
     def _vec_leg_partial_sums(self, acc, layer: int, dout: int, backward: bool) -> None:
-        """Within-stage reduction: partial block products to the row home."""
+        """Within-stage reduction: partial block products to the row home.
+
+        Every router holding a block of a group sends the group's rows
+        once to the group's home.  The keys are single-destination, so
+        the (router, home) volumes are summed in numpy and added once.
+        """
         idx = self._index
-        if backward:
-            groups = idx.occupied_cols
-            src_groups = self._block_routers_by(layer, transposed=True, axis="col")
-            stage = f"BE{layer}"
-        else:
-            groups = idx.occupied_rows
-            src_groups = self._block_routers_by(layer, transposed=False, axis="row")
-            stage = f"E{layer}"
-        routers = self.stage_map.routers(stage)
-        num_routers = len(routers)
+        stage = f"BE{layer}" if backward else f"E{layer}"
+        placement = self._placement(layer, backward=backward)
+        num_ids = max(placement.routers) + 1
+        # Which routers hold a block of which group, each pair once.
+        pairs = np.sort(
+            (idx.bcs if backward else idx.brs) * num_ids
+            + placement.block_routers(idx.brs, idx.bcs)
+        )
+        first = np.ones(pairs.size, dtype=bool)
+        first[1:] = pairs[1:] != pairs[:-1]
+        groups, srcs = np.divmod(pairs[first], num_ids)
+        routers = np.asarray(placement.routers)
+        homes = routers[groups % len(routers)]
+        los = groups * self.block_size
+        bits = (np.minimum(los + self.block_size, self.num_nodes) - los) * (
+            dout * self.data_bits
+        )
+        keep = (srcs != homes) & (bits > 0)
+        links, inverse = np.unique(
+            srcs[keep] * num_ids + homes[keep], return_inverse=True
+        )
+        totals = np.zeros(links.size, dtype=np.int64)
+        np.add.at(totals, inverse, bits[keep])
         tag = f"{stage}->{stage}"
-        factor = dout * self.data_bits
-        for k, g in enumerate(groups.tolist()):
-            lo, hi = self._group_rows(g)
-            bits = (hi - lo) * factor
-            home = routers[g % num_routers]
-            for src in set(src_groups[k].tolist()):
-                self._add(acc, src, {home}, bits, tag)
+        for link, total in zip(links.tolist(), totals.tolist()):
+            src, home = divmod(link, num_ids)
+            acc[(src, frozenset((home,)), tag)] += total
 
     def _vec_leg_e_out(self, acc, layer: int, dout: int, is_last: bool) -> None:
         """Ei -> Vi+1 (and BVi+1): aggregated rows fan out (multicast)."""
@@ -359,8 +403,7 @@ class GNNTrafficModel:
         for k, br in enumerate(idx.occupied_rows.tolist()):
             lo, hi = self._group_rows(br)
             src = e_routers[br % num_e]
-            dests = set(dest_groups[k].tolist())
-            self._add(acc, src, dests, (hi - lo) * factor, tag)
+            self._add(acc, src, dest_groups[k], (hi - lo) * factor, tag)
 
     def _vec_leg_be_to_bv(self, acc, layer: int, dout: int) -> None:
         """BEi -> BVi: back-propagated rows to their chunk owners."""

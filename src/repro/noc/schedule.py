@@ -12,21 +12,34 @@ statically scheduled NoC does.
 Multicast packets traverse their XYZ tree once, forking at branch routers;
 unicast mode replicates one packet per destination.
 
-Links are dense ids ``router * PORTS + port`` (:mod:`repro.noc.topology`):
-per-link free cycles and flit counts are flat lists indexed by the ids
-:func:`~repro.noc.routing.link_route` walks, and the returned
-:class:`~repro.noc.stats.LinkStats` maps loaded ids back to link tuples.
+Links are dense ids ``router * PORTS + port`` (:mod:`repro.noc.topology`),
+so per-link free cycles and flit counts are flat arrays.  Messages are
+scheduled in blocks of :data:`ROUTE_BLOCK`: :func:`~repro.noc.routing.link_paths`
+builds the block's link-id routes in numpy, and each packet tree is
+deduplicated there into links that each know their one parent link
+(dimension-order routes from one source are prefix-closed).  Only the
+greedy reservation loop, one visit per tree link, runs in Python; both
+schedule modes read the same trees.  Network energy sums the flat loads
+by port class; the :class:`~repro.noc.stats.LinkStats` view keyed by link
+tuples is built only when a caller reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from repro.noc.packet import Message
-from repro.noc.routing import link_route, route_plan
+from repro.noc.routing import RoutePlan, link_paths, route_plan
 from repro.noc.stats import LinkStats
-from repro.noc.topology import EJECT, INJECT, PORTS, Mesh3D, link_id
+from repro.noc.topology import EJECT, PORTS, Mesh3D
 from repro.utils.units import GHZ, PICO
+
+#: Messages whose routes are built together.  Bounds the route arrays: all
+#: routes at once take tens of MB on the largest meshes.
+ROUTE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -92,11 +105,16 @@ class NoCConfig:
 
 @dataclass
 class ScheduleResult:
-    """Outcome of scheduling one message set."""
+    """Outcome of scheduling one message set.
+
+    ``link_loads[router * PORTS + port]`` is the flits that crossed that
+    link; :attr:`link_stats` is the same counts keyed by link tuples.
+    """
 
     makespan_cycles: int
     message_finish: dict[int, int]  # msg_id -> cycle its last flit arrives
-    link_stats: LinkStats
+    link_loads: tuple[int, ...]  # flits per dense link id (router * PORTS + port)
+    topo: Mesh3D
     config: NoCConfig
     tag_finish: dict[str, int] = field(default_factory=dict)
 
@@ -110,16 +128,27 @@ class ScheduleResult:
             raise KeyError(f"no messages carried tag {tag!r}")
         return self.tag_finish[tag] * self.config.cycle_time
 
+    @cached_property
+    def link_stats(self) -> LinkStats:
+        """Per-link flit counts keyed by link tuples, built on first read."""
+        topo = self.topo
+        return LinkStats(
+            topo, {topo.link_of(lid): n for lid, n in enumerate(self.link_loads) if n}
+        )
+
     @property
     def total_flit_hops(self) -> int:
-        return self.link_stats.total_flit_hops
+        return sum(self.link_loads)
 
     def energy_joules(self) -> float:
         """Network energy: every flit-hop pays router + link energy."""
         cfg = self.config
-        planar = self.link_stats.planar_flit_hops
-        vertical = self.link_stats.vertical_flit_hops
-        local = self.link_stats.local_flit_hops
+        # Mesh ports 0-3 are planar (x, y), 4-5 vertical (z, TSV), then
+        # the two local ports.
+        per_port = [sum(self.link_loads[port::PORTS]) for port in range(PORTS)]
+        planar, vertical, local = (
+            sum(per_port[:4]), sum(per_port[4:EJECT]), sum(per_port[EJECT:])
+        )
         return (
             (planar + vertical + local) * cfg.router_energy_per_flit
             + planar * cfg.planar_link_energy_per_flit
@@ -152,69 +181,106 @@ class StaticScheduler:
         plan = route_plan(topo, cfg.routing_order)
         atomic, hop = cfg.schedule_mode == "atomic", cfg.hop_cycles
         link_free = [0] * (topo.num_routers * PORTS)
-        load = [0] * (topo.num_routers * PORTS)
-        finish: dict[int, int] = {}
-        tag_finish: dict[str, int] = {}
-        makespan = 0
-
+        load = np.zeros(topo.num_routers * PORTS, dtype=np.int64)
         ordered = sorted(
             messages, key=lambda m: (m.inject_cycle, m.src, m.dests, m.msg_id)
         )
-        for msg in ordered:
-            flits = msg.num_flits(cfg.flit_bits)
-            src, inject = msg.src, msg.inject_cycle
-            # One packet per tree: the multicast tree, or a unicast per dest.
-            trees = (msg.dests,) if multicast else [(dst,) for dst in msg.dests]
-            last = 0
-            for dests in trees:
-                paths = [link_route(plan, src, dst) for dst in dests]
-                if cfg.model_local_ports:  # add the tile<->router port links
-                    paths = [
-                        [link_id(src, INJECT), *path, link_id(dst, EJECT)]
-                        for path, dst in zip(paths, dests)
-                    ]
-                if atomic:
-                    # The head waits until each link is free depth * hop later.
-                    tree = {lid: d for path in paths for d, lid in enumerate(path)}
-                    start = inject
-                    for lid, depth in tree.items():
-                        start = max(start, link_free[lid] - depth * hop)
-                    for lid, depth in tree.items():
-                        link_free[lid] = start + depth * hop + flits
-                        load[lid] += flits
-                    end = start + max(map(len, paths)) * hop
-                else:
-                    # Pipelined: a link starts once it frees AND the head
-                    # has crossed the previous link; a link placed by an
-                    # earlier path of this tree keeps its start cycle.
-                    placed: dict[int, int] = {}
-                    end = inject
-                    for path in paths:
-                        arrival = inject
-                        for lid in path:
-                            start = placed.get(lid)
-                            if start is None:
-                                start = link_free[lid]
-                                if start < arrival:
-                                    start = arrival
-                                placed[lid] = start
-                                link_free[lid] = start + flits
-                                load[lid] += flits
-                            arrival = start + hop
-                        end = max(end, arrival)
-                # The tail arrives flits - 1 cycles after the deepest head.
-                last = max(last, end + flits - 1)
+        lasts: list[int] = []
+        for lo in range(0, len(ordered), ROUTE_BLOCK):
+            trees = _Trees(plan, ordered[lo:lo + ROUTE_BLOCK], multicast, cfg)
+            lids = trees.lids.tolist()
+            slot_flits = np.repeat(trees.flits, np.diff(trees.bounds))
+            if atomic:
+                # The head waits until each link is free depth * hop later.
+                delays = (trees.depths * hop).tolist()
+                bounds = trees.bounds.tolist()
+                heads = []
+                for t, (inject, flits) in enumerate(
+                    zip(trees.inject.tolist(), trees.flits.tolist())
+                ):
+                    tree = range(bounds[t], bounds[t + 1])
+                    start = max(inject, *(link_free[lids[s]] - delays[s] for s in tree))
+                    for s in tree:
+                        link_free[lids[s]] = start + delays[s] + flits
+                    heads.append(start)
+                deepest = np.maximum.reduceat(trees.depths, trees.bounds[:-1])
+                ends = np.asarray(heads) + (deepest + 1) * hop
+            else:
+                # Pipelined: a link starts once it frees AND the head has
+                # crossed its parent link; parents come before children.
+                # ``starts`` opens with one virtual parent per tree, a hop
+                # before its injection, so a root's head arrives at inject.
+                starts = (trees.inject - hop).tolist()
+                append = starts.append
+                for lid, parent, flits in zip(
+                    lids, trees.parents.tolist(), slot_flits.tolist()
+                ):
+                    arrival = starts[parent] + hop
+                    start = link_free[lid]
+                    if start < arrival:
+                        start = arrival
+                    link_free[lid] = start + flits
+                    append(start)
+                slot_starts = np.asarray(starts[len(trees.flits):])
+                ends = np.maximum.reduceat(slot_starts, trees.bounds[:-1]) + hop
+            np.add.at(load, trees.lids, slot_flits)
+            # The tail arrives flits - 1 cycles after the deepest head.
+            tails = ends + trees.flits - 1
+            lasts.extend(np.maximum.reduceat(tails, trees.msg_trees).tolist())
+
+        finish: dict[int, int] = {}
+        tag_finish: dict[str, int] = {}
+        for msg, last in zip(ordered, lasts):
             finish[msg.msg_id] = last
-            makespan = max(makespan, last)
             if msg.tag:
                 tag_finish[msg.tag] = max(tag_finish.get(msg.tag, 0), last)
-
         return ScheduleResult(
-            makespan_cycles=makespan,
+            makespan_cycles=max(lasts, default=0),
             message_finish=finish,
-            link_stats=LinkStats(
-                topo, {topo.link_of(lid): n for lid, n in enumerate(load) if n}
-            ),
+            link_loads=tuple(load.tolist()),
+            topo=topo,
             config=self.config,
             tag_finish=tag_finish,
+        )
+
+
+class _Trees:
+    """The packet trees of a block of ordered messages, as flat arrays.
+
+    One packet per message (its multicast tree) or, without multicast,
+    one per destination; message ``m``'s trees start at ``msg_trees[m]``.
+    Each tree's links are deduplicated in path order into *slots*: tree
+    ``t`` owns slots ``bounds[t]:bounds[t + 1]``, slot ``s`` is link
+    ``lids[s]`` at position ``depths[s]`` along its paths.  Dimension-order
+    routes from one source are prefix-closed, so every tree link has
+    exactly one parent, and it comes earlier.  ``parents`` indexes one
+    virtual root per tree followed by the slots: a root link of tree ``t``
+    has parent ``t``, any other slot the parent slot plus the tree count.
+    """
+
+    def __init__(
+        self, plan: RoutePlan, block: list[Message], multicast: bool, cfg: NoCConfig
+    ) -> None:
+        fanout = [len(m.dests) for m in block]
+        dsts = [d for m in block for d in m.dests]
+        srcs = np.repeat([m.src for m in block], fanout)
+        ids, offsets = link_paths(plan, srcs, dsts, cfg.model_local_ports)
+        per_msg = np.ones(len(block), dtype=np.int64) if multicast else fanout
+        self.msg_trees = np.cumsum(per_msg) - per_msg
+        self.flits = np.repeat([m.num_flits(cfg.flit_bits) for m in block], per_msg)
+        self.inject = np.repeat([m.inject_cycle for m in block], per_msg)
+        route = np.repeat(np.arange(len(dsts)), np.diff(offsets))
+        tree = np.repeat(np.arange(len(block)), fanout)[route] if multicast else route
+        # Each (tree, link) pair's first occurrence, in path order, is a slot.
+        keys = tree * (plan[0] * PORTS) + ids
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        slot = np.empty(order.size, dtype=np.int64)
+        slot[order] = np.arange(order.size)
+        heads = first[order]
+        self.lids = ids[heads]
+        self.depths = heads - offsets[route[heads]]
+        self.bounds = np.searchsorted(tree[heads], np.arange(self.flits.size + 1))
+        self.parents = np.where(
+            self.depths > 0, slot[inverse[heads - 1]] + self.flits.size, tree[heads]
         )

@@ -123,13 +123,27 @@ class Mesh3D:
         return (router, router + self.num_routers)
 
     def link_of(self, lid: int) -> Link:
-        """The :data:`Link` tuple the dense link id ``lid`` names."""
+        """The :data:`Link` tuple the dense link id ``lid`` names.
+
+        Raises :class:`IndexError` for ids past the last router and for a
+        mesh port that leaves the mesh (e.g. +x on the last column).
+        """
+        if not 0 <= lid < self.num_routers * PORTS:
+            raise IndexError(
+                f"link id {lid} out of range [0, {self.num_routers * PORTS})"
+            )
         router, port = divmod(lid, PORTS)
         if port == EJECT:
             return self.ejection_link(router)
         if port == INJECT:
             return self.injection_link(router)
         axis, negative = divmod(port, 2)
+        at = self.coords(router)[axis]
+        size = (self.width, self.height, self.tiers)[axis]
+        if at == (0 if negative else size - 1):
+            raise IndexError(
+                f"link id {lid}: port {port} of router {router} leaves the mesh"
+            )
         stride = (1, self.width, self.routers_per_tier)[axis]
         return (router, router - stride if negative else router + stride)
 

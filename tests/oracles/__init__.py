@@ -9,12 +9,15 @@ shipped, so a test can assert the library returns the same result:
 * :mod:`oracles.flit_cycle` — the cycle-stepped flit-level simulator loop
   (``CycleFlitSimulator``); reference for ``repro.noc.events.EventEngine``
   behind ``repro.noc.simulator.FlitSimulator``.
+* :mod:`oracles.link_route` — the route-at-a-time link-id walk
+  (``link_route``); reference for ``repro.noc.routing.link_paths``.
 * :mod:`oracles.p2_loop` — the per-estimator P² update loop
   (``P2Quantile.add``); reference for ``repro.obs.sketch``'s fused
   ``P2Sketch.add`` step.
 * :mod:`oracles.partition_loops` — the numpy-indexed region-growing and
   refinement loops; reference for ``repro.graph.partition``.
 * :mod:`oracles.schedule_tree` — the tuple-keyed static scheduler, its
+  result type (energy summed over ``LinkStats`` tuple keys), its
   router-list routes and ``multicast_tree``; reference for
   ``repro.noc.schedule.StaticScheduler`` and ``repro.noc.routing``.
 * :mod:`oracles.tenant_draw` — the numpy ``searchsorted`` tenant and

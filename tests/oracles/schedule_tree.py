@@ -3,21 +3,63 @@
 ``repro.noc.schedule.StaticScheduler.simulate`` used to rebuild, per
 message, a dict-of-tuples multicast tree from router-list routes, compute
 every link's depth and sort the tree root-outward before reserving links.
-The library now walks dense link-id routes instead.  The old scheduler and
+The library now builds batched link-id route trees instead.  The old
+scheduler, the result type it returned (its energy summed over the
+``LinkStats`` tuple keys, where the library sums flat per-port loads) and
 the routing helpers it stood on (dimension-order routes, the multicast
 tree, the depth sort) are kept here verbatim, so the differential test in
 ``tests/test_noc_schedule_oracle.py`` compares the library against a
-reference that shares none of the new routing code.  ``multicast_tree``
+reference that shares none of the new routing or energy code.  ``multicast_tree``
 exists only here now; the tree-property tests in
 ``tests/test_noc_topology_routing.py`` pin it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 from repro.noc.packet import Message
-from repro.noc.schedule import NoCConfig, ScheduleResult
+from repro.noc.schedule import NoCConfig
 from repro.noc.stats import LinkStats
 from repro.noc.topology import Link, Mesh3D
+
+
+@dataclass
+class ScheduleResult:
+    """Outcome of scheduling one message set."""
+
+    makespan_cycles: int
+    message_finish: dict[int, int]  # msg_id -> cycle its last flit arrives
+    link_stats: LinkStats
+    config: NoCConfig
+    tag_finish: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def makespan_seconds(self) -> float:
+        return self.makespan_cycles * self.config.cycle_time
+
+    def tag_finish_seconds(self, tag: str) -> float:
+        """Completion time of all messages carrying ``tag``."""
+        if tag not in self.tag_finish:
+            raise KeyError(f"no messages carried tag {tag!r}")
+        return self.tag_finish[tag] * self.config.cycle_time
+
+    @property
+    def total_flit_hops(self) -> int:
+        return self.link_stats.total_flit_hops
+
+    def energy_joules(self) -> float:
+        """Network energy: every flit-hop pays router + link energy."""
+        cfg = self.config
+        planar = self.link_stats.planar_flit_hops
+        vertical = self.link_stats.vertical_flit_hops
+        local = self.link_stats.local_flit_hops
+        return (
+            (planar + vertical + local) * cfg.router_energy_per_flit
+            + planar * cfg.planar_link_energy_per_flit
+            + vertical * cfg.vertical_link_energy_per_flit
+            + local * cfg.local_port_energy_per_flit
+        )
 
 
 def dimension_order_route(

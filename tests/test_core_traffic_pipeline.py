@@ -257,6 +257,20 @@ class TestVectorizedEngine:
         )
 
 
+    @given(
+        routers=st.lists(st.integers(0, 600), min_size=1, max_size=40),
+        outsiders=st.lists(st.integers(601, 1200), min_size=2, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_destination_set_built_once_per_group(self, routers, outsiders):
+        """The into-E leg reuses one ``frozenset(dests - {src})`` for every
+        source outside ``dests``: it must iterate (and so print and sort)
+        exactly like the set built for each source separately."""
+        dests = set(routers)
+        built = [repr(frozenset(dests - {src})) for src in outsiders]
+        assert len(set(built)) == 1
+
+
 class TestPipelineModel:
     def test_stage_order(self):
         model = PipelineModel(4)

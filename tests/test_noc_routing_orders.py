@@ -1,5 +1,5 @@
 """Tests for configurable dimension-order routing (vertical-first ablation)
-and the link-id routes the static scheduler walks."""
+and the batched link-id routes the static scheduler reads."""
 
 from itertools import permutations
 
@@ -8,15 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import schedule_tree as oracle
+from oracles.link_route import link_route
 from repro.noc.routing import (
     dimension_order_route,
-    link_route,
+    link_paths,
     route_links,
     route_plan,
 )
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.packet import Message
-from repro.noc.topology import EJECT, INJECT, Mesh3D, link_id
+from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port
 
 TOPO = Mesh3D(8, 8, 3)
 ORDERS = ["".join(p) for p in permutations("xyz")]
@@ -30,6 +31,25 @@ def mesh_routes(draw):
     src = draw(st.integers(0, topo.num_routers - 1))
     dst = draw(st.integers(0, topo.num_routers - 1))
     return topo, draw(st.sampled_from(ORDERS)), src, dst
+
+
+@st.composite
+def route_batches(draw):
+    """A mesh (planar, 1-wide and 1-row ones included), an order and a
+    possibly empty batch of router pairs."""
+    shape = draw(st.sampled_from(["3d", "planar", "one-wide", "one-row"]))
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    if shape == "planar":
+        topo = Mesh2D(width, height)
+    elif shape == "one-wide":
+        topo = Mesh3D(1, height, draw(st.integers(1, 4)))
+    elif shape == "one-row":
+        topo = Mesh3D(width, 1, draw(st.integers(1, 4)))
+    else:
+        topo = Mesh3D(width, height, draw(st.integers(1, 4)))
+    routers = st.integers(0, topo.num_routers - 1)
+    pairs = draw(st.lists(st.tuples(routers, routers), max_size=12))
+    return topo, draw(st.sampled_from(ORDERS)), pairs, draw(st.booleans())
 
 
 class TestDimensionOrderRoute:
@@ -86,10 +106,34 @@ class TestStrideWalk:
     @settings(max_examples=200, deadline=None)
     def test_link_ids_name_the_router_route(self, case):
         topo, order, src, dst = case
-        ids = link_route(route_plan(topo, order), src, dst)
-        assert [topo.link_of(lid) for lid in ids] == route_links(
+        ids, offsets = link_paths(route_plan(topo, order), [src], [dst])
+        assert offsets.tolist() == [0, len(ids)]
+        assert [topo.link_of(lid) for lid in ids.tolist()] == route_links(
             dimension_order_route(topo, src, dst, order)
         )
+
+    @given(case=route_batches())
+    @settings(max_examples=300, deadline=None)
+    def test_batched_paths_match_route_at_a_time_walk(self, case):
+        topo, order, pairs, local_ports = case
+        plan = route_plan(topo, order)
+        srcs = [src for src, _ in pairs]
+        dsts = [dst for _, dst in pairs]
+        ids, offsets = link_paths(plan, srcs, dsts, local_ports)
+        assert len(offsets) == len(pairs) + 1 and offsets[0] == 0
+        got = [ids[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
+        want = [link_route(plan, src, dst) for src, dst in pairs]
+        if local_ports:
+            want = [
+                [link_id(src, INJECT), *path, link_id(dst, EJECT)]
+                for path, (src, dst) in zip(want, pairs)
+            ]
+        assert got == want
+
+    def test_empty_batch(self):
+        for local_ports in (False, True):
+            ids, offsets = link_paths(route_plan(TOPO), [], [], local_ports)
+            assert ids.size == 0 and offsets.tolist() == [0]
 
     def test_local_port_ids(self):
         n = TOPO.num_routers
@@ -101,7 +145,53 @@ class TestStrideWalk:
         with pytest.raises(ValueError, match="permutation"):
             route_plan(TOPO, "xyy")
         with pytest.raises(IndexError):
-            link_route(route_plan(TOPO), 0, TOPO.num_routers)
+            link_paths(route_plan(TOPO), [0], [TOPO.num_routers])
+        with pytest.raises(IndexError):
+            link_paths(route_plan(TOPO), [-1, 0], [1, 2])
+
+
+class TestLinkOf:
+    TOPO = Mesh3D(4, 4, 2)
+
+    def test_in_mesh_ports(self):
+        topo = self.TOPO
+        assert topo.link_of(link_id(2, mesh_port(0, False))) == (2, 3)
+        assert topo.link_of(link_id(3, mesh_port(0, True))) == (3, 2)
+        assert topo.link_of(link_id(1, mesh_port(1, False))) == (1, 5)
+        assert topo.link_of(link_id(0, mesh_port(2, False))) == (0, 16)
+        assert topo.link_of(link_id(16, mesh_port(2, True))) == (16, 0)
+
+    @pytest.mark.parametrize(
+        "router,axis,negative",
+        [
+            (3, 0, False),  # +x off the last column (would wrap to router 4)
+            (4, 0, True),  # -x off the first column
+            (12, 1, False),  # +y off the last row
+            (1, 1, True),  # -y off the first row
+            (16, 2, False),  # +z off the top tier (would read as a local port)
+            (0, 2, True),  # -z off the bottom tier
+        ],
+    )
+    def test_ports_leaving_the_mesh_raise(self, router, axis, negative):
+        with pytest.raises(IndexError, match="leaves the mesh"):
+            self.TOPO.link_of(link_id(router, mesh_port(axis, negative)))
+
+    @pytest.mark.parametrize("lid", [-1, link_id(32, 0), link_id(40, 0)])
+    def test_ids_past_the_routers_raise(self, lid):
+        with pytest.raises(IndexError, match="out of range"):
+            self.TOPO.link_of(lid)
+
+    def test_every_named_link_exists(self):
+        topo = self.TOPO
+        named = set()
+        for lid in range(topo.num_routers * 8):
+            try:
+                named.add(topo.link_of(lid))
+            except IndexError:
+                continue
+        local = {topo.injection_link(r) for r in range(topo.num_routers)}
+        local |= {topo.ejection_link(r) for r in range(topo.num_routers)}
+        assert named == set(topo.links()) | local
 
 
 class TestSchedulerRoutingOrder:

@@ -7,11 +7,16 @@ makespan, every message's finish cycle and every link's flit count, so a
 scheduler change that moves a single flit or cycle fails here; a
 deliberate change must re-pin these digests and bump the result-store
 schema versions.
+
+The same 12x12x4 traffic also bounds the scheduler's traced memory: the
+routes are built in blocks, and building all of them at once would take
+tens of MB.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 
@@ -73,3 +78,23 @@ def test_schedule_digest(mesh, mode, multicast):
         messages, multicast=multicast
     )
     assert schedule_digest(result) == SCHEDULE_GOLDEN[(mesh, mode, multicast)]
+
+
+#: Traced peak of one ``simulate`` on the 12x12x4 traffic (pipelined,
+#: multicast).  Blocked route building stays near 2 MB; building every
+#: route at once peaks above 20 MB.
+SIMULATE_PEAK_BYTES = 4_000_000
+
+
+def test_simulate_peak_memory():
+    config, messages = _traffic("12x12x4")
+    scheduler = StaticScheduler(config.topology, config.noc)
+    assert config.noc.schedule_mode == "pipelined"
+    scheduler.simulate(messages)  # first-call allocations are not the bound's
+    tracemalloc.start()
+    try:
+        scheduler.simulate(messages, multicast=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < SIMULATE_PEAK_BYTES, f"simulate peaked at {peak / 1e6:.1f} MB"
