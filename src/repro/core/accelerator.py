@@ -152,7 +152,7 @@ class ReGraphX:
         if partition is None:
             partition = partition_graph(graph, num_parts, seed=seed)
         batcher = ClusterBatcher(graph, partition, beta, seed=seed)
-        rep = batcher.epoch()[0].subgraph
+        rep = batcher.first_batch().subgraph
         mapping = block_tile_adjacency(rep, self.config.e_tile.crossbar_size)
         dims = [spec.feature_dim] + [spec.hidden_dim] * (spec.num_layers - 1) + [
             spec.num_classes

@@ -80,7 +80,7 @@ def epe_demand_for_beta(
     """
     tile = tile or e_tile_spec()
     batcher = ClusterBatcher(graph, partition, batch_size, seed=seed)
-    batch = batcher.epoch()[0]
+    batch = batcher.first_batch()
     mapping = block_tile_adjacency(batch.subgraph, tile.crossbar_size)
     return EPEDemand(
         batch_size=batch_size,

@@ -4,17 +4,10 @@ Experiments live in the :data:`EXPERIMENTS` registry — a name-to-callable
 map consumed by this runner, the ``python -m repro experiments`` CLI and
 the campaign engine alike.  Each entry takes a seed and returns the
 rendered table text.
-
-Usage::
-
-    python -m repro.experiments.runner                    # everything
-    python -m repro.experiments.runner fig7 fig8          # a subset
-    python -m repro.experiments.runner --seed 3 --jobs 4  # parallel, seeded
 """
 
 from __future__ import annotations
 
-import argparse
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable
@@ -158,8 +151,10 @@ def run(
     """Run the selected experiments; returns {name: rendered table}.
 
     With ``jobs > 1`` the experiments fan out across processes; output
-    order still follows the requested order.
+    order still follows the requested order.  ``jobs < 1`` is rejected.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     names = list(names or ALL_EXPERIMENTS)
     unknown = set(names) - set(EXPERIMENTS)
     if unknown:
@@ -178,30 +173,3 @@ def run(
             _, text, elapsed = _run_one(name, seed)
             out[name] = f"{text}\n[{elapsed:.1f}s]"
     return out
-
-
-def main(argv: list[str] | None = None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="regenerate the paper's tables and figures",
-    )
-    parser.add_argument(
-        "names", nargs="*", metavar="NAME",
-        help=f"experiments to run (default all): {', '.join(ALL_EXPERIMENTS)}",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (default 1)"
-    )
-    args = parser.parse_args(argv)
-    try:
-        results = run(args.names or None, seed=args.seed, jobs=args.jobs)
-    except ValueError as error:
-        parser.error(str(error))
-    for _, text in results.items():
-        print()
-        print(text)
-
-
-if __name__ == "__main__":
-    main()

@@ -79,12 +79,29 @@ class ClusterBatcher:
         """Number of merged input sub-graphs per epoch (Table II NumInput)."""
         return self.partition.num_parts // self.batch_size
 
-    def epoch(self) -> list[ClusterBatch]:
-        """Sample one epoch worth of merged batches (fresh random grouping)."""
+    def _groups(self) -> np.ndarray:
+        """One fresh random grouping: ``NumInput`` rows of ``beta`` cluster ids."""
         order = self._rng.permutation(self.partition.num_parts)
         usable = self.num_inputs * self.batch_size  # drop the ragged tail, like the paper
-        groups = order[:usable].reshape(self.num_inputs, self.batch_size)
-        return [merge_partitions(self.graph, self.partition, tuple(g)) for g in groups]
+        return order[:usable].reshape(self.num_inputs, self.batch_size)
+
+    def epoch(self) -> list[ClusterBatch]:
+        """Sample one epoch worth of merged batches (fresh random grouping)."""
+        return [
+            merge_partitions(self.graph, self.partition, tuple(g))
+            for g in self._groups()
+        ]
+
+    def first_batch(self) -> ClusterBatch:
+        """The first batch :meth:`epoch` would return, built alone.
+
+        Consumes the same one permutation draw as :meth:`epoch`, so it is
+        bit-identical to ``epoch()[0]`` and leaves the sampler in the
+        same state, without merging the other ``NumInput - 1`` groups.
+        This is the representative input sub-graph the architecture
+        model tiles.
+        """
+        return merge_partitions(self.graph, self.partition, tuple(self._groups()[0]))
 
     def average_input_size(self, num_epochs: int = 1) -> float:
         """Mean node count of a merged input over ``num_epochs`` samples."""

@@ -91,7 +91,6 @@ from repro.serve.faults import (
     DEFAULT_FAULTS,
     FaultInjector,
     FaultSpec,
-    coerce_faults,
 )
 from repro.serve.engine import (
     RunCounters,
@@ -106,7 +105,6 @@ from repro.serve.fleet import (
     ReplicaPool,
     TypedReplicaPool,
     TypeUsage,
-    coerce_fleet,
     fleet_with_total,
     get_instance_type,
 )
@@ -206,7 +204,6 @@ __all__ = [
     "FleetSpec",
     "TypedReplicaPool",
     "TypeUsage",
-    "coerce_fleet",
     "fleet_with_total",
     "allocate_fleet",
     "RoutingPolicy",
@@ -223,7 +220,6 @@ __all__ = [
     "survivable_fleets",
     "FaultSpec",
     "FaultInjector",
-    "coerce_faults",
     "DEFAULT_FAULTS",
     "RetryPolicy",
     "RETRY_POLICIES",

@@ -125,7 +125,9 @@ class AutoscalerPolicy:
     Subclasses implement :meth:`desired`; this base turns their raw
     answer into an applied target by clamping to
     ``[min_instances, max_instances]`` and suppressing changes inside the
-    direction's cooldown window.
+    direction's cooldown window.  Subclass constructors forward these
+    clamp, cadence and cooldown knobs here as keyword arguments, so
+    their defaults live in this one signature.
     """
 
     #: Registry name (overridden by registered subclasses; shows up in
@@ -138,7 +140,7 @@ class AutoscalerPolicy:
         max_instances: int = 16,
         interval_seconds: float = 0.02,
         scale_out_cooldown_seconds: float = 0.0,
-        scale_in_cooldown_seconds: float = 0.1,
+        scale_in_cooldown_seconds: float = 0.05,
     ) -> None:
         if min_instances < 1:
             raise ValueError(f"min_instances must be >= 1, got {min_instances}")
@@ -214,26 +216,13 @@ class TargetUtilizationAutoscaler(AutoscalerPolicy):
     kind = "target-util"
 
     def __init__(
-        self,
-        target: float = 0.7,
-        min_instances: int = 1,
-        max_instances: int = 16,
-        interval_seconds: float = 0.02,
-        scale_out_cooldown_seconds: float = 0.0,
-        scale_in_cooldown_seconds: float = 0.1,
-        queue_headroom: int = 4,
+        self, target: float = 0.7, queue_headroom: int = 4, **limits
     ) -> None:
         if not 0 < target <= 1:
             raise ValueError(f"utilization target must be in (0, 1], got {target}")
         if queue_headroom < 1:
             raise ValueError("queue_headroom must be >= 1")
-        super().__init__(
-            min_instances=min_instances,
-            max_instances=max_instances,
-            interval_seconds=interval_seconds,
-            scale_out_cooldown_seconds=scale_out_cooldown_seconds,
-            scale_in_cooldown_seconds=scale_in_cooldown_seconds,
-        )
+        super().__init__(**limits)
         self.target = target
         #: Queued requests one ready replica is trusted to absorb before
         #: the backlog term demands another instance.
@@ -282,15 +271,11 @@ class QueueDepthPIDAutoscaler(AutoscalerPolicy):
     def __init__(
         self,
         target: float = 2.0,
-        min_instances: int = 1,
-        max_instances: int = 16,
-        interval_seconds: float = 0.02,
-        scale_out_cooldown_seconds: float = 0.0,
-        scale_in_cooldown_seconds: float = 0.1,
         kp: float = 0.5,
         ki: float = 0.1,
         kd: float = 0.05,
         integral_limit: float = 50.0,
+        **limits,
     ) -> None:
         if target < 0:
             raise ValueError(f"queue setpoint must be >= 0, got {target}")
@@ -298,13 +283,7 @@ class QueueDepthPIDAutoscaler(AutoscalerPolicy):
             raise ValueError("PID gains must be non-negative")
         if integral_limit <= 0:
             raise ValueError("integral_limit must be positive")
-        super().__init__(
-            min_instances=min_instances,
-            max_instances=max_instances,
-            interval_seconds=interval_seconds,
-            scale_out_cooldown_seconds=scale_out_cooldown_seconds,
-            scale_in_cooldown_seconds=scale_in_cooldown_seconds,
-        )
+        super().__init__(**limits)
         self.target = target
         self.kp = kp
         self.ki = ki

@@ -138,9 +138,9 @@ from repro.serve.autoscale import (
     FleetSnapshot,
     ScalingEvent,
 )
-from repro.serve.faults import FaultInjector, FaultSpec, coerce_faults
-from repro.serve.fleet import FleetSpec, TypedReplicaPool, TypeUsage, coerce_fleet
-from repro.serve.retry import RetryPolicy, make_retry_policy
+from repro.serve.faults import FaultInjector, FaultSpec
+from repro.serve.fleet import FleetSpec, TypedReplicaPool, TypeUsage
+from repro.serve.retry import RetryPolicy
 from repro.serve.routing import ROUTING_POLICIES, make_routing
 from repro.serve.scheduler import BatchingScheduler, SchedulerGroup
 from repro.serve.service import ServiceModel
@@ -433,33 +433,30 @@ class ServingEngine:
         metrics_backend: latency-sketch backend (``"exact"`` stores every
             latency and keeps reports bit-identical to the pre-telemetry
             engine; ``"p2"`` is the constant-memory streaming estimator).
-        violation_budget: the SLO error budget (fraction of requests
-            allowed to violate) the burn-rate analytics measure against.
-        burn_window_seconds: burn-rate window width; ``0`` picks an
-            eighth of the run horizon automatically.
-        fleet: optional typed-fleet composition — a
-            :class:`~repro.serve.fleet.FleetSpec` or its string form
-            (``"small:2,large:1"``).  ``None`` keeps the homogeneous
-            ``default`` fleet of ``instances``, which is bit-identical to
-            the pre-fleet engine.
+        fleet: optional typed-fleet composition, an already-parsed
+            :class:`~repro.serve.fleet.FleetSpec` (string forms are
+            parsed by the scenario layer).  ``None`` keeps the
+            homogeneous ``default`` fleet of ``instances``, which is
+            bit-identical to the pre-fleet engine.
         routing: routing-policy name from
             :data:`~repro.serve.routing.ROUTING_POLICIES` (default
             ``shared_queue``: one queue every instance type drains).
-        routing_seed: seed for randomized routing policies (po2).
-        faults: optional fault model — a :class:`~repro.serve.faults
-            .FaultSpec` or its string form (``"mtbf=0.4,mttr=0.1"``,
-            or the named preset ``"default"``).  ``None`` / ``""`` (or a
-            spec with every process disabled) skips the fault machinery
-            entirely, keeping the default path bit-identical to the
-            fault-free engine.
-        retry: optional :class:`~repro.serve.retry.RetryPolicy` (or a
-            mode name from :data:`~repro.serve.retry.RETRY_POLICIES`)
-            deciding whether failed requests re-enter the queue.
+        faults: optional, already-parsed :class:`~repro.serve.faults
+            .FaultSpec`.  ``None`` (or a spec with every process
+            disabled) skips the fault machinery entirely, keeping the
+            default path bit-identical to the fault-free engine.
+        retry: optional :class:`~repro.serve.retry.RetryPolicy` deciding
+            whether failed requests re-enter the queue (``None``, or a
+            policy that can never retry, skips the retry machinery).
         hedge_seconds: duplicate a request onto a second queue when it
             is still unfinished this long after enqueue (``0`` disables
             hedging); first copy to depart wins.
-        fault_seed: seed of the fault injector's event stream (the
-            scenario layer passes the scenario seed).
+        seed: seed of the randomized routing policies (po2) and of the
+            fault injector's event stream (the scenario layer passes the
+            scenario seed).
+
+    The SLO burn-rate analytics measure against a 1% error budget over
+    windows an eighth of the run horizon wide.
     """
 
     def __init__(
@@ -475,15 +472,12 @@ class ServingEngine:
         registry: MetricRegistry | None = None,
         sampler: Sampler | None = None,
         metrics_backend: str = "exact",
-        violation_budget: float = 0.01,
-        burn_window_seconds: float = 0.0,
-        fleet: FleetSpec | str | None = None,
+        fleet: FleetSpec | None = None,
         routing: str = "shared_queue",
-        routing_seed: int = 0,
-        faults: FaultSpec | str | None = None,
-        retry: RetryPolicy | str | None = None,
+        faults: FaultSpec | None = None,
+        retry: RetryPolicy | None = None,
         hedge_seconds: float = 0.0,
-        fault_seed: int = 0,
+        seed: int = 0,
     ) -> None:
         if fleet is None and instances < 1:
             raise ValueError(f"need at least one instance, got {instances}")
@@ -496,13 +490,6 @@ class ServingEngine:
                 f"unknown metrics backend {metrics_backend!r}; "
                 f"choose from {SKETCH_BACKENDS}"
             )
-        if not 0 < violation_budget < 1:
-            raise ValueError(
-                f"violation budget must be a rate in (0, 1), got "
-                f"{violation_budget}"
-            )
-        if burn_window_seconds < 0:
-            raise ValueError("burn window must be non-negative")
         if routing not in ROUTING_POLICIES:
             raise ValueError(
                 f"unknown routing policy {routing!r}; "
@@ -510,7 +497,10 @@ class ServingEngine:
             )
         self.scheduler = scheduler
         self.service = service
-        self.fleet_spec = coerce_fleet(fleet, instances)
+        self.fleet_spec = (
+            fleet if fleet is not None
+            else FleetSpec.homogeneous("default", instances)
+        )
         self.instances = self.fleet_spec.total()
         self.slo_seconds = slo_seconds
         self.autoscaler = autoscaler
@@ -520,20 +510,16 @@ class ServingEngine:
         self.registry = registry
         self.sampler = sampler
         self.metrics_backend = metrics_backend
-        self.violation_budget = violation_budget
-        self.burn_window_seconds = burn_window_seconds
         self.routing = routing
-        self.routing_seed = routing_seed
         if hedge_seconds < 0:
             raise ValueError("hedge_seconds must be non-negative")
-        self.faults = coerce_faults(faults)
-        if isinstance(retry, str):
-            retry = make_retry_policy(retry)
-        # A policy that can never retry (mode "none", or one attempt
-        # total) resolves to None so the loop skips the machinery.
+        # A fault spec with every process disabled, and a retry policy
+        # that can never retry (mode "none", or one attempt total),
+        # resolve to None so the loop skips their machinery.
+        self.faults = faults if faults is not None and faults.enabled else None
         self.retry_policy = retry if retry is not None and retry.enabled else None
         self.hedge_seconds = hedge_seconds
-        self.fault_seed = fault_seed
+        self.seed = seed
 
     def run(
         self,
@@ -612,7 +598,7 @@ class ServingEngine:
         # The routing layer: one scheduler queue per target, the provided
         # scheduler serving as the first queue and the prototype for the
         # rest.
-        policy = make_routing(self.routing, fleet.types, seed=self.routing_seed)
+        policy = make_routing(self.routing, fleet.types, seed=self.seed)
         targets = policy.targets()
         sched0 = self.scheduler
         schedulers = {
@@ -653,9 +639,8 @@ class ServingEngine:
         seen_requests: set[int] = set()  # first-arrival dedup, tracing only
         burn = BurnRateTracker(
             slo_seconds=self.slo_seconds,
-            budget=self.violation_budget,
-            window_seconds=self.burn_window_seconds
-            or max(horizon / 8.0, 1e-9),
+            budget=0.01,
+            window_seconds=max(horizon / 8.0, 1e-9),
         )
         overall_sketch = make_sketch(self.metrics_backend)
         tenant_sketches: dict[str, Any] = {}
@@ -664,7 +649,7 @@ class ServingEngine:
         # and no attempt fails; the hedging maps fill only when hedging is
         # armed (an unhedged run keeps no per-request entry).
         injector = (
-            FaultInjector(faults, self.fault_seed, len(slices)) if faulty else None
+            FaultInjector(faults, self.seed, len(slices)) if faulty else None
         )
         slow_factor = faults.slow_factor if faulty else 1.0
         slow_until = [0.0] * len(slices)

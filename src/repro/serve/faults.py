@@ -160,22 +160,6 @@ class FaultSpec:
         return ",".join(parts)
 
 
-def coerce_faults(faults: "FaultSpec | str | None") -> "FaultSpec | None":
-    """Normalize the engine's ``faults`` argument.
-
-    ``None`` / ``""`` (and a spec with every process disabled) mean no
-    fault injection at all — the engine then skips the fault machinery
-    entirely, which is what keeps the default path bit-identical.
-    """
-    if faults is None:
-        return None
-    if isinstance(faults, str):
-        if not faults.strip():
-            return None
-        faults = FaultSpec.parse(faults)
-    return faults if faults.enabled else None
-
-
 class FaultInjector:
     """The seeded decision-maker behind one faulted run.
 

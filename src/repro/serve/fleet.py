@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -214,24 +214,6 @@ class FleetSpec:
             count * get_instance_type(name).cost_per_second
             for name, count in self.slices
         )
-
-
-def coerce_fleet(
-    fleet: "FleetSpec | str | Iterable[tuple[str, int]] | None",
-    instances: int,
-) -> FleetSpec:
-    """Normalize the engine's ``fleet`` argument to a :class:`FleetSpec`.
-
-    ``None`` (the compatibility path) means a homogeneous ``default``
-    fleet of ``instances``.
-    """
-    if fleet is None:
-        return FleetSpec.homogeneous("default", instances)
-    if isinstance(fleet, FleetSpec):
-        return fleet
-    if isinstance(fleet, str):
-        return FleetSpec.parse(fleet)
-    return FleetSpec(slices=tuple((name, count) for name, count in fleet))
 
 
 class ReplicaPool:

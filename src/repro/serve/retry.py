@@ -120,24 +120,13 @@ class RetryPolicy:
         return delay
 
 
-def make_retry_policy(
-    mode: str,
-    max_attempts: int = 3,
-    base_seconds: float = 0.005,
-    deadline_seconds: float = 0.25,
-    seed: int = 0,
-) -> "RetryPolicy | None":
+def make_retry_policy(mode: str, **knobs) -> "RetryPolicy | None":
     """Build a retry policy from scenario knobs.
 
     ``"none"`` returns ``None`` so the engine can skip the retry
-    machinery entirely on the compatibility path.
+    machinery entirely on the compatibility path; any other mode
+    forwards ``knobs`` to :class:`RetryPolicy`.
     """
     if mode == "none":
         return None
-    return RetryPolicy(
-        mode=mode,
-        max_attempts=max_attempts,
-        base_seconds=base_seconds,
-        deadline_seconds=deadline_seconds,
-        seed=seed,
-    )
+    return RetryPolicy(mode=mode, **knobs)

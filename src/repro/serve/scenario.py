@@ -82,9 +82,6 @@ class ServingScenario:
         autoscale_target: the policy setpoint (busy fraction for
             ``target-util``, queued requests per ready replica for
             ``queue-pid``).
-        autoscale_interval_seconds: evaluation cadence of the autoscaler.
-        scale_out_cooldown_seconds / scale_in_cooldown_seconds: minimum
-            spacing between applied scaling actions per direction.
         warmup_seconds: provisioning delay before a scaled-out instance
             can serve (it bills from the moment it is provisioned).
         min_instances / max_instances: autoscaler clamp band.
@@ -95,15 +92,10 @@ class ServingScenario:
             refused (``0`` disables the queue gate).
         tenant_quota_qps: per-tenant token-bucket admission rate
             (``0`` disables quotas).
-        quota_burst: token-bucket burst capacity when quotas are active.
         tarpit_seconds: retry delay per refusal in ``tarpit`` mode.
         metrics_backend: latency-sketch backend — ``exact`` (store every
             latency; bit-identical to the pre-telemetry engine) or ``p2``
             (constant-memory streaming quantiles).
-        violation_budget: SLO error budget (fraction of requests allowed
-            to violate) the burn-rate analytics measure against.
-        burn_window_seconds: burn-rate window width; ``0`` picks an
-            eighth of the run horizon automatically.
         faults: fault-injection spec in the CLI string form
             (``"mtbf=0.4,mttr=0.1"``, or the named preset ``default``);
             empty disables fault injection entirely (the bit-identical
@@ -112,13 +104,16 @@ class ServingScenario:
             final), ``backoff``, or ``deadline``
             (:data:`~repro.serve.retry.RETRY_POLICIES`).
         retry_max_attempts: total service attempts allowed per request.
-        retry_base_seconds: first retry delay (doubles per attempt,
-            scaled by deterministic jitter).
-        retry_deadline_seconds: per-request give-up budget from arrival
-            (``deadline`` mode only).
         hedge_seconds: duplicate a still-unfinished request onto a second
             queue after this long (``0`` disables hedging).
         label: display name; auto-derived when empty.
+
+    Every other knob takes its collaborator's own default: the
+    autoscaler's evaluation cadence and cooldowns
+    (:class:`~repro.serve.autoscale.AutoscalerPolicy`), the quota burst
+    (:class:`~repro.serve.admission.AdmissionController`), the retry
+    base delay and deadline (:class:`~repro.serve.retry.RetryPolicy`),
+    and the engine's burn-rate budget and window.
     """
 
     dataset: str = "ppi"
@@ -137,25 +132,17 @@ class ServingScenario:
     seed: int = 0
     autoscaler: str = "none"
     autoscale_target: float = 0.7
-    autoscale_interval_seconds: float = 0.02
-    scale_out_cooldown_seconds: float = 0.0
-    scale_in_cooldown_seconds: float = 0.05
     warmup_seconds: float = 0.02
     min_instances: int = 1
     max_instances: int = 16
     admission: str = "none"
     queue_budget: int = 64
     tenant_quota_qps: float = 0.0
-    quota_burst: float = 16.0
     tarpit_seconds: float = 0.02
     metrics_backend: str = "exact"
-    violation_budget: float = 0.01
-    burn_window_seconds: float = 0.0
     faults: str = ""
     retry: str = "none"
     retry_max_attempts: int = 3
-    retry_base_seconds: float = 0.005
-    retry_deadline_seconds: float = 0.25
     hedge_seconds: float = 0.0
     label: str = ""
 
@@ -202,10 +189,6 @@ class ServingScenario:
             )
         if self.autoscale_target <= 0:
             raise ValueError("autoscale_target must be positive")
-        if self.autoscale_interval_seconds <= 0:
-            raise ValueError("autoscale interval must be positive")
-        if self.scale_out_cooldown_seconds < 0 or self.scale_in_cooldown_seconds < 0:
-            raise ValueError("scaling cooldowns must be non-negative")
         if self.warmup_seconds < 0:
             raise ValueError("warmup_seconds must be non-negative")
         if self.min_instances < 1:
@@ -228,8 +211,6 @@ class ServingScenario:
             raise ValueError("queue_budget must be >= 0")
         if self.tenant_quota_qps < 0:
             raise ValueError("tenant_quota_qps must be >= 0")
-        if self.quota_burst < 1:
-            raise ValueError("quota_burst must be >= 1")
         if self.tarpit_seconds <= 0:
             raise ValueError("tarpit_seconds must be positive")
         if self.metrics_backend not in SKETCH_BACKENDS:
@@ -237,13 +218,6 @@ class ServingScenario:
                 f"unknown metrics backend {self.metrics_backend!r}; "
                 f"choose from {SKETCH_BACKENDS}"
             )
-        if not 0 < self.violation_budget < 1:
-            raise ValueError(
-                f"violation_budget must be a rate in (0, 1), got "
-                f"{self.violation_budget}"
-            )
-        if self.burn_window_seconds < 0:
-            raise ValueError("burn_window_seconds must be non-negative")
         if self.faults:
             # Normalize to the canonical string form (named presets
             # expand, defaulted fields drop) so labels and content
@@ -259,10 +233,6 @@ class ServingScenario:
             )
         if self.retry_max_attempts < 1:
             raise ValueError("retry_max_attempts must be >= 1")
-        if self.retry_base_seconds <= 0:
-            raise ValueError("retry_base_seconds must be positive")
-        if self.retry_deadline_seconds <= 0:
-            raise ValueError("retry_deadline_seconds must be positive")
         if self.hedge_seconds < 0:
             raise ValueError("hedge_seconds must be non-negative")
 
@@ -355,9 +325,6 @@ class ServingScenario:
             target=self.autoscale_target,
             min_instances=self.min_instances,
             max_instances=self.max_instances,
-            interval_seconds=self.autoscale_interval_seconds,
-            scale_out_cooldown_seconds=self.scale_out_cooldown_seconds,
-            scale_in_cooldown_seconds=self.scale_in_cooldown_seconds,
         )
 
     def build_admission(self) -> AdmissionController | None:
@@ -368,7 +335,6 @@ class ServingScenario:
             mode=self.admission,
             queue_budget=self.queue_budget,
             tenant_quota_qps=self.tenant_quota_qps,
-            quota_burst=self.quota_burst,
             tarpit_seconds=self.tarpit_seconds,
         )
 
@@ -381,9 +347,12 @@ class ServingScenario:
     ) -> ServingEngine:
         """The fully assembled engine: scheduler + fleet + controllers.
 
-        The telemetry collaborators are injected per run, never part of
-        the scenario — they observe an outcome without changing it (and
-        therefore stay out of the content hash).
+        The ``fleet`` and ``faults`` strings are parsed here, once; the
+        engine takes only parsed specs.  One scenario seed drives
+        routing, fault injection and retry jitter.  The telemetry
+        collaborators are injected per run, never part of the scenario —
+        they observe an outcome without changing it (and therefore stay
+        out of the content hash).
         """
         return ServingEngine(
             scheduler=self.build_scheduler(),
@@ -397,21 +366,14 @@ class ServingScenario:
             registry=registry,
             sampler=sampler,
             metrics_backend=self.metrics_backend,
-            violation_budget=self.violation_budget,
-            burn_window_seconds=self.burn_window_seconds,
-            fleet=self.fleet or None,
+            fleet=FleetSpec.parse(self.fleet) if self.fleet else None,
             routing=self.routing,
-            routing_seed=self.seed,
-            faults=self.faults or None,
+            faults=FaultSpec.parse(self.faults) if self.faults else None,
             retry=make_retry_policy(
-                self.retry,
-                max_attempts=self.retry_max_attempts,
-                base_seconds=self.retry_base_seconds,
-                deadline_seconds=self.retry_deadline_seconds,
-                seed=self.seed,
+                self.retry, max_attempts=self.retry_max_attempts, seed=self.seed
             ),
             hedge_seconds=self.hedge_seconds,
-            fault_seed=self.seed,
+            seed=self.seed,
         )
 
 

@@ -208,8 +208,15 @@ class TestRunner:
         }
 
     def test_main_parses_seed_and_names(self, capsys):
-        from repro.experiments.runner import main
+        from repro.__main__ import main
 
-        main(["table1", "--seed", "3"])
+        main(["--seed", "3", "experiments", "table1"])
         out = capsys.readouterr().out
         assert "128x128" in out
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_nonpositive_jobs_rejected(self, jobs):
+        from repro.experiments.runner import run
+
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run(["table1"], jobs=jobs)

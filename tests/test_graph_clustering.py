@@ -71,6 +71,24 @@ class TestClusterBatcher:
         b = ClusterBatcher(small_graph, small_partition, 2, seed=9).epoch()
         assert [x.cluster_ids for x in a] == [y.cluster_ids for y in b]
 
+    @pytest.mark.parametrize("beta", [1, 2, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_first_batch_is_epochs_first(
+        self, small_graph, small_partition, beta, seed
+    ):
+        alone = ClusterBatcher(small_graph, small_partition, beta, seed=seed)
+        full = ClusterBatcher(small_graph, small_partition, beta, seed=seed)
+        got, want = alone.first_batch(), full.epoch()[0]
+        assert got.cluster_ids == want.cluster_ids
+        assert np.array_equal(got.nodes, want.nodes)
+        assert np.array_equal(got.subgraph.indptr, want.subgraph.indptr)
+        assert np.array_equal(got.subgraph.indices, want.subgraph.indices)
+        assert np.array_equal(got.subgraph.features, want.subgraph.features)
+        # Same single permutation draw: the two samplers stay in step.
+        assert [b.cluster_ids for b in alone.epoch()] == [
+            b.cluster_ids for b in full.epoch()
+        ]
+
     def test_ragged_tail_dropped(self, small_graph, small_partition):
         batcher = ClusterBatcher(small_graph, small_partition, 3, seed=0)
         assert batcher.num_inputs == 2  # 8 // 3

@@ -5,6 +5,8 @@ import pytest
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore
 from repro.core.dse import sweep_serving_qps
+from repro.serve.faults import FaultSpec
+from repro.serve.fleet import FleetSpec
 from repro.serve.presets import (
     SERVING_PRESETS,
     get_serving_preset,
@@ -17,6 +19,8 @@ from repro.serve.scenario import (
     scenario_with,
     serving_key,
 )
+from repro.serve.retry import RetryPolicy
+from repro.serve.service import LinearServiceModel
 from repro.serve.sweep import run_serving_campaign
 
 FAST = ServingScenario(qps=50.0, duration_seconds=0.3, instances=1, seed=0)
@@ -49,6 +53,38 @@ class TestServingScenario:
         stream = process.generate(2.0)
         peak = sum(1 for r in stream if r.arrival_time < 1.0)
         assert peak > 1.3 * (len(stream) - peak)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"instances": 3, "faults": "mtbf=0.5", "retry": "deadline"},
+            {"fleet": "small:2,large:1", "faults": "default", "seed": 5,
+             "retry": "backoff", "retry_max_attempts": 4},
+            {"faults": "zones=2", "retry": "backoff", "retry_max_attempts": 1},
+        ],
+    )
+    def test_build_engine_hands_over_parsed_specs(self, overrides):
+        scenario = scenario_with(FAST, **overrides)
+        engine = scenario.build_engine(
+            LinearServiceModel(base_seconds=0.002, per_node_seconds=1e-6)
+        )
+        assert engine.fleet_spec == (
+            FleetSpec.parse(scenario.fleet)
+            if scenario.fleet
+            else FleetSpec.homogeneous("default", scenario.instances)
+        )
+        # A spec with every process disabled normalizes to no faults.
+        assert engine.faults == (
+            FaultSpec.parse(scenario.faults) if scenario.faults else None
+        )
+        retry = RetryPolicy(
+            mode=scenario.retry,
+            max_attempts=scenario.retry_max_attempts,
+            seed=scenario.seed,
+        )
+        assert engine.retry_policy == (retry if retry.enabled else None)
+        assert engine.seed == scenario.seed
 
     def test_validation(self):
         for kwargs in (

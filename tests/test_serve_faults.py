@@ -14,21 +14,23 @@ Four layers under test:
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.serve.admission import AdmissionController
-from repro.serve.arrivals import Request
+from repro.serve.arrivals import PoissonArrivals, Request
 from repro.serve.capacity import (
     enumerate_fleets,
     meets_slo,
     plan_fleet,
     survivable_fleets,
 )
+from repro.serve.engine import ServingEngine
 from repro.serve.faults import (
     DEFAULT_FAULT_SPEC_TEXT,
     FaultInjector,
     FaultSpec,
-    coerce_faults,
 )
 from repro.serve.fleet import FleetSpec, TypedReplicaPool
 from repro.serve.retry import RetryPolicy, make_retry_policy
@@ -38,6 +40,7 @@ from repro.serve.scenario import (
     scenario_with,
     simulate_serving_scenario,
 )
+from repro.serve.scheduler import BatchingScheduler
 from repro.serve.service import LinearServiceModel
 
 # ---------------------------------------------------------------------------
@@ -82,13 +85,26 @@ class TestFaultSpec:
         assert FaultSpec(slow_mtbf=0.5).enabled
         assert FaultSpec(zones=2, zone_mtbf=0.5).enabled
 
-    def test_coerce_faults(self):
-        assert coerce_faults(None) is None
-        assert coerce_faults("") is None
-        assert coerce_faults("   ") is None
-        assert coerce_faults(FaultSpec()) is None  # disabled spec
-        spec = coerce_faults("mtbf=0.5")
-        assert isinstance(spec, FaultSpec) and spec.mtbf == 0.5
+    @pytest.mark.parametrize(
+        "disabled", [FaultSpec(), FaultSpec(mttr=0.3, zones=2, slow_factor=3.0)]
+    )
+    def test_disabled_spec_runs_the_fault_free_engine(self, disabled):
+        requests = PoissonArrivals(300.0, seed=4).generate(0.5)
+
+        def run(faults):
+            engine = ServingEngine(
+                scheduler=BatchingScheduler(max_batch=4, max_wait_seconds=0.002),
+                service=LinearServiceModel(base_seconds=0.003, per_node_seconds=2e-6),
+                instances=2,
+                faults=faults,
+            )
+            return engine, engine.run(requests=requests, horizon_seconds=0.5)
+
+        engine, report = run(disabled)
+        assert engine.faults is None
+        _, reference = run(None)
+        assert asdict(report) == asdict(reference)
+        assert report.render() == reference.render()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.serve.fleet import (
     FleetSpec,
     InstanceType,
     TypedReplicaPool,
-    coerce_fleet,
     fleet_with_total,
     get_instance_type,
 )
@@ -87,13 +86,6 @@ class TestFleetSpec:
         assert FleetSpec.parse("small:0,large:1").total() == 1
         with pytest.raises(ValueError):
             FleetSpec.parse("small:0")
-
-    def test_coerce_fleet(self):
-        assert coerce_fleet(None, 3) == FleetSpec.homogeneous("default", 3)
-        assert coerce_fleet("large:2", 1) == FleetSpec.parse("large:2")
-        spec = FleetSpec.parse("small:1")
-        assert coerce_fleet(spec, 5) is spec
-        assert coerce_fleet([("small", 2)], 0) == FleetSpec.parse("small:2")
 
 
 class TestAllocateFleet:
