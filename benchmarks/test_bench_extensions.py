@@ -9,7 +9,9 @@
 """
 
 from benchmarks.conftest import run_once
-from repro.core.dse import pareto_front, sweep_tiers
+from repro.campaign.analysis import pareto_records
+from repro.campaign.executor import run_scenarios
+from repro.campaign.spec import Scenario
 from repro.noc.analysis import latency_throughput_sweep
 from repro.noc.topology import Mesh3D
 from repro.reram.variation import VariationModel, relative_error_study
@@ -17,9 +19,11 @@ from repro.utils.units import format_seconds
 
 
 def test_extension_tier_sweep(benchmark):
-    points = run_once(
-        benchmark, sweep_tiers, [2, 3, 4, 6], workload_dataset="reddit", scale=0.01
-    )
+    scenarios = [
+        Scenario(dataset="reddit", scale=0.01, tiers=tiers, label=f"{tiers}-tier")
+        for tiers in (2, 3, 4, 6)
+    ]
+    points = run_once(benchmark, run_scenarios, scenarios).records
     print("\ndesign    epoch        energy(J)  peak(C)  feasible")
     for p in points:
         print(
@@ -27,7 +31,7 @@ def test_extension_tier_sweep(benchmark):
             f"{p.epoch_energy_joules:<10.2f} {p.peak_celsius:<8.1f} "
             f"{p.thermally_feasible}"
         )
-    front = pareto_front(points)
+    front = pareto_records(points)
     print(f"Pareto front: {[p.label for p in front]}")
     temps = [p.peak_celsius for p in points]
     assert temps == sorted(temps)  # stacking always heats up

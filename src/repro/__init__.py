@@ -13,9 +13,9 @@ Subpackages:
 * :mod:`repro.noc` — 3D mesh, routing, multicast, schedulers, flit-level
   simulators
 * :mod:`repro.core` — the architecture: config, mapping, traffic,
-  pipeline, accelerator, evaluation, thermal, DSE
-* :mod:`repro.campaign` — declarative sweeps, parallel execution, the
-  content-addressed result store
+  pipeline, accelerator, evaluation, thermal
+* :mod:`repro.campaign` — declarative sweeps (design-space and serving),
+  parallel execution, the content-addressed result store, Pareto fronts
 * :mod:`repro.serve` — inference serving: arrivals, admission control,
   batching, autoscaling, capacity planning
 * :mod:`repro.experiments` — one driver per reported table/figure

@@ -25,9 +25,13 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
+from repro.campaign.analysis import campaign_table, pareto_records
 from repro.campaign.executor import run_campaign
 from repro.campaign.presets import get_preset, preset_names
+from repro.campaign.results import CampaignResult
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import DEFAULT_ROOT, ResultStore
 from repro.core import (
     ReGraphX,
@@ -85,27 +89,43 @@ def cmd_sweep(args: argparse.Namespace) -> None:
     spec = get_preset(args.preset)
     if args.seed is not None:
         spec = replace(spec, base=replace(spec.base, seed=args.seed))
+    _run_campaign_command("sweep", spec, args, run_campaign, _sweep_report)
+
+
+def _sweep_report(result: CampaignResult) -> str:
+    front = pareto_records(result.records)
+    return (
+        f"{campaign_table(result).render()}\n\n"
+        f"pareto front ({len(front)}/{len(result)}): "
+        + ", ".join(r.label for r in front)
+    )
+
+
+def _run_campaign_command(
+    command: str,
+    spec: CampaignSpec,
+    args: argparse.Namespace,
+    run: Callable[..., CampaignResult],
+    report: Callable[[CampaignResult], str],
+) -> None:
+    """Run ``spec`` with streamed progress, export it, print the summary."""
+    if args.seed is not None and "seed" in dict(spec.axes):
+        raise SystemExit(
+            f"{command}: preset {spec.name!r} sweeps seed; drop --seed"
+        )
     store = None if args.no_cache else ResultStore(args.cache)
     print(f"campaign {spec.summary()}  (jobs={args.jobs})")
-    if args.progress:
-        # Structured streaming: start events, hit/computed split, ETA.
-        result = run_campaign(
-            spec,
-            jobs=args.jobs,
-            store=store,
-            on_event=lambda event: print(event.render()),
-        )
-    else:
-        result = run_campaign(spec, jobs=args.jobs, store=store, progress=print)
+    result = run(
+        spec,
+        jobs=args.jobs,
+        store=store,
+        on_event=lambda event: print(event.render()),
+    )
     out = Path(args.out)
     json_path = result.to_json(out / f"{spec.name}.json")
     csv_path = result.to_csv(out / f"{spec.name}.csv")
     print()
-    print(result.table().render())
-    front = result.pareto()
-    print()
-    print(f"pareto front ({len(front)}/{len(result)}): "
-          + ", ".join(r.label for r in front))
+    print(report(result))
     print(f"wrote {json_path} and {csv_path}")
     print(
         f"{result.misses} computed, {result.hits} cached, "
@@ -174,6 +194,7 @@ def cmd_serve(args: argparse.Namespace) -> None:
         scenario_with,
         serving_key,
         serving_preset_names,
+        serving_table,
         simulate_serving_scenario,
     )
 
@@ -232,7 +253,6 @@ def cmd_serve(args: argparse.Namespace) -> None:
     if args.trace_sample is not None and not args.trace_out:
         raise SystemExit("serve: --trace-sample needs --trace-out FILE")
 
-    store = None if args.no_cache else ResultStore(args.cache)
     if args.campaign:
         if not args.preset:
             raise SystemExit("serve: --campaign needs --preset NAME")
@@ -255,22 +275,13 @@ def cmd_serve(args: argparse.Namespace) -> None:
                 spec = replace(spec, base=scenario_with(spec.base, **overrides))
         except ValueError as error:
             raise SystemExit(f"serve: {error}")
-        print(f"serving campaign {spec.summary()}  (jobs={args.jobs})")
-        result = run_serving_campaign(
-            spec, jobs=args.jobs, store=store, progress=print
-        )
-        out = Path(args.out)
-        json_path = result.to_json(out / f"{spec.name}.json")
-        csv_path = result.to_csv(out / f"{spec.name}.csv")
-        print()
-        print(result.table().render())
-        print(f"wrote {json_path} and {csv_path}")
-        print(
-            f"{result.misses} computed, {result.hits} cached, "
-            f"{result.elapsed_seconds:.1f}s wall"
+        _run_campaign_command(
+            "serve", spec, args, run_serving_campaign,
+            lambda result: serving_table(result).render(),
         )
         return
 
+    store = None if args.no_cache else ResultStore(args.cache)
     trace = None
     if args.trace_file:
         if args.arrival is not None:
@@ -389,11 +400,20 @@ def cmd_serve(args: argparse.Namespace) -> None:
         print(plan.render())
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,13 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-presets", action="store_true", help="list presets and exit"
     )
     sweep.add_argument(
-        "--prune", type=int, default=None, metavar="MAX",
+        "--prune", type=_int_at_least(0), default=None, metavar="MAX",
         help="evict oldest cached records down to MAX entries and exit",
-    )
-    sweep.add_argument(
-        "--progress", action="store_true",
-        help="stream structured progress (start events, hit/computed "
-        "split, ETA) instead of one line per finished scenario",
     )
 
     serve = sub.add_parser(

@@ -6,13 +6,20 @@ The pieces:
 * :mod:`repro.campaign.spec` — ``Scenario``/``CampaignSpec``: declarative
   cross-products over architecture and workload knobs.
 * :mod:`repro.campaign.executor` — serial or multi-process execution with
-  deterministic per-scenario seeds and progress reporting.
+  deterministic per-scenario seeds and streamed
+  :class:`~repro.campaign.executor.ProgressEvent` progress.
 * :mod:`repro.campaign.store` — SHA-256 content-addressed JSON records
   under ``.repro_cache/`` (repeat sweeps are near-instant cache hits).
-* :mod:`repro.campaign.results` — flat records + JSON/CSV export.
+* :mod:`repro.campaign.results` — flat records and the
+  ``CampaignResult`` both campaign flavours return, with JSON/CSV export.
 * :mod:`repro.campaign.presets` — named sweeps for ``python -m repro sweep``.
-* :mod:`repro.campaign.analysis` — Pareto fronts and summary tables over
-  stored campaign output (reuses the DSE layer's ``pareto_front``).
+* :mod:`repro.campaign.analysis` — Pareto fronts, best-record ranking and
+  the summary table over architecture records.
+
+Design-space sweeps (tiers, mesh, NoC clock, SA restarts) are specs over
+:class:`~repro.campaign.spec.Scenario`; serving sweeps are specs over
+:class:`~repro.serve.scenario.ServingScenario` run by
+:func:`repro.serve.sweep.run_serving_campaign`.
 """
 
 from repro.campaign.executor import (

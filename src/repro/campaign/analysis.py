@@ -1,10 +1,8 @@
-"""Analysis hooks over campaign results.
+"""Analysis over architecture campaign records.
 
-Campaign records are plain JSON-able rows; these helpers lift them back
-into the DSE vocabulary — :class:`~repro.core.dse.DesignPoint` and
-``pareto_front`` — so everything the DSE layer knows how to do applies to
-persisted campaign output too.  Imports of :mod:`repro.core.dse` stay
-inside functions: dse itself runs its sweeps through this package.
+Pareto fronts, best-record ranking and the summary table the CLI prints,
+all computed straight from :class:`~repro.campaign.results.ScenarioRecord`
+fields, so they apply equally to fresh and persisted campaign output.
 """
 
 from __future__ import annotations
@@ -12,51 +10,23 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.campaign.results import CampaignResult, ScenarioRecord
-from repro.campaign.spec import Scenario
-from repro.core.config import ReGraphXConfig
 
 
-def to_design_point(
-    record: ScenarioRecord,
-    base_config: ReGraphXConfig | None = None,
-    scenario: Scenario | None = None,
-):
-    """Rebuild the DSE view of one record.
-
-    The config is rematerialized from ``scenario`` (pass the scenario you
-    executed — the content key guarantees it describes the evaluated
-    architecture even on a cross-sweep cache hit).  Without one, the
-    record's stored knobs are used, which is only exact when
-    ``base_config`` matches the base the record was produced against.
-    """
-    from repro.core.dse import DesignPoint
-
-    if scenario is None:
-        scenario = Scenario.from_dict(record.scenario)
-    return DesignPoint(
-        label=record.label,
-        config=scenario.to_config(base_config),
-        epoch_seconds=record.epoch_seconds,
-        epoch_energy_joules=record.epoch_energy_joules,
-        peak_celsius=record.peak_celsius,
-        thermally_feasible=record.thermally_feasible,
-    )
+def _dominates(a: ScenarioRecord, b: ScenarioRecord) -> bool:
+    """``a`` is no worse than ``b`` on every axis and better on one."""
+    ours = (a.epoch_seconds, a.epoch_energy_joules, a.peak_celsius)
+    theirs = (b.epoch_seconds, b.epoch_energy_joules, b.peak_celsius)
+    return ours != theirs and all(x <= y for x, y in zip(ours, theirs))
 
 
-def pareto_records(
-    records: Sequence[ScenarioRecord],
-    base_config: ReGraphXConfig | None = None,
-) -> list[ScenarioRecord]:
+def pareto_records(records: Sequence[ScenarioRecord]) -> list[ScenarioRecord]:
     """Pareto-efficient records on (epoch time, energy, peak temperature).
 
-    Reuses :func:`repro.core.dse.pareto_front`; identity of the converted
-    points maps the front back onto the original records.
+    A record is dominated if another is no worse on all three axes and
+    strictly better on at least one.  Duplicate points never dominate
+    each other, so exact ties all survive, in input order.
     """
-    from repro.core.dse import pareto_front
-
-    points = [to_design_point(r, base_config) for r in records]
-    front = {id(p) for p in pareto_front(points)}
-    return [r for r, p in zip(records, points) if id(p) in front]
+    return [r for r in records if not any(_dominates(q, r) for q in records)]
 
 
 def best_record(

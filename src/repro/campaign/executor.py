@@ -1,10 +1,11 @@
 """Campaign execution: evaluate scenarios serially or across processes.
 
-The executor is the single funnel every sweep goes through — DSE sweeps,
-CLI campaigns, serving campaigns, tests.  For each scenario it first
-consults the content-addressed :class:`~repro.campaign.store.ResultStore`
-(a hit costs one JSON read), then fans the remaining evaluations out over
-a ``ProcessPoolExecutor`` (``jobs > 1``) or runs them inline.  Results
+The executor is the single funnel every sweep goes through — CLI
+campaigns, serving campaigns, the figures, tests.  For each scenario it
+first consults the content-addressed
+:class:`~repro.campaign.store.ResultStore` (a hit costs one JSON read),
+then fans the remaining evaluations out over a ``ProcessPoolExecutor``
+(``jobs > 1``) or runs them inline.  Results
 come back in scenario order regardless of completion order, so parallel
 and serial runs are bit-identical.
 
@@ -43,9 +44,6 @@ from repro.core.thermal import ThermalModel, ThermalSpec, tier_powers_from_repor
 from repro.graph.graph import CSRGraph
 from repro.graph.partition import PartitionResult
 
-ProgressFn = Callable[[str], None]
-
-
 @dataclass(frozen=True)
 class ProgressEvent:
     """One streamed step of a cache-first campaign run.
@@ -83,7 +81,7 @@ class ProgressEvent:
     eta_seconds: float | None = None
 
     def render(self) -> str:
-        """One-line form, matching the classic string-progress format."""
+        """One-line form: ``[done/total] label  (status[, eta Ns])``."""
         if self.kind == "started":
             return f"[{self.done}/{self.total}] {self.label}  (running)"
         status = (
@@ -159,8 +157,8 @@ def evaluate_scenario(
     """Evaluate one scenario end to end (timing, energy, thermals).
 
     This is the leaf evaluator — module-level so process pools can pickle
-    it — and the superset of the DSE ``evaluate_design`` path: it honours
-    the scenario's multicast/SA flags and batch-size override.
+    it; it honours the scenario's multicast/SA flags and batch-size
+    override.
     ``graphs`` is the memo :func:`run_scenarios` shares across one call;
     without it the graph and partition are built from scratch.
     """
@@ -203,7 +201,6 @@ def run_cached_scenarios(
     record_type: type[R],
     jobs: int = 1,
     store: ResultStore | None = None,
-    progress: ProgressFn | None = None,
     on_event: EventFn | None = None,
 ) -> tuple[list[R], int, int]:
     """Cache-first fan-out: the shared core of every campaign flavour.
@@ -220,10 +217,9 @@ def run_cached_scenarios(
         record_type: record dataclass providing ``from_dict``.
         jobs: worker processes for cache misses (``<= 1`` runs inline).
         store: result cache; ``None`` disables persistence entirely.
-        progress: per-scenario string callback (e.g. ``print``).
-        on_event: structured :class:`ProgressEvent` callback — the
-            streamed form of ``progress``, with start events, hit vs
-            computed tallies, and an ETA.
+        on_event: :class:`ProgressEvent` callback — start events, one
+            terminal event per scenario with hit vs computed tallies,
+            and an ETA (``lambda e: print(e.render())`` streams lines).
 
     Returns:
         ``(records in scenario order, cache hits, cache misses)``.
@@ -274,9 +270,6 @@ def run_cached_scenarios(
         else:
             computed_done += 1
             computed_time += record.eval_seconds
-        if progress is not None:
-            status = "cache hit" if record.cached else f"{record.eval_seconds:.1f}s"
-            progress(f"[{done}/{total}] {record.label}  ({status})")
         if on_event is not None:
             pending_left = len(pending) - computed_done
             eta = (
@@ -346,7 +339,6 @@ def run_scenarios(
     base_config: ReGraphXConfig | None = None,
     jobs: int = 1,
     store: ResultStore | None = None,
-    progress: ProgressFn | None = None,
     name: str = "campaign",
     on_event: EventFn | None = None,
 ) -> CampaignResult:
@@ -360,9 +352,8 @@ def run_scenarios(
         base_config: architecture every scenario's overrides apply to.
         jobs: worker processes for cache misses (``<= 1`` runs inline).
         store: result cache; ``None`` disables persistence entirely.
-        progress: per-scenario callback (e.g. ``print``).
         name: campaign name carried into the result.
-        on_event: structured :class:`ProgressEvent` callback.
+        on_event: :class:`ProgressEvent` callback.
     """
     scenarios = list(scenarios)
     started = time.perf_counter()
@@ -374,7 +365,6 @@ def run_scenarios(
         ScenarioRecord,
         jobs=jobs,
         store=store,
-        progress=progress,
         on_event=on_event,
     )
     return CampaignResult(
@@ -390,7 +380,6 @@ def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
     store: ResultStore | None = None,
-    progress: ProgressFn | None = None,
     on_event: EventFn | None = None,
 ) -> CampaignResult:
     """Enumerate a :class:`CampaignSpec` and run it through the engine."""
@@ -399,7 +388,6 @@ def run_campaign(
         base_config=spec.base_config,
         jobs=jobs,
         store=store,
-        progress=progress,
         name=spec.name,
         on_event=on_event,
     )

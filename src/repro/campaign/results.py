@@ -3,14 +3,16 @@
 A :class:`ScenarioRecord` is the flat, JSON-serializable outcome of one
 scenario evaluation — exactly what the content-addressed store persists,
 so a cached record and a freshly evaluated one are indistinguishable
-(apart from the runtime-only ``cached`` flag).
+(apart from the runtime-only ``cached`` flag).  A :class:`CampaignResult`
+holds the records of one run of either campaign flavour: these, or the
+serving layer's :class:`~repro.serve.scenario.ServingRecord`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -54,6 +56,7 @@ class ScenarioRecord:
             "worst_communication_seconds": self.worst_communication_seconds,
             "energy_per_input_joules": self.energy_per_input_joules,
             "num_inputs": self.num_inputs,
+            "edp": self.edp,
         }
 
     def to_dict(self) -> dict[str, Any]:
@@ -68,14 +71,19 @@ class ScenarioRecord:
 
 @dataclass
 class CampaignResult:
-    """Everything one campaign run produced, in scenario order."""
+    """Everything one campaign run produced, in scenario order.
+
+    ``records`` are :class:`ScenarioRecord` or
+    :class:`~repro.serve.scenario.ServingRecord` rows; export needs only
+    their shared ``label``/``key``/``scenario``/``cached`` fields and
+    ``metrics()``/``to_dict()``.
+    """
 
     name: str
-    records: list[ScenarioRecord]
+    records: list[Any]
     hits: int = 0
     misses: int = 0
     elapsed_seconds: float = 0.0
-    extras: dict[str, Any] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -102,31 +110,23 @@ class CampaignResult:
         """Write one flat row per scenario (knobs + metrics)."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        rows = [self._flat_row(r) for r in self.records]
-        columns: list[str] = []
-        for row in rows:
-            for name in row:
-                if name not in columns:
-                    columns.append(name)
+        rows = []
+        for record in self.records:
+            row: dict[str, Any] = {"label": record.label, "key": record.key}
+            row.update((k, v) for k, v in record.scenario.items() if k != "label")
+            row.update(record.metrics())
+            row["cached"] = record.cached
+            rows.append(row)
+        columns = list(dict.fromkeys(name for row in rows for name in row))
         with path.open("w", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=columns)
             writer.writeheader()
             writer.writerows(rows)
         return path
 
-    @staticmethod
-    def _flat_row(record: ScenarioRecord) -> dict[str, Any]:
-        row: dict[str, Any] = {"label": record.label, "key": record.key}
-        for name, value in record.scenario.items():
-            if name != "label":
-                row[name] = value
-        row.update(record.metrics())
-        row["edp"] = record.edp
-        row["cached"] = record.cached
-        return row
-
     @classmethod
     def from_json(cls, path: str | Path) -> "CampaignResult":
+        """Reload an architecture campaign written by :meth:`to_json`."""
         data = json.loads(Path(path).read_text())
         return cls(
             name=data["campaign"],
@@ -136,16 +136,3 @@ class CampaignResult:
             misses=data.get("cache_misses", 0),
             elapsed_seconds=data.get("elapsed_seconds", 0.0),
         )
-
-    # ------------------------------------------------------------------
-    # Analysis conveniences (lazy imports keep the layering acyclic)
-    # ------------------------------------------------------------------
-    def pareto(self) -> list[ScenarioRecord]:
-        from repro.campaign.analysis import pareto_records
-
-        return pareto_records(self.records)
-
-    def table(self):
-        from repro.campaign.analysis import campaign_table
-
-        return campaign_table(self)

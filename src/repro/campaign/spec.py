@@ -40,8 +40,8 @@ class Scenario:
         seed: RNG seed for generation/partitioning/batching/SA.
         tiers: stacked tier count override (``None`` = inherit).  When set,
             the V tier is re-centered at ``tiers // 2`` and the chip static
-            power is rescaled with the physical tile count, matching the
-            DSE sweep conventions.
+            power is rescaled with the physical tile count (see
+            :meth:`to_config`).
         mesh_width / mesh_height: planar mesh overrides; a lone
             ``mesh_width`` implies a square mesh.
         noc_clock_hz: NoC router clock override.
@@ -125,8 +125,7 @@ class Scenario:
 
         Overrides are applied to ``base`` (paper design point by default).
         Whenever the topology changes, the chip static power is rescaled
-        with the physical tile count — the same convention the tier and
-        mesh DSE sweeps established.
+        with the physical tile count.
         """
         base = base or ReGraphXConfig()
         config = base
@@ -185,11 +184,6 @@ def axis_fields(scenario_type: type) -> tuple[str, ...]:
     legal sweep axis.
     """
     return tuple(f.name for f in fields(scenario_type) if f.name != "label")
-
-
-#: Architecture-scenario axes (kept for backward compatibility; the axis
-#: population is derived from the base scenario's type in general).
-AXIS_FIELDS = axis_fields(Scenario)
 
 
 @dataclass(frozen=True)

@@ -14,16 +14,6 @@ Composition:
 
 from repro.core.accelerator import ReGraphX, Workload
 from repro.core.config import ReGraphXConfig
-from repro.core.dse import (
-    DesignPoint,
-    evaluate_design,
-    pareto_front,
-    sweep_autoscaler_targets,
-    sweep_mesh,
-    sweep_sa_restarts,
-    sweep_serving_qps,
-    sweep_tiers,
-)
 from repro.core.evaluation import FullSystemComparison, compare_with_gpu
 from repro.core.heterogeneity import epe_demand_for_beta, zero_storage_study
 from repro.core.mapping import (
@@ -66,12 +56,4 @@ __all__ = [
     "ThermalSpec",
     "ThermalProfile",
     "tier_powers_from_report",
-    "DesignPoint",
-    "evaluate_design",
-    "sweep_tiers",
-    "sweep_mesh",
-    "sweep_sa_restarts",
-    "sweep_serving_qps",
-    "sweep_autoscaler_targets",
-    "pareto_front",
 ]

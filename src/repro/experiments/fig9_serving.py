@@ -84,14 +84,19 @@ def run_fig9(
     duration_seconds: float = 1.0,
 ) -> Fig9Result:
     """Sweep offered load through the serving engine (Poisson arrivals)."""
-    from repro.core.dse import sweep_serving_qps
+    from repro.campaign.spec import CampaignSpec
+    from repro.serve.scenario import ServingScenario
+    from repro.serve.sweep import run_serving_campaign
 
-    records = sweep_serving_qps(
-        list(qps_values),
-        instances=instances,
-        max_batch=max_batch,
-        duration_seconds=duration_seconds,
-        seed=seed,
+    spec = CampaignSpec(
+        name="fig9",
+        base=ServingScenario(
+            instances=instances,
+            max_batch=max_batch,
+            duration_seconds=duration_seconds,
+            seed=seed,
+        ),
+        axes=(("qps", tuple(float(q) for q in qps_values)),),
     )
     points = tuple(
         Fig9Point(
@@ -103,6 +108,6 @@ def run_fig9(
             slo_violation_rate=record.slo_violation_rate,
             peak_burn_rate=record.peak_burn_rate,
         )
-        for record in records
+        for record in run_serving_campaign(spec).records
     )
     return Fig9Result(points=points, instances=instances, max_batch=max_batch)

@@ -143,7 +143,7 @@ from repro.serve.service import (
     LinearServiceModel,
     ServiceModel,
 )
-from repro.serve.sweep import ServingCampaignResult, run_serving_campaign
+from repro.serve.sweep import run_serving_campaign, serving_table
 
 __all__ = [
     "Request",
@@ -190,8 +190,8 @@ __all__ = [
     "simulate_serving_scenario",
     "run_serving_scenario",
     "scenario_with",
-    "ServingCampaignResult",
     "run_serving_campaign",
+    "serving_table",
     "SERVING_PRESETS",
     "get_serving_preset",
     "serving_preset_names",

@@ -22,10 +22,11 @@ that into a model:
   instance-seconds and $-cost (accrued only when a slice's occupancy
   changes, so the event loop never pays per-event for the accounting).
 
-The single-type pool :class:`ReplicaPool` lives here too (the serving
-engine re-exports it for compatibility); it is unchanged in behavior —
-a fleet of one ``default`` slice is bit-identical to the pre-fleet
-engine, which is what the serving regression baseline pins.
+The single-type pool :class:`ReplicaPool` lives here too; each slice
+of a :class:`TypedReplicaPool` is one, and a fleet of one ``default``
+slice is bit-identical to the pre-fleet engine, which is what the
+serving regression baseline pins.  The engine itself uses only
+:class:`TypedReplicaPool`; ``repro.serve`` exports both.
 
 Scale-out across types follows a cost-weighted order (see
 :func:`repro.serve.autoscale.allocate_fleet`): the cheapest capacity is

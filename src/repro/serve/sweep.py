@@ -6,20 +6,17 @@ dataclass fields, so ``qps``/``max_batch``/``instances`` are legal axes
 when the base is a :class:`~repro.serve.scenario.ServingScenario`);
 :func:`run_serving_campaign` pushes every point through the same
 cache-first fan-out core as architecture sweeps
-(:func:`repro.campaign.executor.run_cached_scenarios`) and returns an
-ordered, exportable result.
+(:func:`repro.campaign.executor.run_cached_scenarios`) and returns the
+same ordered, exportable :class:`~repro.campaign.results.CampaignResult`;
+:func:`serving_table` is its summary table.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable
 
 from repro.campaign.executor import EventFn, run_cached_scenarios
+from repro.campaign.results import CampaignResult
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore
 from repro.serve.scenario import (
@@ -28,88 +25,6 @@ from repro.serve.scenario import (
     run_serving_scenario,
     serving_key,
 )
-
-ProgressFn = Callable[[str], None]
-
-
-@dataclass
-class ServingCampaignResult:
-    """Everything one serving campaign produced, in scenario order."""
-
-    name: str
-    records: list[ServingRecord]
-    hits: int = 0
-    misses: int = 0
-    elapsed_seconds: float = 0.0
-    extras: dict[str, Any] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def to_json(self, path: str | Path) -> Path:
-        """Write the campaign (metadata + every record) as one JSON file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "campaign": self.name,
-            "kind": "serving",
-            "num_scenarios": len(self.records),
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "elapsed_seconds": self.elapsed_seconds,
-            "records": [r.to_dict() for r in self.records],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        return path
-
-    def to_csv(self, path: str | Path) -> Path:
-        """One flat row per scenario (knobs + serving metrics)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for record in self.records:
-            row: dict[str, Any] = {"label": record.label, "key": record.key}
-            for name, value in record.scenario.items():
-                if name != "label":
-                    row[name] = value
-            row.update(record.metrics())
-            row["cached"] = record.cached
-            rows.append(row)
-        columns: list[str] = []
-        for row in rows:
-            for name in row:
-                if name not in columns:
-                    columns.append(name)
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=columns)
-            writer.writeheader()
-            writer.writerows(rows)
-        return path
-
-    def table(self):
-        """Summary table of the load/latency/SLO outcome per scenario."""
-        from repro.experiments.common import ExperimentTable
-
-        t = ExperimentTable(
-            title=f"serving campaign '{self.name}'",
-            columns=[
-                "scenario", "served", "p50 ms", "p99 ms", "util", "viol%",
-                "batch", "inst-s", "shed%",
-            ],
-        )
-        for r in self.records:
-            t.add_row(
-                r.label,
-                r.throughput_qps,
-                r.p50_latency_seconds * 1e3,
-                r.p99_latency_seconds * 1e3,
-                r.utilization,
-                r.slo_violation_rate * 100.0,
-                r.mean_batch_size,
-                r.instance_seconds,
-                r.shed_rate * 100.0,
-            )
-        return t
 
 
 def _serving_leaf(scenario: ServingScenario, key: str) -> ServingRecord:
@@ -124,9 +39,8 @@ def run_serving_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
     store: ResultStore | None = None,
-    progress: ProgressFn | None = None,
     on_event: EventFn | None = None,
-) -> ServingCampaignResult:
+) -> CampaignResult:
     """Evaluate a serving campaign: cached points first, misses fanned out.
 
     Results come back in scenario order regardless of completion order,
@@ -147,13 +61,38 @@ def run_serving_campaign(
         ServingRecord,
         jobs=jobs,
         store=store,
-        progress=progress,
         on_event=on_event,
     )
-    return ServingCampaignResult(
+    return CampaignResult(
         name=spec.name,
         records=records,
         hits=hits,
         misses=misses,
         elapsed_seconds=time.perf_counter() - started,
     )
+
+
+def serving_table(result: CampaignResult):
+    """Summary table of the load/latency/SLO outcome per scenario."""
+    from repro.experiments.common import ExperimentTable
+
+    table = ExperimentTable(
+        title=f"serving campaign '{result.name}'",
+        columns=[
+            "scenario", "served", "p50 ms", "p99 ms", "util", "viol%",
+            "batch", "inst-s", "shed%",
+        ],
+    )
+    for r in result.records:
+        table.add_row(
+            r.label,
+            r.throughput_qps,
+            r.p50_latency_seconds * 1e3,
+            r.p99_latency_seconds * 1e3,
+            r.utilization,
+            r.slo_violation_rate * 100.0,
+            r.mean_batch_size,
+            r.instance_seconds,
+            r.shed_rate * 100.0,
+        )
+    return table

@@ -1,15 +1,14 @@
-"""Tests for campaign analysis hooks (records -> DSE vocabulary)."""
+"""Tests for campaign analysis over architecture records."""
 
 import pytest
 
-from repro.campaign.analysis import best_record, pareto_records, to_design_point
+from repro.campaign.analysis import best_record, campaign_table, pareto_records
 from repro.campaign.results import CampaignResult, ScenarioRecord
 from repro.campaign.spec import Scenario
-from repro.core.dse import DesignPoint
 
 
-def make_record(label, time, energy, temp, tiers=None, feasible=True):
-    scenario = Scenario(dataset="ppi", scale=0.05, tiers=tiers, label=label)
+def make_record(label, time, energy, temp, feasible=True):
+    scenario = Scenario(dataset="ppi", scale=0.05, label=label)
     return ScenarioRecord(
         label=label,
         key=label,
@@ -46,17 +45,6 @@ class TestPareto:
         assert pareto_records([]) == []
 
 
-class TestDesignPointBridge:
-    def test_to_design_point_rematerializes_config(self):
-        record = make_record("x", 1.0, 2.0, 50.0, tiers=5)
-        point = to_design_point(record)
-        assert isinstance(point, DesignPoint)
-        assert point.config.tiers == 5
-        assert point.config.v_tier == 2
-        assert point.epoch_seconds == 1.0
-        assert point.edp == pytest.approx(2.0)
-
-
 class TestBestRecord:
     def test_min_edp_among_feasible(self):
         hot = make_record("hot", 0.1, 0.1, 200.0, feasible=False)
@@ -88,6 +76,6 @@ class TestCampaignTable:
             misses=0,
             elapsed_seconds=0.5,
         )
-        text = result.table().render()
+        text = campaign_table(result).render()
         assert "demo" in text
         assert "1 cached / 0 evaluated" in text

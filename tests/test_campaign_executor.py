@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.campaign.analysis import campaign_table
 from repro.campaign.executor import (
     ProgressEvent,
     evaluate_scenario,
@@ -144,12 +145,13 @@ class TestProgressEvents:
         ]
 
     def test_event_and_string_progress_agree(self, first_run, store):
-        lines, events = [], []
-        run_scenarios(
-            SCENARIOS, store=store, progress=lines.append,
-            on_event=events.append,
-        )
-        assert lines == [e.render() for e in events]
+        """Terminal events render as the one-line-per-scenario progress."""
+        events = []
+        run_scenarios(SCENARIOS, store=store, on_event=events.append)
+        assert [e.render() for e in events] == [
+            f"[{i}/{len(SCENARIOS)}] {s.label}  (cache hit)"
+            for i, s in enumerate(SCENARIOS, start=1)
+        ]
 
     def test_render_formats(self):
         started = ProgressEvent(
@@ -170,7 +172,9 @@ class TestProgressEvents:
 class TestProgressAndExport:
     def test_progress_reports_every_scenario(self, store):
         lines = []
-        run_scenarios(SCENARIOS, store=store, progress=lines.append)
+        run_scenarios(
+            SCENARIOS, store=store, on_event=lambda e: lines.append(e.render())
+        )
         assert len(lines) == len(SCENARIOS)
         assert all("cache hit" in line for line in lines)
 
@@ -196,7 +200,7 @@ class TestProgressAndExport:
         assert {"dataset", "tiers", "multicast", "edp"} <= set(rows[0])
 
     def test_table_renders(self, first_run):
-        text = first_run.table().render()
+        text = campaign_table(first_run).render()
         assert "exec-test" in text and "2-tier" in text
 
     def test_record_roundtrip_preserves_metrics(self, first_run):

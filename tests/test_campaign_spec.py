@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign.presets import PRESETS, get_preset, preset_names
-from repro.campaign.spec import AXIS_FIELDS, CampaignSpec, Scenario
+from repro.campaign.spec import CampaignSpec, Scenario, axis_fields
 from repro.core.config import ReGraphXConfig
 
 
@@ -21,6 +21,7 @@ class TestScenario:
     def test_tier_override_scales_static_power(self):
         base = ReGraphXConfig()
         config = Scenario(tiers=5).to_config(base)
+        assert (config.tiers, config.v_tier) == (5, 2)
         base_tiles = base.num_v_tiles + base.num_e_tiles
         tiles = config.num_v_tiles + config.num_e_tiles
         assert tiles > base_tiles
@@ -98,7 +99,7 @@ class TestCampaignSpec:
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
             CampaignSpec(name="t", axes=(("warp", (1,)),))
-        assert "label" not in AXIS_FIELDS
+        assert "label" not in axis_fields(Scenario)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):

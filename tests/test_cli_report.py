@@ -68,6 +68,59 @@ class TestCLI:
         assert "pruned 2 of 3" in out
         assert len(store) == 1
 
+    def test_sweep_prune_rejects_negative(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--cache", str(tmp_path), "--prune", "-1"])
+        assert excinfo.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_sweep_round_trip(self, capsys, tmp_path, monkeypatch):
+        from repro.campaign import presets
+        from repro.campaign.spec import CampaignSpec, Scenario
+
+        monkeypatch.setitem(presets.PRESETS, "tiny", CampaignSpec(
+            name="tiny",
+            base=Scenario(dataset="ppi", scale=0.01),
+            axes=(("tiers", (2, 3)),),
+        ))
+        argv = ["sweep", "--preset", "tiny", "--out", str(tmp_path / "out"),
+                "--cache", str(tmp_path / "cache")]
+        main(argv)
+        cold = capsys.readouterr().out
+        assert (tmp_path / "out" / "tiny.json").is_file()
+        assert (tmp_path / "out" / "tiny.csv").is_file()
+        assert "[0/2] ppi-2t-mc-s0  (running)" in cold
+        assert "[2/2] ppi-3t-mc-s0  (" in cold
+        assert "pareto front (" in cold
+        assert "2 computed, 0 cached" in cold
+        main(argv)
+        warm = capsys.readouterr().out
+        assert "[1/2] ppi-2t-mc-s0  (cache hit)" in warm
+        assert "pareto front (" in warm
+        assert "0 computed, 2 cached" in warm
+
+    @pytest.mark.parametrize("preset", ["seeds", "annealer"])
+    def test_sweep_rejects_seed_on_seed_axis(self, preset, tmp_path):
+        with pytest.raises(
+            SystemExit, match=f"sweep: preset '{preset}' sweeps seed; drop --seed"
+        ):
+            main(["--seed", "5", "sweep", "--preset", preset,
+                  "--cache", str(tmp_path)])
+
+    def test_serve_campaign_rejects_seed_on_seed_axis(self, tmp_path, monkeypatch):
+        from repro.campaign.spec import CampaignSpec
+        from repro.serve import presets
+        from repro.serve.scenario import ServingScenario
+
+        monkeypatch.setitem(presets.SERVING_PRESETS, "replicas", CampaignSpec(
+            name="replicas", base=ServingScenario(), axes=(("seed", (0, 1)),),
+        ))
+        with pytest.raises(
+            SystemExit, match="serve: preset 'replicas' sweeps seed; drop --seed"
+        ):
+            main(["--seed", "5", "serve", "--preset", "replicas", "--campaign",
+                  "--cache", str(tmp_path)])
+
     def test_serve_parser(self):
         parser = build_parser()
         args = parser.parse_args(

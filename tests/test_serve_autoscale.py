@@ -344,19 +344,28 @@ class TestAcceptanceCriterion:
 
 
 class TestSweepAutoscalerTargets:
-    def test_records_in_target_order(self):
-        from repro.core.dse import sweep_autoscaler_targets
+    def spec(self, targets):
+        from repro.campaign.spec import CampaignSpec
+        from repro.serve.scenario import ServingScenario
 
-        records = sweep_autoscaler_targets(
-            [0.5, 0.9], duration_seconds=0.5, qps=100.0, max_instances=4
+        return CampaignSpec(
+            name="targets",
+            base=ServingScenario(
+                arrival="mmpp", qps=100.0, duration_seconds=0.5,
+                autoscaler="target-util", min_instances=1, max_instances=4,
+            ),
+            axes=(("autoscale_target", tuple(targets)),),
         )
+
+    def test_records_in_target_order(self):
+        from repro.serve.sweep import run_serving_campaign
+
+        records = run_serving_campaign(self.spec([0.5, 0.9])).records
         assert [r.scenario["autoscale_target"] for r in records] == [0.5, 0.9]
         assert all(r.scenario["autoscaler"] == "target-util" for r in records)
 
     def test_validation(self):
-        from repro.core.dse import sweep_autoscaler_targets
-
-        with pytest.raises(ValueError):
-            sweep_autoscaler_targets([])
-        with pytest.raises(ValueError):
-            sweep_autoscaler_targets([-0.5])
+        with pytest.raises(ValueError, match="no values"):
+            self.spec([])
+        with pytest.raises(ValueError, match="positive"):
+            self.spec([-0.5]).scenarios()

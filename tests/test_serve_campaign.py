@@ -4,7 +4,6 @@ import pytest
 
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore
-from repro.core.dse import sweep_serving_qps
 from repro.serve.faults import FaultSpec
 from repro.serve.fleet import FleetSpec
 from repro.serve.presets import (
@@ -21,7 +20,7 @@ from repro.serve.scenario import (
 )
 from repro.serve.retry import RetryPolicy
 from repro.serve.service import LinearServiceModel
-from repro.serve.sweep import run_serving_campaign
+from repro.serve.sweep import run_serving_campaign, serving_table
 
 FAST = ServingScenario(qps=50.0, duration_seconds=0.3, instances=1, seed=0)
 
@@ -197,7 +196,7 @@ class TestRunServingCampaign:
         header = csv_path.read_text().splitlines()[0]
         assert "p99_latency_seconds" in header
         assert "qps" in header
-        table = result.table().render()
+        table = serving_table(result).render()
         assert "p99 ms" in table
 
     def test_rejects_architecture_specs(self):
@@ -250,15 +249,20 @@ class TestPresets:
 
 
 class TestSweepServingQps:
-    def test_records_in_rate_order(self):
-        records = sweep_serving_qps(
-            [25.0, 50.0], duration_seconds=0.3, instances=1
+    def spec(self, qps_values):
+        return CampaignSpec(
+            name="qps",
+            base=ServingScenario(duration_seconds=0.3, instances=1),
+            axes=(("qps", tuple(qps_values)),),
         )
+
+    def test_records_in_rate_order(self):
+        records = run_serving_campaign(self.spec([25.0, 50.0])).records
         assert [r.scenario["qps"] for r in records] == [25.0, 50.0]
         assert all(r.p50_latency_seconds > 0 for r in records)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            sweep_serving_qps([])
+        with pytest.raises(ValueError, match="no values"):
+            self.spec([])
         with pytest.raises(ValueError, match="positive"):
-            sweep_serving_qps([-5.0])
+            self.spec([-5.0]).scenarios()
