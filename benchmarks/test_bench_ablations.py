@@ -121,7 +121,7 @@ def test_ablation_noc_saturation(benchmark):
         for count in (50, 200, 800):
             msgs = uniform_random_traffic(topo, count, size_bits=512, seed=1)
             res = scheduler.simulate(msgs, multicast=False)
-            rows.append((count, res.makespan_cycles, res.link_stats.max_link_load))
+            rows.append((count, res.makespan_cycles, res.max_link_load))
         return rows
 
     rows = run_once(benchmark, run)

@@ -124,15 +124,3 @@ class CampaignResult:
             writer.writerows(rows)
         return path
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "CampaignResult":
-        """Reload an architecture campaign written by :meth:`to_json`."""
-        data = json.loads(Path(path).read_text())
-        return cls(
-            name=data["campaign"],
-            records=[ScenarioRecord.from_dict(r, cached=r.get("cached", False))
-                     for r in data["records"]],
-            hits=data.get("cache_hits", 0),
-            misses=data.get("cache_misses", 0),
-            elapsed_seconds=data.get("elapsed_seconds", 0.0),
-        )

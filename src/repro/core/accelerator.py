@@ -7,7 +7,7 @@ is composed here into the numbers the paper reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import StageMap, anneal_mapping, contiguous_mapping
@@ -75,7 +75,6 @@ class ReGraphXReport:
     compute_energy_per_input: float
     write_energy_per_input: float
     noc_energy_per_input: float
-    extras: dict[str, float] = field(default_factory=dict)
 
     @property
     def epoch_seconds(self) -> float:

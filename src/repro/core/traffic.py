@@ -135,13 +135,10 @@ class GNNTrafficModel:
         num_nodes: int,
         layer_dims: list[tuple[int, int]],
         data_bits: int = 16,
-        e_rounds: int = 1,
         training: bool = True,
     ) -> None:
         if num_nodes < 1:
             raise ValueError("workload needs at least one node")
-        if e_rounds < 1:
-            raise ValueError("e_rounds must be at least 1")
         self.training = training
         if len(layer_dims) != config.num_layers:
             raise ValueError(
@@ -156,13 +153,6 @@ class GNNTrafficModel:
         self.num_nodes = num_nodes
         self.layer_dims = layer_dims
         self.data_bits = data_bits
-        # When an E stage's block set exceeds its crossbar budget, blocks
-        # are processed in rounds over disjoint block-COLUMN ranges, so
-        # each input row is still delivered once (to the round that owns
-        # its column group).  ``e_rounds`` is retained for sensitivity
-        # studies (e_rounds > 1 models row-range rounds, which would
-        # re-stream inputs every round); the accelerator default is 1.
-        self.e_rounds = e_rounds
         self.block_size = block_mapping.block_size
         self._index = _build_block_index(block_mapping)
         # (layer, transposed, axis) -> per-group dest-router sets.
@@ -306,7 +296,11 @@ class GNNTrafficModel:
             groups = idx.occupied_cols
             tag = f"V{layer}->E{layer}"
         bounds, los, his, firsts, lasts = self._chunk_spans(src_routers, groups)
-        factor = width * self.data_bits * self.e_rounds
+        # When an E stage's block set exceeds its crossbar budget, blocks
+        # are processed in rounds over disjoint block-COLUMN ranges, so
+        # each input row is still delivered once (to the round that owns
+        # its column group).
+        factor = width * self.data_bits
         if factor <= 0:
             return
         bounds = bounds.tolist()
@@ -399,7 +393,7 @@ class GNNTrafficModel:
         dest_groups = self._block_routers_by(layer, transposed=True, axis="row")
         bits_per_value = self.data_bits + 1 if gradient else 1
         tag = f"E{layer}->BE{layer}"
-        factor = dout * bits_per_value * self.e_rounds
+        factor = dout * bits_per_value
         for k, br in enumerate(idx.occupied_rows.tolist()):
             lo, hi = self._group_rows(br)
             src = e_routers[br % num_e]
@@ -486,8 +480,6 @@ def cross_validate_traffic(
     return NoCValidation(
         static_makespan_cycles=static.makespan_cycles,
         simulated_makespan_cycles=simulated.makespan_cycles,
-        flit_hops_match=(
-            simulated.link_stats.total_flit_hops == static.total_flit_hops
-        ),
+        flit_hops_match=simulated.total_flit_hops == static.total_flit_hops,
         num_messages=len(messages),
     )

@@ -9,6 +9,12 @@ two complementary performance models.
   validate the static scheduler.  It runs on the event-driven engine
   (:mod:`repro.noc.events`, cost scales with flit-hops); the cycle-stepped
   loop it is differentially tested against lives in ``tests/oracles/``.
+
+Both models speak one link spelling, the dense id ``router * PORTS + port``
+(:mod:`repro.noc.topology`): they read their routes from one builder,
+:func:`repro.noc.routing.link_paths`, and their results carry the same
+flat per-link loads with one accounting, :class:`repro.noc.stats.LinkLoads`
+(flit-hops by link class, max link load, utilization, energy).
 """
 
 from repro.noc.analysis import (
@@ -18,17 +24,13 @@ from repro.noc.analysis import (
     saturation_rate,
 )
 from repro.noc.packet import Message
-from repro.noc.routing import (
-    dimension_order_route,
-    route_links,
-    xyz_route,
-)
+from repro.noc.routing import dimension_order_route
 from repro.noc.events import EventEngine, ExpandedPacket
 from repro.noc.schedule import NoCConfig, ScheduleResult, StaticScheduler
 from repro.noc.simulator import FlitSimulator, SimulationResult
 from repro.noc.stats import (
     LatencySummary,
-    LinkStats,
+    LinkLoads,
     percentile,
     summarize_latencies,
 )
@@ -43,9 +45,7 @@ __all__ = [
     "Mesh3D",
     "Mesh2D",
     "Message",
-    "xyz_route",
     "dimension_order_route",
-    "route_links",
     "NoCConfig",
     "StaticScheduler",
     "ScheduleResult",
@@ -53,7 +53,7 @@ __all__ = [
     "SimulationResult",
     "EventEngine",
     "ExpandedPacket",
-    "LinkStats",
+    "LinkLoads",
     "LatencySummary",
     "percentile",
     "summarize_latencies",

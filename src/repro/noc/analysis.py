@@ -113,7 +113,7 @@ def latency_throughput_sweep(
                 offered_rate=rate,
                 average_latency_cycles=summary.mean,
                 makespan_cycles=result.makespan_cycles,
-                max_link_load=result.link_stats.max_link_load,
+                max_link_load=result.max_link_load,
                 p50_latency_cycles=summary.p50,
                 p95_latency_cycles=summary.p95,
                 p99_latency_cycles=summary.p99,
@@ -132,15 +132,12 @@ def saturation_rate(points: list[SweepPoint]) -> float | None:
 
 def bisection_links(topo: Mesh3D) -> int:
     """Directed links crossing the X mid-plane — the bisection bandwidth
-    in links (multiply by flit rate for bits/s)."""
-    cut = topo.width // 2
-    count = 0
-    for src, dst in topo.links():
-        x1 = topo.coords(src)[0]
-        x2 = topo.coords(dst)[0]
-        if (x1 < cut) != (x2 < cut):
-            count += 1
-    return count
+    in links (multiply by flit rate for bits/s).
+
+    Every (y, z) row of a mesh at least two routers wide crosses the cut
+    with one +x and one -x link.
+    """
+    return 2 * topo.height * topo.tiers if topo.width > 1 else 0
 
 
 def average_hop_count(

@@ -7,6 +7,10 @@ number of *link grants* (one per packet per hop) instead of
 (wide injection windows) this is orders of magnitude faster, which is what
 makes large-mesh campaign sweeps affordable.
 
+Links are dense ids (:mod:`repro.noc.topology`): ownership and waiters
+are keyed by id, and per-link flits accumulate in one flat per-id list,
+the same layout as the static scheduler's loads.
+
 The engine is **bit-identical** to the cycle-stepped reference kept in
 ``tests/oracles/flit_cycle.py``.  The reference executes three phases per
 cycle; each maps onto an event:
@@ -43,8 +47,7 @@ import heapq
 from dataclasses import dataclass
 
 from repro.noc.schedule import NoCConfig
-from repro.noc.stats import LinkStats
-from repro.noc.topology import Link, Mesh3D
+from repro.noc.topology import Mesh3D
 
 #: Event kinds; ``FREE`` and ``ARRIVE`` at the same cycle are ingested
 #: together before any grant, so their relative heap order is irrelevant.
@@ -57,12 +60,13 @@ class ExpandedPacket:
     """One unicast packet after multicast expansion.
 
     ``key`` is the caller-facing identity ``(msg_id, dest)`` — results are
-    reported under it, never under internal packet ids.
+    reported under it, never under internal packet ids.  ``route`` is the
+    packet's dense link ids (:mod:`repro.noc.topology`) in path order.
     """
 
     key: tuple[int, int]
     inject_cycle: int
-    route: tuple[Link, ...]
+    route: tuple[int, ...]
     flits: int
 
 
@@ -86,14 +90,15 @@ class EventEngine:
     def run(
         self,
         packets: list[ExpandedPacket],
-        stats: LinkStats,
+        loads: list[int],
         max_cycles: int,
     ) -> dict[tuple[int, int], int]:
         """Simulate ``packets`` and return per-``(msg_id, dest)`` finish cycles.
 
-        ``stats`` accumulates per-link flit counts (identical to the
-        cycle-stepped reference's).  Raises :class:`RuntimeError` when delivery needs
-        ``max_cycles`` cycles or more, mirroring the reference watchdog.
+        ``loads[link_id]`` accumulates per-link flit counts (identical to
+        the cycle-stepped reference's).  Raises :class:`RuntimeError` when
+        delivery needs ``max_cycles`` cycles or more, mirroring the
+        reference watchdog.
         """
         hop_cycles = self.config.hop_cycles
         flights = [_Flight() for _ in packets]
@@ -102,13 +107,13 @@ class EventEngine:
             events.append((pkt.inject_cycle, _ARRIVE, pid))
         heapq.heapify(events)
 
-        busy: set[Link] = set()
-        waiters: dict[Link, list[int]] = {}
+        busy: set[int] = set()
+        waiters: dict[int, list[int]] = {}
         finish: dict[tuple[int, int], int] = {}
 
         while events:
             now = events[0][0]
-            touched: list[Link] = []
+            touched: list[int] = []
             # Ingest every event of this cycle before any grant decision —
             # this is what preserves the reference's same-cycle arbitration.
             while events and events[0][0] == now:
@@ -134,7 +139,7 @@ class EventEngine:
                     tail = max(tail, flight.tail + hop_cycles)
                 flight.head = now
                 flight.tail = tail
-                stats.add(link, pkt.flits)
+                loads[link] += pkt.flits
                 heapq.heappush(events, (tail + 1, _FREE, link))
                 flight.hop += 1
                 if flight.hop < len(pkt.route):

@@ -14,14 +14,15 @@ leaving the routers ``range(start, stop, ±stride)`` through one mesh port.
 :func:`link_paths` builds a whole batch of routes at once as dense link
 ids (:mod:`repro.noc.topology`) in numpy: every segment of every route is
 one arithmetic run of ids, and the routes come back as one flat array
-plus offsets.  The static scheduler reads its routes from it.
+plus offsets.  Both NoC models, the static scheduler and the flit
+simulator, read their routes from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.noc.topology import EJECT, INJECT, PORTS, Link, Mesh3D, mesh_port
+from repro.noc.topology import EJECT, INJECT, PORTS, Mesh3D, mesh_port
 
 #: A mesh and a validated dimension order, ready to route:
 #: ``(num_routers, width, routers_per_tier, ((axis, router-id stride), ...))``.
@@ -79,7 +80,7 @@ def dimension_order_route(
 def link_paths(
     plan: RoutePlan, srcs, dsts, local_ports: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Link-id paths of the routes ``srcs[k] -> dsts[k]``, built at once.
+    """Dense link-id paths of the routes ``srcs[k] -> dsts[k]``, built at once.
 
     Returns ``(ids, offsets)``: route ``k`` is ``ids[offsets[k]:offsets[k + 1]]``,
     the same ids a hop-by-hop walk of the route names.  Each axis segment
@@ -126,14 +127,4 @@ def link_paths(
         ids[offsets[:-1]] = srcs * PORTS + INJECT
         ids[offsets[1:] - 1] = dsts * PORTS + EJECT
     return ids, offsets
-
-
-def xyz_route(topo: Mesh3D, src: int, dst: int) -> list[int]:
-    """Router path from ``src`` to ``dst`` under X, then Y, then Z order."""
-    return dimension_order_route(topo, src, dst, "xyz")
-
-
-def route_links(path: list[int]) -> list[Link]:
-    """Consecutive-router pairs of a path."""
-    return list(zip(path[:-1], path[1:]))
 

@@ -19,22 +19,21 @@ builds the block's link-id routes in numpy, and each packet tree is
 deduplicated there into links that each know their one parent link
 (dimension-order routes from one source are prefix-closed).  Only the
 greedy reservation loop, one visit per tree link, runs in Python; both
-schedule modes read the same trees.  Network energy sums the flat loads
-by port class; the :class:`~repro.noc.stats.LinkStats` view keyed by link
-tuples is built only when a caller reads it.
+schedule modes read the same trees.  Flit-hops, utilization and network
+energy are sums of the flat loads by port class
+(:class:`~repro.noc.stats.LinkLoads`, shared with the flit simulator).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from repro.noc.packet import Message
 from repro.noc.routing import RoutePlan, link_paths, route_plan
-from repro.noc.stats import LinkStats
-from repro.noc.topology import EJECT, PORTS, Mesh3D
+from repro.noc.stats import LinkLoads
+from repro.noc.topology import PORTS, Mesh3D
 from repro.utils.units import GHZ, PICO
 
 #: Messages whose routes are built together.  Bounds the route arrays: all
@@ -104,11 +103,11 @@ class NoCConfig:
 
 
 @dataclass
-class ScheduleResult:
+class ScheduleResult(LinkLoads):
     """Outcome of scheduling one message set.
 
     ``link_loads[router * PORTS + port]`` is the flits that crossed that
-    link; :attr:`link_stats` is the same counts keyed by link tuples.
+    link; flit-hops, utilization and energy come from :class:`LinkLoads`.
     """
 
     makespan_cycles: int
@@ -118,43 +117,11 @@ class ScheduleResult:
     config: NoCConfig
     tag_finish: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def makespan_seconds(self) -> float:
-        return self.makespan_cycles * self.config.cycle_time
-
     def tag_finish_seconds(self, tag: str) -> float:
         """Completion time of all messages carrying ``tag``."""
         if tag not in self.tag_finish:
             raise KeyError(f"no messages carried tag {tag!r}")
         return self.tag_finish[tag] * self.config.cycle_time
-
-    @cached_property
-    def link_stats(self) -> LinkStats:
-        """Per-link flit counts keyed by link tuples, built on first read."""
-        topo = self.topo
-        return LinkStats(
-            topo, {topo.link_of(lid): n for lid, n in enumerate(self.link_loads) if n}
-        )
-
-    @property
-    def total_flit_hops(self) -> int:
-        return sum(self.link_loads)
-
-    def energy_joules(self) -> float:
-        """Network energy: every flit-hop pays router + link energy."""
-        cfg = self.config
-        # Mesh ports 0-3 are planar (x, y), 4-5 vertical (z, TSV), then
-        # the two local ports.
-        per_port = [sum(self.link_loads[port::PORTS]) for port in range(PORTS)]
-        planar, vertical, local = (
-            sum(per_port[:4]), sum(per_port[4:EJECT]), sum(per_port[EJECT:])
-        )
-        return (
-            (planar + vertical + local) * cfg.router_energy_per_flit
-            + planar * cfg.planar_link_energy_per_flit
-            + vertical * cfg.vertical_link_energy_per_flit
-            + local * cfg.local_port_energy_per_flit
-        )
 
 
 class StaticScheduler:

@@ -6,19 +6,23 @@ after injection); under contention the dynamic simulator may finish earlier
 (it interleaves flits where the static schedule serializes whole packets),
 never later.  Tests assert both properties.
 
-The model: deterministic XYZ routes, one flit per link per cycle, flits of
-a packet cross each link in order, a flit becomes eligible for the next
-link ``hop_cycles`` after it started crossing the previous one, and a link
-is owned by a single packet from head acquisition until its tail has
-crossed (wormhole ownership with unlimited router buffering, i.e. virtual
-cut-through).  Arbitration is deterministic by message id.
+The model: deterministic dimension-order routes, built as dense link ids
+by the static scheduler's route builder
+(:func:`repro.noc.routing.link_paths`); one flit per link per cycle;
+flits of a packet cross each link in order; a flit becomes eligible for
+the next link ``hop_cycles`` after it started crossing the previous one;
+and a link is owned by a single packet from head acquisition until its
+tail has crossed (wormhole ownership with unlimited router buffering,
+i.e. virtual cut-through).  Arbitration is deterministic by message id.
 
 :class:`repro.noc.events.EventEngine` runs the model: a priority queue of
 link grant/release events whose cost scales with flit-hops, not elapsed
 cycles.  The original cycle-stepped loop lives in
 ``tests/oracles/flit_cycle.py``; ``tests/test_noc_events.py`` asserts the
-engine is bit-identical to it (finish times, makespan, link statistics)
-and ``benchmarks/test_bench_noc_sim.py`` records the speedup.
+engine is bit-identical to it (finish times, makespan, per-link flits)
+and ``benchmarks/test_bench_noc_sim.py`` records the speedup.  Results
+keep the same flat per-link loads as the static scheduler's
+(:class:`repro.noc.stats.LinkLoads`).
 """
 
 from __future__ import annotations
@@ -27,14 +31,15 @@ from dataclasses import dataclass
 
 from repro.noc.events import EventEngine, ExpandedPacket
 from repro.noc.packet import Message
-from repro.noc.routing import dimension_order_route, route_links
+from repro.noc.routing import link_paths, route_plan
 from repro.noc.schedule import NoCConfig
-from repro.noc.stats import LinkStats
-from repro.noc.topology import Mesh3D
+from repro.noc.stats import LinkLoads
+from repro.noc.topology import PORTS, Mesh3D
+
 
 @dataclass
-class SimulationResult:
-    """Timing and link statistics from the flit-level simulation.
+class SimulationResult(LinkLoads):
+    """Timing and per-link flit counts from the flit-level simulation.
 
     ``message_finish`` is keyed by the caller's ``(msg_id, dest)`` pair, so
     multicast expansion stays addressable: every destination of a multicast
@@ -43,12 +48,9 @@ class SimulationResult:
 
     makespan_cycles: int
     message_finish: dict[tuple[int, int], int]
-    link_stats: LinkStats
+    link_loads: tuple[int, ...]  # flits per dense link id (router * PORTS + port)
+    topo: Mesh3D
     config: NoCConfig
-
-    @property
-    def makespan_seconds(self) -> float:
-        return self.makespan_cycles * self.config.cycle_time
 
     def finish_by_message(self) -> dict[int, int]:
         """Per-``msg_id`` finish cycles (max over a multicast's destinations).
@@ -85,18 +87,14 @@ class FlitSimulator:
         Raises :class:`RuntimeError` if delivery does not complete within
         ``max_cycles`` simulated cycles (cycles ``0 .. max_cycles - 1``).
         """
-        cfg = self.config
-        packets = self._expand(messages)
-        stats = LinkStats(self.topo)
-        if not packets:
-            return SimulationResult(
-                makespan_cycles=0, message_finish={}, link_stats=stats, config=cfg
-            )
-        finish = EventEngine(self.topo, cfg).run(packets, stats, max_cycles)
+        cfg, topo = self.config, self.topo
+        loads = [0] * (topo.num_routers * PORTS)
+        finish = EventEngine(topo, cfg).run(self._expand(messages), loads, max_cycles)
         return SimulationResult(
-            makespan_cycles=max(finish.values()),
+            makespan_cycles=max(finish.values(), default=0),
             message_finish=finish,
-            link_stats=stats,
+            link_loads=tuple(loads),
+            topo=topo,
             config=cfg,
         )
 
@@ -110,7 +108,7 @@ class FlitSimulator:
         link grants), matching the static scheduler's processing order.
         """
         cfg = self.config
-        packets: list[ExpandedPacket] = []
+        pairs: list[tuple[Message, int]] = []
         seen: set[tuple[int, int]] = set()
         ordered = sorted(
             messages, key=lambda m: (m.inject_cycle, m.src, m.dests, m.msg_id)
@@ -124,21 +122,20 @@ class FlitSimulator:
                         f"must be unique per destination for result keying"
                     )
                 seen.add(key)
-                route = route_links(
-                    dimension_order_route(self.topo, msg.src, dst, cfg.routing_order)
-                )
-                if cfg.model_local_ports:
-                    route = (
-                        [self.topo.injection_link(msg.src)]
-                        + route
-                        + [self.topo.ejection_link(dst)]
-                    )
-                packets.append(
-                    ExpandedPacket(
-                        key=key,
-                        inject_cycle=msg.inject_cycle,
-                        route=tuple(route),
-                        flits=msg.num_flits(cfg.flit_bits),
-                    )
-                )
-        return packets
+                pairs.append((msg, dst))
+        ids, offsets = link_paths(
+            route_plan(self.topo, cfg.routing_order),
+            [msg.src for msg, _ in pairs],
+            [dst for _, dst in pairs],
+            cfg.model_local_ports,
+        )
+        ids, offsets = ids.tolist(), offsets.tolist()
+        return [
+            ExpandedPacket(
+                key=(msg.msg_id, dst),
+                inject_cycle=msg.inject_cycle,
+                route=tuple(ids[offsets[k]:offsets[k + 1]]),
+                flits=msg.num_flits(cfg.flit_bits),
+            )
+            for k, (msg, dst) in enumerate(pairs)
+        ]

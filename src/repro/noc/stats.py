@@ -1,6 +1,7 @@
 """Aggregated NoC statistics shared by both performance models.
 
-Besides the per-link flit accounting, this module hosts the shared
+Besides the per-link flit accounting of both models' results
+(:class:`LinkLoads`), this module hosts the shared
 latency-distribution helpers (:func:`percentile`,
 :func:`summarize_latencies`): NoC finish-time analysis and the serving
 engine's per-tenant SLO metrics both report the same p50/p95/p99 summary,
@@ -10,9 +11,13 @@ so the math lives once, here.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.noc.topology import Link, Mesh3D
+from repro.noc.topology import EJECT, PORTS, Mesh3D
+
+if TYPE_CHECKING:
+    from repro.noc.schedule import NoCConfig
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -89,62 +94,75 @@ def summarize_latencies(values) -> LatencySummary:
     )
 
 
-@dataclass
-class LinkStats:
-    """Per-link flit counts, split planar vs. vertical (TSV)."""
+class LinkLoads:
+    """Per-link flit accounting, shared by both NoC models' results.
 
+    A result carries ``link_loads[router * PORTS + port]``, the flits that
+    crossed each link (:mod:`repro.noc.topology`), with its mesh, its NoC
+    configuration and its makespan; every figure here is read off those.
+    Mesh ports 0-3 are planar (x, y), 4-5 vertical (z, TSV), then the two
+    local ports.
+    """
+
+    makespan_cycles: int
+    link_loads: tuple[int, ...]
     topo: Mesh3D
-    flits: dict[Link, int] = field(default_factory=dict)
+    config: NoCConfig
 
-    def add(self, link: Link, count: int) -> None:
-        if count < 0:
-            raise ValueError("flit count must be non-negative")
-        self.flits[link] = self.flits.get(link, 0) + count
+    @property
+    def makespan_seconds(self) -> float:
+        return self.makespan_cycles * self.config.cycle_time
+
+    def _port_class_hops(self) -> tuple[int, int, int]:
+        """Flit-hops on (planar, vertical, local) links."""
+        per_port = [sum(self.link_loads[port::PORTS]) for port in range(PORTS)]
+        return sum(per_port[:4]), sum(per_port[4:EJECT]), sum(per_port[EJECT:])
 
     @property
     def total_flit_hops(self) -> int:
-        return sum(self.flits.values())
+        return sum(self.link_loads)
+
+    @property
+    def planar_flit_hops(self) -> int:
+        return self._port_class_hops()[0]
+
+    @property
+    def vertical_flit_hops(self) -> int:
+        return self._port_class_hops()[1]
 
     @property
     def local_flit_hops(self) -> int:
         """Flits crossing injection/ejection ports."""
-        return sum(c for l, c in self.flits.items() if self.topo.is_local(l))
-
-    @property
-    def planar_flit_hops(self) -> int:
-        return sum(
-            c
-            for l, c in self.flits.items()
-            if not self.topo.is_local(l) and not self.topo.is_vertical(l)
-        )
-
-    @property
-    def vertical_flit_hops(self) -> int:
-        return sum(c for l, c in self.flits.items() if self.topo.is_vertical(l))
+        return self._port_class_hops()[2]
 
     @property
     def max_link_load(self) -> int:
         """Flits on the most loaded link — the serialization bottleneck."""
-        return max(self.flits.values(), default=0)
+        return max(self.link_loads, default=0)
 
-    def utilization(
-        self, makespan_cycles: int, include_local_ports: bool | None = None
-    ) -> float:
-        """Mean per-link occupancy over the schedule window.
+    @property
+    def utilization(self) -> float:
+        """Mean per-link occupancy over the makespan.
 
-        The denominator must count the same link population the recorded
-        flits crossed, or utilization can exceed 1.0.  With
-        ``include_local_ports=None`` (default) injection/ejection ports are
-        counted whenever local flits were recorded (i.e. the simulation ran
-        with ``model_local_ports=True``); pass ``True``/``False`` to force
-        either population.
+        The link population is the one flits can cross: the directed mesh
+        links plus, with ``config.model_local_ports``, one injection and
+        one ejection port per router.
         """
-        if makespan_cycles <= 0:
+        if self.makespan_cycles <= 0:
             return 0.0
-        if include_local_ports is None:
-            include_local_ports = self.local_flit_hops > 0
-        num_links = len(self.topo.links())
-        if include_local_ports:
-            # One injection + one ejection port per router.
+        w, h, t = self.topo.width, self.topo.height, self.topo.tiers
+        num_links = 2 * ((w - 1) * h * t + w * (h - 1) * t + w * h * (t - 1))
+        if self.config.model_local_ports:
             num_links += 2 * self.topo.num_routers
-        return self.total_flit_hops / (num_links * makespan_cycles)
+        return self.total_flit_hops / (num_links * self.makespan_cycles)
+
+    def energy_joules(self) -> float:
+        """Network energy: every flit-hop pays router + link energy."""
+        cfg = self.config
+        planar, vertical, local = self._port_class_hops()
+        return (
+            (planar + vertical + local) * cfg.router_energy_per_flit
+            + planar * cfg.planar_link_energy_per_flit
+            + vertical * cfg.vertical_link_energy_per_flit
+            + local * cfg.local_port_energy_per_flit
+        )

@@ -11,6 +11,10 @@ shipped, so a test can assert the library returns the same result:
   behind ``repro.noc.simulator.FlitSimulator``.
 * :mod:`oracles.link_route` — the route-at-a-time link-id walk
   (``link_route``); reference for ``repro.noc.routing.link_paths``.
+* :mod:`oracles.link_tuples` — the ``(a, b)`` tuple spelling of links
+  (``Link``, ``LinkStats``, ``link_of`` and the local-port helpers) that
+  the NoC oracles read; tests map the library's link ids through
+  ``link_of`` to compare per-link loads with them.
 * :mod:`oracles.p2_loop` — the per-estimator P² update loop
   (``P2Quantile.add``); reference for ``repro.obs.sketch``'s fused
   ``P2Sketch.add`` step.

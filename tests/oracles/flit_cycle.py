@@ -10,7 +10,11 @@ bookkeeping are kept here verbatim so the differential tests in
 the same finish cycles, makespan and per-link flit counts.
 
 :class:`CycleFlitSimulator` shares the library's multicast expansion
-(``FlitSimulator._expand``) and replaces only the engine.
+(``FlitSimulator._expand``) and replaces only the engine.  The expansion
+names links by dense id, so the loop's per-link ownership and its
+``LinkStats`` (the tuple-era copy in :mod:`oracles.link_tuples`) are keyed
+by id, and ``simulate`` returns the library's ``SimulationResult`` with
+those counts laid out flat.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import dataclass, field
 
 from repro.noc.events import ExpandedPacket
 from repro.noc.packet import Message
+from oracles.link_tuples import LinkStats
 from repro.noc.simulator import FlitSimulator, SimulationResult
-from repro.noc.stats import LinkStats
-from repro.noc.topology import Link
+from repro.noc.topology import PORTS
 
 
 @dataclass
@@ -49,15 +53,14 @@ class CycleFlitSimulator(FlitSimulator):
         cfg = self.config
         packets = self._expand(messages)
         stats = LinkStats(self.topo)
-        if not packets:
-            return SimulationResult(
-                makespan_cycles=0, message_finish={}, link_stats=stats, config=cfg
-            )
-        finish = self._run_cycle(packets, stats, max_cycles)
+        finish = self._run_cycle(packets, stats, max_cycles) if packets else {}
         return SimulationResult(
-            makespan_cycles=max(finish.values()),
+            makespan_cycles=max(finish.values(), default=0),
             message_finish=finish,
-            link_stats=stats,
+            link_loads=tuple(
+                stats.flits.get(lid, 0) for lid in range(self.topo.num_routers * PORTS)
+            ),
+            topo=self.topo,
             config=cfg,
         )
 
@@ -72,7 +75,7 @@ class CycleFlitSimulator(FlitSimulator):
     ) -> dict[tuple[int, int], int]:
         cfg = self.config
         states = [_PacketState(packet=p) for p in packets]
-        owner: dict[Link, int] = {}
+        owner: dict[int, int] = {}
         pending = set(range(len(states)))
         cycle = -1
         while pending:

@@ -9,7 +9,9 @@ scheduler, the result type it returned (its energy summed over the
 the routing helpers it stood on (dimension-order routes, the multicast
 tree, the depth sort) are kept here verbatim, so the differential test in
 ``tests/test_noc_schedule_oracle.py`` compares the library against a
-reference that shares none of the new routing or energy code.  ``multicast_tree``
+reference that shares none of the new routing or energy code.  The tuple
+link spelling it reads (``Link``, ``LinkStats`` and the local-port
+helpers, once ``Mesh3D`` methods) comes from :mod:`oracles.link_tuples`.  ``multicast_tree``
 exists only here now; the tree-property tests in
 ``tests/test_noc_topology_routing.py`` pin it.
 """
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from oracles.link_tuples import Link, LinkStats, ejection_link, injection_link
 from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig
-from repro.noc.stats import LinkStats
-from repro.noc.topology import Link, Mesh3D
+from repro.noc.topology import Mesh3D
 
 
 @dataclass
@@ -210,13 +212,13 @@ class StaticScheduler:
         tree = multicast_tree(self.topo, msg.src, msg.dests, cfg.routing_order)
         if cfg.model_local_ports:
             # Wrap the router tree with the tile<->router port links.
-            inj = self.topo.injection_link(msg.src)
+            inj = injection_link(self.topo, msg.src)
             wrapped: dict[Link, Link | None] = {inj: None}
             for link, parent in tree.items():
                 wrapped[link] = parent if parent is not None else inj
             for dst in msg.dests:
                 last_in = next(l for l in tree if l[1] == dst)
-                wrapped[self.topo.ejection_link(dst)] = last_in
+                wrapped[ejection_link(self.topo, dst)] = last_in
             tree = wrapped
         ordered_links = tree_depth_order(tree)
         depth: dict[Link, int] = {}

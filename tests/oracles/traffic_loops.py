@@ -179,7 +179,7 @@ def _leg_into_e(
                 acc,
                 router,
                 dests,
-                rows * width * model.data_bits * model.e_rounds,
+                rows * width * model.data_bits,
                 tag,
             )
 
@@ -249,7 +249,7 @@ def _leg_e_to_be(
             acc,
             src,
             dests,
-            (hi - lo) * dout * bits_per_value * model.e_rounds,
+            (hi - lo) * dout * bits_per_value,
             f"E{layer}->BE{layer}",
         )
 

@@ -19,7 +19,7 @@ from repro.campaign.executor import (
     run_scenarios,
 )
 from repro.campaign.presets import get_preset
-from repro.campaign.results import CampaignResult, ScenarioRecord
+from repro.campaign.results import ScenarioRecord
 from repro.campaign.spec import CampaignSpec, Scenario
 from repro.campaign.store import ResultStore
 
@@ -183,10 +183,7 @@ class TestProgressAndExport:
         payload = json.loads(path.read_text())
         assert payload["campaign"] == "exec-test"
         assert payload["num_scenarios"] == len(SCENARIOS)
-        reloaded = CampaignResult.from_json(path)
-        assert [r.metrics() for r in reloaded.records] == [
-            r.metrics() for r in first_run.records
-        ]
+        assert payload["records"] == [r.to_dict() for r in first_run.records]
 
     def test_csv_export_one_row_per_scenario(self, first_run, tmp_path):
         import csv

@@ -95,21 +95,6 @@ class TestTrafficModel:
             if msg.tag.startswith("V") and "->E" in msg.tag:
                 assert len(msg.dests) <= a
 
-    def test_e_rounds_scales_input_legs(self, accelerator, ppi_workload):
-        sm = contiguous_mapping(accelerator.config)
-        kwargs = dict(
-            config=accelerator.config,
-            stage_map=sm,
-            block_mapping=ppi_workload.block_mapping,
-            num_nodes=ppi_workload.num_nodes_per_input,
-            layer_dims=ppi_workload.layer_dims,
-        )
-        base = GNNTrafficModel(**kwargs).leg_volumes()
-        doubled = GNNTrafficModel(**kwargs, e_rounds=2).leg_volumes()
-        assert doubled[("V1", "E1")] == 2 * base[("V1", "E1")]
-        # Output legs are delivered once regardless of rounds.
-        assert doubled[("E1", "V2")] == base[("E1", "V2")]
-
     def test_leg_volumes_positive(self, traffic_model):
         for leg, volume in traffic_model.leg_volumes().items():
             assert volume > 0, leg
@@ -181,19 +166,6 @@ class TestVectorizedEngine:
             oracle.messages(model)
         )
 
-    def test_matches_with_e_rounds(self, accelerator, ppi_workload):
-        model = GNNTrafficModel(
-            accelerator.config,
-            contiguous_mapping(accelerator.config),
-            ppi_workload.block_mapping,
-            ppi_workload.num_nodes_per_input,
-            ppi_workload.layer_dims,
-            e_rounds=3,
-        )
-        assert _message_tuples(model.messages()) == _message_tuples(
-            oracle.messages(model)
-        )
-
     def test_matches_on_alternate_mesh(self, ppi_workload):
         """Different mesh geometry changes grids, chunk bounds, homes."""
         config = ReGraphXConfig(mesh_width=6, mesh_height=6, tiers=3)
@@ -215,7 +187,6 @@ class TestVectorizedEngine:
         v_tier=st.integers(0, 3),
         num_layers=st.integers(1, 3),
         training=st.booleans(),
-        e_rounds=st.integers(1, 3),
         mapping_seed=st.none() | st.integers(0, 2**16),
         num_nodes=st.integers(16, 120),
         degree=st.integers(1, 6),
@@ -224,11 +195,11 @@ class TestVectorizedEngine:
     )
     @settings(max_examples=100, derandomize=True, deadline=None)
     def test_matches_on_generated_inputs(
-        self, width, height, tiers, v_tier, num_layers, training, e_rounds,
+        self, width, height, tiers, v_tier, num_layers, training,
         mapping_seed, num_nodes, degree, graph_seed, dims,
     ):
         """Generated knob combinations: mesh shape (non-square, 2-4 tiers),
-        layers, training/inference, rounds, contiguous or random mapping,
+        layers, training/inference, contiguous or random mapping,
         and small generated graphs (``mapping_seed=None`` is contiguous)."""
         config = ReGraphXConfig(
             mesh_width=width, mesh_height=height, tiers=tiers,
@@ -249,7 +220,6 @@ class TestVectorizedEngine:
             block_tile_adjacency(graph, config.e_tile.crossbar_size),
             graph.num_nodes,
             list(zip(dims[:num_layers], dims[1:num_layers + 1])),
-            e_rounds=e_rounds,
             training=training,
         )
         assert _message_tuples(model.messages()) == _message_tuples(

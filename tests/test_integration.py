@@ -135,7 +135,7 @@ class TestNoCModelAgreement:
         res_sched = sched.simulate(msgs, multicast=False)
         res_sim = sim.simulate(msgs)
         # Same work delivered...
-        assert res_sim.link_stats.total_flit_hops == res_sched.total_flit_hops
+        assert res_sim.total_flit_hops == res_sched.total_flit_hops
         # ...and the two contention models agree within 2x.
         ratio = res_sched.makespan_cycles / res_sim.makespan_cycles
         assert 0.5 <= ratio <= 2.0

@@ -5,9 +5,12 @@ the cycle-stepped oracle in ``tests/oracles/flit_cycle.py``: same
 per-(msg_id, dest) finish cycles, same makespan, same per-link flit
 counts.  This suite sweeps >= 50 seeded traces across uniform, hotspot,
 and many-to-one-to-many patterns on meshes up to 8x8x4, and cross-checks
-the engine against the static schedule analyzer (flit-hop conservation;
-the dynamic simulator never beats the atomic static bound the wrong way).
+the engine against the static schedule analyzer (the same flits on every
+link as its unicast schedule; the dynamic simulator never beats the
+atomic static bound the wrong way).
 """
+
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -91,7 +94,7 @@ def assert_backends_identical(topo, messages, config=None):
     cycle = CycleFlitSimulator(topo, config).simulate(messages)
     assert event.message_finish == cycle.message_finish
     assert event.makespan_cycles == cycle.makespan_cycles
-    assert event.link_stats.flits == cycle.link_stats.flits
+    assert event.link_loads == cycle.link_loads
     return event, cycle
 
 
@@ -106,7 +109,7 @@ class TestUniformDifferential:
         # Static cross-check: both models deliver the same flit work, and
         # the dynamic simulator never exceeds the conservative atomic bound.
         static = StaticScheduler(topo).simulate(msgs, multicast=False)
-        assert event.link_stats.total_flit_hops == static.total_flit_hops
+        assert event.total_flit_hops == static.total_flit_hops
         atomic = StaticScheduler(topo, NoCConfig(schedule_mode="atomic")).simulate(
             msgs, multicast=False
         )
@@ -127,7 +130,7 @@ class TestHotspotDifferential:
         )
         event, _ = assert_backends_identical(topo, msgs)
         static = StaticScheduler(topo).simulate(msgs, multicast=False)
-        assert event.link_stats.total_flit_hops == static.total_flit_hops
+        assert event.total_flit_hops == static.total_flit_hops
 
 
 class TestManyToOneToManyDifferential:
@@ -152,6 +155,48 @@ class TestGeneratedDifferential:
     def test_bit_identical_on_generated_traces(self, trace):
         topo, config, msgs = trace
         assert_backends_identical(topo, msgs, config)
+
+
+@st.composite
+def small_unicast_cases(draw):
+    """A small mesh (any axis may be 1), any dimension order, local ports
+    on or off, and a few unicast/multicast messages."""
+    topo = Mesh3D(
+        draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    )
+    if topo.num_routers < 2:
+        topo = Mesh3D(2, topo.height, topo.tiers)
+    config = NoCConfig(
+        model_local_ports=draw(st.booleans()),
+        routing_order=draw(st.sampled_from(["".join(p) for p in permutations("xyz")])),
+    )
+    n = topo.num_routers
+    messages = []
+    for msg_id in range(draw(st.integers(0, 6))):
+        src = draw(st.integers(0, n - 1))
+        offsets = draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=3))
+        messages.append(
+            Message(
+                src=src,
+                dests=tuple((src + off) % n for off in offsets),
+                size_bits=draw(st.integers(1, 256)),
+                inject_cycle=draw(st.integers(0, 30)),
+                msg_id=msg_id,
+            )
+        )
+    return topo, config, messages
+
+
+class TestPerLinkLoadsMatchStatic:
+    @given(small_unicast_cases())
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    def test_same_flits_on_every_link(self, case):
+        """One route builder feeds both models: the flit simulator loads
+        every link exactly as the static unicast schedule does."""
+        topo, config, msgs = case
+        static = StaticScheduler(topo, config).simulate(msgs, multicast=False)
+        event = FlitSimulator(topo, config).simulate(msgs)
+        assert event.link_loads == static.link_loads
 
 
 class TestTraceCountFloor:

@@ -1,5 +1,7 @@
-"""Tests for configurable dimension-order routing (vertical-first ablation)
-and the batched link-id routes the static scheduler reads."""
+"""Tests for configurable dimension-order routing (vertical-first ablation),
+the batched link-id routes both NoC models read, and the reference
+id -> tuple map (``oracles.link_tuples.link_of``) the differential and
+golden tests compare per-link loads through."""
 
 from itertools import permutations
 
@@ -9,12 +11,8 @@ from hypothesis import strategies as st
 
 from oracles import schedule_tree as oracle
 from oracles.link_route import link_route
-from repro.noc.routing import (
-    dimension_order_route,
-    link_paths,
-    route_links,
-    route_plan,
-)
+from oracles.link_tuples import ejection_link, injection_link, is_local, link_of
+from repro.noc.routing import dimension_order_route, link_paths, route_plan
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.packet import Message
 from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port
@@ -108,7 +106,7 @@ class TestStrideWalk:
         topo, order, src, dst = case
         ids, offsets = link_paths(route_plan(topo, order), [src], [dst])
         assert offsets.tolist() == [0, len(ids)]
-        assert [topo.link_of(lid) for lid in ids.tolist()] == route_links(
+        assert [link_of(topo, lid) for lid in ids.tolist()] == oracle.route_links(
             dimension_order_route(topo, src, dst, order)
         )
 
@@ -137,9 +135,9 @@ class TestStrideWalk:
 
     def test_local_port_ids(self):
         n = TOPO.num_routers
-        assert TOPO.link_of(link_id(5, INJECT)) == (5 + n, 5) == TOPO.injection_link(5)
-        assert TOPO.link_of(link_id(5, EJECT)) == (5, 5 + n) == TOPO.ejection_link(5)
-        assert TOPO.is_local(TOPO.link_of(link_id(5, INJECT)))
+        assert link_of(TOPO, link_id(5, INJECT)) == (5 + n, 5) == injection_link(TOPO, 5)
+        assert link_of(TOPO, link_id(5, EJECT)) == (5, 5 + n) == ejection_link(TOPO, 5)
+        assert is_local(TOPO, link_of(TOPO, link_id(5, INJECT)))
 
     def test_plan_rejects_bad_order_and_routers(self):
         with pytest.raises(ValueError, match="permutation"):
@@ -151,15 +149,17 @@ class TestStrideWalk:
 
 
 class TestLinkOf:
+    """The reference id -> tuple map the golden digests are keyed through."""
+
     TOPO = Mesh3D(4, 4, 2)
 
     def test_in_mesh_ports(self):
         topo = self.TOPO
-        assert topo.link_of(link_id(2, mesh_port(0, False))) == (2, 3)
-        assert topo.link_of(link_id(3, mesh_port(0, True))) == (3, 2)
-        assert topo.link_of(link_id(1, mesh_port(1, False))) == (1, 5)
-        assert topo.link_of(link_id(0, mesh_port(2, False))) == (0, 16)
-        assert topo.link_of(link_id(16, mesh_port(2, True))) == (16, 0)
+        assert link_of(topo, link_id(2, mesh_port(0, False))) == (2, 3)
+        assert link_of(topo, link_id(3, mesh_port(0, True))) == (3, 2)
+        assert link_of(topo, link_id(1, mesh_port(1, False))) == (1, 5)
+        assert link_of(topo, link_id(0, mesh_port(2, False))) == (0, 16)
+        assert link_of(topo, link_id(16, mesh_port(2, True))) == (16, 0)
 
     @pytest.mark.parametrize(
         "router,axis,negative",
@@ -174,24 +174,26 @@ class TestLinkOf:
     )
     def test_ports_leaving_the_mesh_raise(self, router, axis, negative):
         with pytest.raises(IndexError, match="leaves the mesh"):
-            self.TOPO.link_of(link_id(router, mesh_port(axis, negative)))
+            link_of(self.TOPO, link_id(router, mesh_port(axis, negative)))
 
     @pytest.mark.parametrize("lid", [-1, link_id(32, 0), link_id(40, 0)])
     def test_ids_past_the_routers_raise(self, lid):
         with pytest.raises(IndexError, match="out of range"):
-            self.TOPO.link_of(lid)
+            link_of(self.TOPO, lid)
 
     def test_every_named_link_exists(self):
         topo = self.TOPO
         named = set()
         for lid in range(topo.num_routers * 8):
             try:
-                named.add(topo.link_of(lid))
+                named.add(link_of(topo, lid))
             except IndexError:
                 continue
-        local = {topo.injection_link(r) for r in range(topo.num_routers)}
-        local |= {topo.ejection_link(r) for r in range(topo.num_routers)}
-        assert named == set(topo.links()) | local
+        routers = range(topo.num_routers)
+        mesh = {(r, n) for r in routers for n in topo.neighbors(r)}
+        local = {injection_link(topo, r) for r in routers}
+        local |= {ejection_link(topo, r) for r in routers}
+        assert named == mesh | local
 
 
 class TestSchedulerRoutingOrder:
@@ -224,5 +226,7 @@ class TestSchedulerRoutingOrder:
         ]
         xyz = StaticScheduler(TOPO, NoCConfig(routing_order="xyz")).simulate(msgs)
         zxy = StaticScheduler(TOPO, NoCConfig(routing_order="zxy")).simulate(msgs)
-        assert set(xyz.link_stats.flits) != set(zxy.link_stats.flits)
+        assert {lid for lid, n in enumerate(xyz.link_loads) if n} != {
+            lid for lid, n in enumerate(zxy.link_loads) if n
+        }
         assert xyz.total_flit_hops == zxy.total_flit_hops

@@ -5,7 +5,8 @@ dict-of-tuples multicast tree per message.  The library walks dense
 link-id routes instead; on generated meshes (planar, single-column and
 single-row ones included), every dimension order, both schedule modes,
 with and without local ports and multicast, the two must agree on every
-finish cycle, every link's flit count and the energy bit for bit.
+finish cycle, every link's flit count (ids mapped to the oracle's tuples
+through ``oracles.link_tuples.link_of``) and the energy bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import schedule_tree as oracle
+from oracles.link_tuples import tuple_loads
 from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.topology import Mesh2D, Mesh3D
@@ -84,7 +86,7 @@ def test_scheduler_matches_oracle(scenario):
     assert got.makespan_cycles == want.makespan_cycles
     assert list(got.message_finish.items()) == list(want.message_finish.items())
     assert list(got.tag_finish.items()) == list(want.tag_finish.items())
-    assert got.link_stats.flits == want.link_stats.flits
+    assert tuple_loads(topo, got.link_loads) == want.link_stats.flits
     assert got.energy_joules() == want.energy_joules()
 
 
@@ -114,4 +116,4 @@ def test_paper_mesh_traffic_matches_oracle():
                     messages, multicast
                 )
                 assert got.message_finish == want.message_finish
-                assert got.link_stats.flits == want.link_stats.flits
+                assert tuple_loads(topo, got.link_loads) == want.link_stats.flits

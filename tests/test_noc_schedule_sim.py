@@ -7,7 +7,6 @@ from oracles.flit_cycle import CycleFlitSimulator
 from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.simulator import FlitSimulator
-from repro.noc.stats import LinkStats
 from repro.noc.topology import Mesh3D
 from repro.noc.traffic_gen import (
     hotspot_traffic,
@@ -144,11 +143,10 @@ class TestStaticScheduler:
     def test_energy_accounting(self):
         msg = Message(src=0, dests=(TOPO.router_id(0, 0, 1),), size_bits=320, msg_id=0)
         result = StaticScheduler(TOPO, CFG).simulate([msg])
-        stats = result.link_stats
         flits = msg.num_flits(CFG.flit_bits)
-        assert stats.vertical_flit_hops == flits  # one TSV hop
-        assert stats.local_flit_hops == 2 * flits  # inject + eject
-        assert stats.planar_flit_hops == 0
+        assert result.vertical_flit_hops == flits  # one TSV hop
+        assert result.local_flit_hops == 2 * flits  # inject + eject
+        assert result.planar_flit_hops == 0
         expected = (
             flits * (CFG.router_energy_per_flit + CFG.vertical_link_energy_per_flit)
             + 2 * flits * (CFG.local_port_energy_per_flit + CFG.router_energy_per_flit)
@@ -158,7 +156,7 @@ class TestStaticScheduler:
     def test_makespan_at_least_bottleneck_load(self):
         msgs = hotspot_traffic(TOPO, 80, hotspot=0, seed=1)
         result = StaticScheduler(TOPO, CFG).simulate(msgs)
-        assert result.makespan_cycles >= result.link_stats.max_link_load
+        assert result.makespan_cycles >= result.max_link_load
 
     def test_without_local_ports(self):
         cfg = NoCConfig(model_local_ports=False)
@@ -187,7 +185,7 @@ class TestFlitSimulator:
         msgs = uniform_random_traffic(TOPO, 30, size_bits=256, seed=2)
         sched = StaticScheduler(TOPO, CFG).simulate(msgs, multicast=False)
         sim = FlitSimulator(TOPO, CFG).simulate(msgs)
-        assert sim.link_stats.total_flit_hops == sched.total_flit_hops
+        assert sim.total_flit_hops == sched.total_flit_hops
 
     def test_all_messages_delivered(self):
         msgs = uniform_random_traffic(TOPO, 25, seed=9)
@@ -243,7 +241,7 @@ class TestWatchdogAndEmptyInput:
             result = simulator(TOPO, CFG).simulate([])
             assert result.makespan_cycles == 0
             assert result.message_finish == {}
-            assert result.link_stats.total_flit_hops == 0
+            assert result.total_flit_hops == 0
 
     def test_watchdog_boundary_exact(self):
         """max_cycles permits exactly max_cycles cycles (0..max_cycles-1),
@@ -272,13 +270,13 @@ class TestLinkUtilization:
             for i, s in enumerate((1, 2, 3))
         ]
         result = FlitSimulator(small, CFG).simulate(msgs)
-        util = result.link_stats.utilization(result.makespan_cycles)
+        util = result.utilization
         assert 0.0 < util <= 1.0
-        # The auto-detected denominator counts mesh links + 2N local ports.
-        expected_links = len(small.links()) + 2 * small.num_routers
+        # With local ports modelled the denominator counts the 8 directed
+        # mesh links + 2N local ports.
+        expected_links = 8 + 2 * small.num_routers
         assert util == pytest.approx(
-            result.link_stats.total_flit_hops
-            / (expected_links * result.makespan_cycles)
+            result.total_flit_hops / (expected_links * result.makespan_cycles)
         )
 
     def test_without_local_ports(self):
@@ -286,26 +284,15 @@ class TestLinkUtilization:
         cfg = NoCConfig(model_local_ports=False)
         msgs = [Message(src=1, dests=(2,), size_bits=4096, msg_id=0)]
         result = FlitSimulator(small, cfg).simulate(msgs)
-        util = result.link_stats.utilization(result.makespan_cycles)
+        util = result.utilization
         assert 0.0 < util <= 1.0
         assert util == pytest.approx(
-            result.link_stats.total_flit_hops
-            / (len(small.links()) * result.makespan_cycles)
+            result.total_flit_hops / (8 * result.makespan_cycles)
         )
 
-    def test_explicit_override(self):
-        small = Mesh3D(2, 2, 1)
-        msgs = [Message(src=1, dests=(2,), size_bits=4096, msg_id=0)]
-        result = FlitSimulator(small, CFG).simulate(msgs)
-        stats = result.link_stats
-        span = result.makespan_cycles
-        with_local = stats.utilization(span, include_local_ports=True)
-        without = stats.utilization(span, include_local_ports=False)
-        assert without > with_local  # smaller denominator
-        assert stats.utilization(span) == with_local  # auto-detects local flits
-
     def test_zero_makespan(self):
-        assert LinkStats(TOPO).utilization(0) == 0.0
+        assert FlitSimulator(TOPO, CFG).simulate([]).utilization == 0.0
+        assert StaticScheduler(TOPO, CFG).simulate([]).utilization == 0.0
 
 
 class TestTrafficGen:

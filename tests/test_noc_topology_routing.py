@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.schedule_tree import multicast_tree, tree_depth_order
-from repro.noc.routing import route_links, xyz_route
-from repro.noc.topology import Mesh2D, Mesh3D
+from repro.noc.packet import Message
+from repro.noc.routing import dimension_order_route
+from repro.noc.schedule import NoCConfig, StaticScheduler
+from repro.noc.simulator import FlitSimulator
+from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port
 
 
 class TestMesh3D:
@@ -43,27 +46,36 @@ class TestMesh3D:
         # Directed links: 2 * (links_x + links_y + links_z)
         w, h, t = 8, 8, 3
         expected = 2 * ((w - 1) * h * t + w * (h - 1) * t + w * h * (t - 1))
-        assert len(self.topo.links()) == expected
+        assert sum(len(self.topo.neighbors(r)) for r in range(192)) == expected
+
+    def _loads(self, src, dst, config=None):
+        msg = Message(src=src, dests=(dst,), size_bits=32, msg_id=0)
+        return StaticScheduler(self.topo, config).simulate([msg])
 
     def test_vertical_detection(self):
         a = self.topo.router_id(2, 2, 0)
         b = self.topo.router_id(2, 2, 1)
-        assert self.topo.is_vertical((a, b))
         c = self.topo.router_id(3, 2, 0)
-        assert not self.topo.is_vertical((a, c))
+        no_ports = NoCConfig(model_local_ports=False)
+        up = self._loads(a, b, no_ports)
+        assert up.link_loads[link_id(a, mesh_port(2, False))] == 2
+        assert up.vertical_flit_hops == up.total_flit_hops == 2
+        east = self._loads(a, c, no_ports)
+        assert east.vertical_flit_hops == 0 and east.planar_flit_hops == 2
 
     def test_local_ports(self):
-        inj = self.topo.injection_link(5)
-        ej = self.topo.ejection_link(5)
-        assert inj == (5 + 192, 5)
-        assert ej == (5, 5 + 192)
-        assert self.topo.is_local(inj)
-        assert self.topo.is_local(ej)
-        assert not self.topo.is_vertical(inj)
+        result = self._loads(5, 6)
+        loaded = {lid for lid, flits in enumerate(result.link_loads) if flits}
+        assert loaded == {
+            link_id(5, INJECT), link_id(5, mesh_port(0, False)), link_id(6, EJECT)
+        }
+        assert result.local_flit_hops == 4  # inject + eject, 2 flits each
+        assert result.vertical_flit_hops == 0
 
     def test_local_port_range_check(self):
+        msg = Message(src=0, dests=(192,), size_bits=32, msg_id=0)
         with pytest.raises(IndexError):
-            self.topo.injection_link(192)
+            FlitSimulator(self.topo).simulate([msg])
 
     def test_distance(self):
         a = self.topo.router_id(0, 0, 0)
@@ -92,25 +104,25 @@ class TestRouting:
     topo = Mesh3D(8, 8, 3)
 
     def test_route_endpoints(self):
-        path = xyz_route(self.topo, 0, 100)
+        path = dimension_order_route(self.topo, 0, 100)
         assert path[0] == 0
         assert path[-1] == 100
 
     def test_route_is_minimal(self):
         for src, dst in [(0, 191), (5, 77), (64, 10)]:
-            path = xyz_route(self.topo, src, dst)
+            path = dimension_order_route(self.topo, src, dst)
             assert len(path) - 1 == self.topo.distance(src, dst)
 
     def test_route_steps_are_links(self):
-        path = xyz_route(self.topo, 3, 150)
-        for a, b in route_links(path):
+        path = dimension_order_route(self.topo, 3, 150)
+        for a, b in zip(path, path[1:]):
             assert b in self.topo.neighbors(a)
 
     def test_dimension_order(self):
         """X must be fully resolved before Y, and Y before Z."""
         src = self.topo.router_id(0, 0, 0)
         dst = self.topo.router_id(3, 2, 1)
-        path = xyz_route(self.topo, src, dst)
+        path = dimension_order_route(self.topo, src, dst)
         coords = [self.topo.coords(r) for r in path]
         xs = [c[0] for c in coords]
         # x changes first, then stays; y after; z last.
@@ -118,7 +130,7 @@ class TestRouting:
         assert [c[2] for c in coords][:-1] == [0] * 6
 
     def test_self_route(self):
-        assert xyz_route(self.topo, 7, 7) == [7]
+        assert dimension_order_route(self.topo, 7, 7) == [7]
 
     def test_multicast_tree_is_tree(self):
         src = 0
@@ -143,7 +155,7 @@ class TestRouting:
         dests = tuple(self.topo.tier_routers(0)[1:17])
         tree = multicast_tree(self.topo, src, dests)
         total_unicast = sum(
-            len(xyz_route(self.topo, src, d)) - 1 for d in dests
+            len(dimension_order_route(self.topo, src, d)) - 1 for d in dests
         )
         assert len(tree) < total_unicast
 
@@ -168,7 +180,7 @@ class TestRouting:
     @given(src=st.integers(0, 191), dst=st.integers(0, 191))
     @settings(max_examples=60, deadline=None)
     def test_route_valid_property(self, src, dst):
-        path = xyz_route(self.topo, src, dst)
+        path = dimension_order_route(self.topo, src, dst)
         assert path[0] == src and path[-1] == dst
         assert len(path) - 1 == self.topo.distance(src, dst)
         assert len(set(path)) == len(path)  # no revisits

@@ -1,5 +1,7 @@
 """Tests for serving scenarios, keys, campaigns, presets, and the QPS sweep."""
 
+import json
+
 import pytest
 
 from repro.campaign.spec import CampaignSpec, Scenario
@@ -192,7 +194,8 @@ class TestRunServingCampaign:
         result = run_serving_campaign(self.spec())
         json_path = result.to_json(tmp_path / "mini.json")
         csv_path = result.to_csv(tmp_path / "mini.csv")
-        assert json_path.is_file() and csv_path.is_file()
+        payload = json.loads(json_path.read_text())
+        assert payload["records"] == [r.to_dict() for r in result.records]
         header = csv_path.read_text().splitlines()[0]
         assert "p99_latency_seconds" in header
         assert "qps" in header
