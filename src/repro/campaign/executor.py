@@ -21,8 +21,9 @@ partitioning, cluster batching, SA mapping — comes from that seed alone;
 worker processes share no RNG state.  Within one :func:`run_scenarios`
 call, consecutive scenarios with the same ``(dataset, effective_scale,
 seed, batch_size)`` reuse the graph and partition the first of them
-built: both are pure functions of that key and evaluation never mutates
-them, so a reused build is bit-identical to a fresh one.  The memo lives
+built, and those that also share the crossbar size and layer count reuse
+the whole workload: all are pure functions of their key and evaluation
+never mutates them, so a reused build is bit-identical to a fresh one.  The memo lives
 for one call and keeps one graph; each process-pool task gets an empty
 copy, so serial and parallel runs still match.
 """
@@ -100,31 +101,35 @@ EventFn = Callable[[ProgressEvent], None]
 
 
 class GraphMemo:
-    """The graph and partition of the most recent scenario built.
+    """The graph, partition and workloads of the most recent graph built.
 
     A sweep over architecture knobs evaluates one training graph many
     times; the graph and its METIS partition depend only on
     ``(dataset, effective_scale, seed, batch_size)``, so scenarios that
     share that key build them once and hand them to
     :meth:`ReGraphX.build_workload` through its ``graph=``/``partition=``
-    parameters.  The cluster batcher, block tiling and layer-count check
-    still run from each scenario's own configuration.
+    parameters.  The rest of the workload (the representative sub-graph,
+    its block tiling and the layer dimensions) depends on that key plus
+    the E-tile crossbar size and the layer count, so scenarios that share
+    those too reuse the whole workload.
 
-    Only the latest key is kept, so memory does not grow with the number
-    of distinct graphs (presets enumerate their graph axes outermost).  A
-    pickled memo arrives empty: every process-pool task builds its own.
+    Only the latest graph key is kept, so memory does not grow with the
+    number of distinct graphs (presets enumerate their graph axes
+    outermost).  A pickled memo arrives empty: every process-pool task
+    builds its own.
     """
 
     def __init__(self) -> None:
         self._key: tuple[Any, ...] | None = None
         self._graph: CSRGraph | None = None
         self._partition: PartitionResult | None = None
+        self._workloads: dict[tuple[int, int], Workload] = {}
 
     def __reduce__(self) -> tuple[type, tuple[()]]:
         return (GraphMemo, ())
 
     def build(self, accelerator: ReGraphX, scenario: Scenario) -> Workload:
-        """``scenario``'s workload, reusing the memo's graph when it fits."""
+        """``scenario``'s workload, reusing the memo's builds when they fit."""
         key = (
             scenario.dataset,
             scenario.effective_scale,
@@ -134,16 +139,21 @@ class GraphMemo:
         if key != self._key:
             # Drop the old graph before the next one is built.
             self._key, self._graph, self._partition = key, None, None
-        workload = accelerator.build_workload(
-            scenario.dataset,
-            scale=scenario.effective_scale,
-            seed=scenario.seed,
-            batch_size=scenario.batch_size,
-            graph=self._graph,
-            partition=self._partition,
-        )
-        self._graph, self._partition = workload.graph, workload.partition
-        return workload
+            self._workloads = {}
+        config = accelerator.config
+        tiling = (config.e_tile.crossbar_size, config.num_layers)
+        if tiling not in self._workloads:
+            workload = accelerator.build_workload(
+                scenario.dataset,
+                scale=scenario.effective_scale,
+                seed=scenario.seed,
+                batch_size=scenario.batch_size,
+                graph=self._graph,
+                partition=self._partition,
+            )
+            self._graph, self._partition = workload.graph, workload.partition
+            self._workloads[tiling] = workload
+        return self._workloads[tiling]
 
 
 def evaluate_scenario(

@@ -31,28 +31,31 @@ Row ownership inside V-type stages is contiguous-chunked over the stage's
 routers.  Messages with identical (source, destination set, tag) are
 coalesced, as a DMA engine would.
 
-**Extraction.**  :meth:`GNNTrafficModel.messages` builds the set through
-a vectorized numpy group-by over the nonzero blocks, stable-sorted by
-block row/column so per-group destination lists come out in original
-block order.  The single-destination partial-sum legs are summed per
-(router, home) pair entirely in numpy.  The multicast legs build each
-destination set exactly as the coalescing helper does, since a set's
-iteration order depends on how it was built and shows in the ``str``
-order that numbers the messages.  The original per-router Python loops
-live in ``tests/oracles/traffic_loops.py``; the differential tests assert
-both produce bit-identical message ids, ordering and contents.
+**Extraction.**  :meth:`GNNTrafficModel.messages` returns a
+:class:`~repro.noc.packet.MessageTable`, the columns the static schedule
+reads.  Each leg is built in numpy as rows of (source, destination
+entries, bits): the block-holding routers of every block group, or the
+chunk owners of its row range.  One coalescing pass then drops each
+row's own source from its destinations, drops empty and zero-bit rows,
+and merges rows with the same (source, destination set, tag) with one
+``np.lexsort``.  Messages are numbered canonically: ``msg_id`` is the
+rank by ``(src, dests, tag)`` with destinations sorted, compared as
+Python tuples (a shorter destination prefix first).  The original
+per-router Python loops live in ``tests/oracles/traffic_loops.py``; the
+differential tests assert both produce identical message ids, ordering
+and contents.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import StageMap
-from repro.noc.packet import Message
+from repro.graph.graph import distinct
+from repro.noc.packet import Message, MessageTable, csr_spans, padded_rows
 from repro.reram.sparse_mapping import BlockMapping
 
 
@@ -86,42 +89,18 @@ class _EPlacement:
 
 @dataclass(frozen=True)
 class _BlockIndex:
-    """Row/column adjacency structure of the nonzero blocks.
-
-    The index carries stable group-by orderings of the raw block arrays:
-    ``order_by_col`` sorts blocks by block-column while preserving the
-    original block order inside each column (likewise ``order_by_row``),
-    so per-group slices enumerate partners in original block order.
-    """
+    """Block-row/column of every nonzero block, and the occupied ones."""
 
     occupied_rows: np.ndarray
     occupied_cols: np.ndarray
     brs: np.ndarray  # block-row of every nonzero block
     bcs: np.ndarray  # block-col of every nonzero block
-    order_by_col: np.ndarray  # stable argsort of bcs
-    order_by_row: np.ndarray  # stable argsort of brs
-    col_splits: np.ndarray  # split points into order_by_col per occupied col
-    row_splits: np.ndarray  # split points into order_by_row per occupied row
 
 
-def _build_block_index(mapping: BlockMapping) -> _BlockIndex:
-    nbc = mapping.num_block_cols
-    brs = mapping.block_ids // nbc
-    bcs = mapping.block_ids % nbc
-    occupied_rows = np.unique(brs)
-    occupied_cols = np.unique(bcs)
-    order_by_col = np.argsort(bcs, kind="stable")
-    order_by_row = np.argsort(brs, kind="stable")
-    return _BlockIndex(
-        occupied_rows=occupied_rows,
-        occupied_cols=occupied_cols,
-        brs=brs,
-        bcs=bcs,
-        order_by_col=order_by_col,
-        order_by_row=order_by_row,
-        col_splits=np.searchsorted(bcs[order_by_col], occupied_cols[1:]),
-        row_splits=np.searchsorted(brs[order_by_row], occupied_rows[1:]),
-    )
+#: One leg's rows before coalescing: ``(tag, src, bits, entry_row,
+#: entry_dest)``, row ``r`` sending ``bits[r]`` from ``src[r]`` to every
+#: ``entry_dest[k]`` with ``entry_row[k] == r``.
+_Leg = tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class GNNTrafficModel:
@@ -154,9 +133,9 @@ class GNNTrafficModel:
         self.layer_dims = layer_dims
         self.data_bits = data_bits
         self.block_size = block_mapping.block_size
-        self._index = _build_block_index(block_mapping)
-        # (layer, transposed, axis) -> per-group dest-router sets.
-        self._group_cache: dict[tuple[int, bool, str], list[set[int]]] = {}
+        brs, bcs = np.divmod(block_mapping.block_ids, block_mapping.num_block_cols)
+        self._index = _BlockIndex(np.unique(brs), np.unique(bcs), brs, bcs)
+        self._num_ids = config.topology.num_routers
 
     # ------------------------------------------------------------------
     # Placement helpers
@@ -172,269 +151,214 @@ class GNNTrafficModel:
         r = len(routers)
         return np.asarray([(k * self.num_nodes) // r for k in range(r + 1)])
 
-    def _group_rows(self, group: int) -> tuple[int, int]:
-        """Row range [lo, hi) covered by block group ``group``."""
-        lo = group * self.block_size
-        hi = min(lo + self.block_size, self.num_nodes)
-        return lo, hi
+    def _group_rows(self, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Row ranges ``[los[k], his[k])`` covered by block groups ``groups``."""
+        los = groups * self.block_size
+        return los, np.minimum(los + self.block_size, self.num_nodes)
 
-    # ------------------------------------------------------------------
-    # Group-by helpers
-    # ------------------------------------------------------------------
+    def _homes(self, stage: str, groups: np.ndarray) -> np.ndarray:
+        """Each block group's accumulation home among ``stage``'s routers."""
+        routers = self.stage_map.routers(stage)
+        return np.asarray(routers)[groups % len(routers)]
+
     def _block_routers_by(
         self, layer: int, transposed: bool, axis: str
-    ) -> list[set[int]]:
-        """Per-group sets of block-holding routers, numpy group-by built.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per occupied group, its distinct block-holding routers, as CSR.
 
         ``axis="col"`` groups by block-column (aligned with
-        ``occupied_cols``); ``axis="row"`` by block-row.  Each set is
-        built from its group's routers in original block order, the order
-        the reference loops (``tests/oracles/traffic_loops.py``) insert
-        them, so it iterates as theirs do.  Callers must not mutate it.
+        ``occupied_cols``), ``axis="row"`` by block-row; group ``k``'s
+        routers are ``routers[ptr[k]:ptr[k + 1]]``.
         """
-        key = (layer, transposed, axis)
-        cached = self._group_cache.get(key)
-        if cached is not None:
-            return cached
         idx = self._index
-        placement = self._placement(layer, backward=transposed)
-        per_block = placement.block_routers(idx.brs, idx.bcs)
-        if axis == "col":
-            order, splits = idx.order_by_col, idx.col_splits
-        else:
-            order, splits = idx.order_by_row, idx.row_splits
-        flat = per_block[order].tolist()
-        cuts = [0, *splits.tolist(), len(flat)]
-        grouped = [set(flat[a:b]) for a, b in zip(cuts, cuts[1:])]
-        self._group_cache[key] = grouped
-        return grouped
+        per_block = self._placement(layer, transposed).block_routers(idx.brs, idx.bcs)
+        by_col = axis == "col"
+        groups = idx.bcs if by_col else idx.brs
+        occupied = idx.occupied_cols if by_col else idx.occupied_rows
+        keys = distinct(np.searchsorted(occupied, groups) * self._num_ids + per_block)
+        owner, routers = np.divmod(keys, self._num_ids)
+        return np.searchsorted(owner, np.arange(occupied.size + 1)), routers
 
     def _chunk_spans(
         self, routers: tuple[int, ...], groups: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized chunk-ownership spans for every group's row range.
 
-        Returns ``(bounds, los, his, firsts, lasts)`` where chunk indices
-        ``firsts[k]..lasts[k]`` of ``routers`` cover rows
-        ``[los[k], his[k])`` of group ``groups[k]``.
+        Returns ``(bounds, los, his, firsts, stops)`` where chunk indices
+        ``firsts[k]:stops[k]`` of ``routers`` cover rows ``[los[k], his[k])``
+        of group ``groups[k]``.
         """
         bounds = self._chunk_bounds(routers)
-        los = groups * self.block_size
-        his = np.minimum(los + self.block_size, self.num_nodes)
+        los, his = self._group_rows(groups)
         firsts = np.maximum(np.searchsorted(bounds, los, side="right") - 1, 0)
-        lasts = np.minimum(
-            np.searchsorted(bounds, his - 1, side="right") - 1, len(routers) - 1
-        )
-        return bounds, los, his, firsts, lasts
+        stops = np.minimum(np.searchsorted(bounds, his - 1, side="right"), len(routers))
+        return bounds, los, his, firsts, stops
+
+    def _owners(self, stage: str, groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(k, router)`` per router of ``stage`` owning rows of ``groups[k]``."""
+        routers = self.stage_map.routers(stage)
+        k, at = csr_spans(*self._chunk_spans(routers, groups)[3:])
+        return k, np.asarray(routers)[at]
 
     # ------------------------------------------------------------------
     # Message construction
     # ------------------------------------------------------------------
-    def messages(self) -> list[Message]:
-        """The full message set of one pipeline period, all legs tagged."""
-        acc: dict[tuple[int, frozenset[int], str], int] = defaultdict(int)
+    def messages(self) -> MessageTable:
+        """The full message set of one pipeline period, all legs tagged.
+
+        Each leg's rows lose their own source from their destinations,
+        empty and zero-bit rows are dropped, and rows with the same
+        (source, destination set, tag) are coalesced.  ``msg_id`` is the
+        rank by ``(src, dests, tag)``, destinations sorted.
+        """
+        legs: list[_Leg] = []
         num_layers = self.config.num_layers
         for i in range(1, num_layers + 1):
             din, dout = self.layer_dims[i - 1]
-            self._vec_leg_into_e(acc, i, dout, backward=False)
-            self._vec_leg_partial_sums(acc, i, dout, backward=False)
-            self._vec_leg_e_out(acc, i, dout, is_last=(i == num_layers))
-            if not self.training:
-                continue
-            self._vec_leg_e_to_be(acc, i, dout, gradient=(i == num_layers))
-            self._vec_leg_partial_sums(acc, i, dout, backward=True)
-            self._vec_leg_be_to_bv(acc, i, dout)
-            if i > 1:
-                self._vec_leg_into_e(acc, i, din, backward=True)
-        # Message ids follow the ``str`` order of the ``(key, bits)`` items,
-        # spelled out as ``str`` would.  A destination set's repr follows
-        # its iteration order, which depends on how the set was built.
-        items = list(acc.items())
-        text = [
-            f"(({src!r}, {dests!r}, {tag!r}), {bits!r})"
-            for (src, dests, tag), bits in items
-        ]
-        keyed = [items[k] for k in sorted(range(len(items)), key=text.__getitem__)]
-        return [
-            Message(
-                src=src,
-                dests=tuple(sorted(dests)),
-                size_bits=bits,
-                tag=tag,
-                msg_id=msg_id,
-            )
-            for msg_id, ((src, dests, tag), bits) in enumerate(keyed)
-        ]
-
-    def _add(
-        self,
-        acc: dict[tuple[int, frozenset[int], str], int],
-        src: int,
-        dests: set[int],
-        bits: int,
-        tag: str,
-    ) -> None:
-        dests = dests - {src}
-        if not dests or bits <= 0:
-            return
-        acc[(src, frozenset(dests), tag)] += bits
+            legs += [self._leg_into_e(i, dout), self._leg_partial_sums(i, dout)]
+            if i < num_layers:  # the last E stage feeds the loss turnaround
+                legs.append(self._leg_e_out(i, dout))
+            if self.training:
+                legs += [
+                    self._leg_e_to_be(i, dout, gradient=(i == num_layers)),
+                    self._leg_partial_sums(i, dout, backward=True),
+                    self._leg_be_to_bv(i, dout),
+                ]
+            if self.training and i > 1:
+                legs.append(self._leg_into_e(i, din, backward=True))
+        return _coalesce(legs, self._num_ids)
 
     # ------------------------------------------------------------------
-    # Legs (numpy group-by)
+    # Legs
     # ------------------------------------------------------------------
-    def _vec_leg_into_e(self, acc, layer: int, width: int, backward: bool) -> None:
+    def _leg_into_e(self, layer: int, width: int, backward: bool = False) -> _Leg:
         """Rows into an E-type stage: Vi->Ei, or BVi->BEi-1 for gradients."""
         idx = self._index
         if backward:
             src_routers = self.stage_map.routers(f"BV{layer}")
-            dest_groups = self._block_routers_by(layer - 1, transposed=True, axis="row")
-            groups = idx.occupied_rows
-            tag = f"BV{layer}->BE{layer - 1}"
+            ptr, routers = self._block_routers_by(layer - 1, True, "row")
+            groups, tag = idx.occupied_rows, f"BV{layer}->BE{layer - 1}"
         else:
             src_routers = self.stage_map.routers(f"V{layer}")
-            dest_groups = self._block_routers_by(layer, transposed=False, axis="col")
-            groups = idx.occupied_cols
-            tag = f"V{layer}->E{layer}"
-        bounds, los, his, firsts, lasts = self._chunk_spans(src_routers, groups)
+            ptr, routers = self._block_routers_by(layer, False, "col")
+            groups, tag = idx.occupied_cols, f"V{layer}->E{layer}"
+        bounds, los, his, firsts, stops = self._chunk_spans(src_routers, groups)
         # When an E stage's block set exceeds its crossbar budget, blocks
         # are processed in rounds over disjoint block-COLUMN ranges, so
         # each input row is still delivered once (to the round that owns
-        # its column group).
-        factor = width * self.data_bits
-        if factor <= 0:
-            return
-        bounds = bounds.tolist()
-        for dests, lo, hi, first, last in zip(
-            dest_groups, los.tolist(), his.tolist(), firsts.tolist(), lasts.tolist()
-        ):
-            # ``frozenset(dests - {src})`` is built the same way, with the
-            # same iteration order, for every source outside ``dests``.
-            outside = None
-            for c in range(first, last + 1):
-                rows = min(hi, bounds[c + 1]) - max(lo, bounds[c])
-                if rows <= 0:
-                    continue
-                src = src_routers[c]
-                if src in dests:
-                    key = frozenset(dests - {src})
-                    if not key:
-                        continue
-                else:
-                    if outside is None:
-                        outside = frozenset(dests - {src})
-                    key = outside
-                acc[(src, key, tag)] += rows * factor
+        # its column group).  Each (group, source chunk) pair is one row.
+        group, chunk = csr_spans(firsts, stops)
+        lo = np.maximum(los[group], bounds[chunk])
+        rows = np.maximum(np.minimum(his[group], bounds[chunk + 1]) - lo, 0)
+        entry_row, at = csr_spans(ptr[group], ptr[group + 1])
+        bits = rows * max(width * self.data_bits, 0)
+        return tag, np.asarray(src_routers)[chunk], bits, entry_row, routers[at]
 
-    def _vec_leg_partial_sums(self, acc, layer: int, dout: int, backward: bool) -> None:
+    def _leg_partial_sums(self, layer: int, dout: int, backward: bool = False) -> _Leg:
         """Within-stage reduction: partial block products to the row home.
 
         Every router holding a block of a group sends the group's rows
-        once to the group's home.  The keys are single-destination, so
-        the (router, home) volumes are summed in numpy and added once.
+        once to the group's home.
         """
         idx = self._index
         stage = f"BE{layer}" if backward else f"E{layer}"
-        placement = self._placement(layer, backward=backward)
-        num_ids = max(placement.routers) + 1
         # Which routers hold a block of which group, each pair once.
-        pairs = np.sort(
-            (idx.bcs if backward else idx.brs) * num_ids
-            + placement.block_routers(idx.brs, idx.bcs)
+        pairs = distinct(
+            (idx.bcs if backward else idx.brs) * self._num_ids
+            + self._placement(layer, backward).block_routers(idx.brs, idx.bcs)
         )
-        first = np.ones(pairs.size, dtype=bool)
-        first[1:] = pairs[1:] != pairs[:-1]
-        groups, srcs = np.divmod(pairs[first], num_ids)
-        routers = np.asarray(placement.routers)
-        homes = routers[groups % len(routers)]
-        los = groups * self.block_size
-        bits = (np.minimum(los + self.block_size, self.num_nodes) - los) * (
-            dout * self.data_bits
-        )
-        keep = (srcs != homes) & (bits > 0)
-        links, inverse = np.unique(
-            srcs[keep] * num_ids + homes[keep], return_inverse=True
-        )
-        totals = np.zeros(links.size, dtype=np.int64)
-        np.add.at(totals, inverse, bits[keep])
-        tag = f"{stage}->{stage}"
-        for link, total in zip(links.tolist(), totals.tolist()):
-            src, home = divmod(link, num_ids)
-            acc[(src, frozenset((home,)), tag)] += total
+        groups, srcs = np.divmod(pairs, self._num_ids)
+        los, his = self._group_rows(groups)
+        bits = (his - los) * (dout * self.data_bits)
+        homes = self._homes(stage, groups)
+        return f"{stage}->{stage}", srcs, bits, np.arange(srcs.size), homes
 
-    def _vec_leg_e_out(self, acc, layer: int, dout: int, is_last: bool) -> None:
+    def _leg_e_out(self, layer: int, dout: int) -> _Leg:
         """Ei -> Vi+1 (and BVi+1): aggregated rows fan out (multicast)."""
-        if is_last:
-            return  # the last E stage feeds the loss turnaround instead
-        idx = self._index
-        e_routers = self.stage_map.routers(f"E{layer}")
-        num_e = len(e_routers)
-        v_next = self.stage_map.routers(f"V{layer + 1}")
-        bv_next = (
-            self.stage_map.routers(f"BV{layer + 1}") if self.training else ()
-        )
-        groups = idx.occupied_rows
-        _, los, his, v_firsts, v_lasts = self._chunk_spans(v_next, groups)
-        if bv_next:
-            _, _, _, bv_firsts, bv_lasts = self._chunk_spans(bv_next, groups)
-        tag = f"E{layer}->V{layer + 1}"
-        factor = dout * self.data_bits
-        for k, br in enumerate(groups.tolist()):
-            src = e_routers[br % num_e]
-            dests = set(v_next[int(v_firsts[k]):int(v_lasts[k]) + 1])
-            if bv_next:
-                dests |= set(bv_next[int(bv_firsts[k]):int(bv_lasts[k]) + 1])
-            self._add(acc, src, dests, int(his[k] - los[k]) * factor, tag)
+        groups = self._index.occupied_rows
+        stages = (f"V{layer + 1}", f"BV{layer + 1}")[:1 + self.training]
+        owners = zip(*(self._owners(stage, groups) for stage in stages))
+        rows, dests = (np.concatenate(column) for column in owners)
+        los, his = self._group_rows(groups)
+        bits = (his - los) * (dout * self.data_bits)
+        src = self._homes(f"E{layer}", groups)
+        return f"E{layer}->V{layer + 1}", src, bits, rows, dests
 
-    def _vec_leg_e_to_be(self, acc, layer: int, dout: int, gradient: bool) -> None:
+    def _leg_e_to_be(self, layer: int, dout: int, gradient: bool) -> _Leg:
         """Ei -> BEi: ReLU masks (plus the loss gradient at the last layer)."""
-        idx = self._index
-        e_routers = self.stage_map.routers(f"E{layer}")
-        num_e = len(e_routers)
-        dest_groups = self._block_routers_by(layer, transposed=True, axis="row")
-        bits_per_value = self.data_bits + 1 if gradient else 1
-        tag = f"E{layer}->BE{layer}"
-        factor = dout * bits_per_value
-        for k, br in enumerate(idx.occupied_rows.tolist()):
-            lo, hi = self._group_rows(br)
-            src = e_routers[br % num_e]
-            self._add(acc, src, dest_groups[k], (hi - lo) * factor, tag)
+        groups = self._index.occupied_rows
+        ptr, routers = self._block_routers_by(layer, True, "row")
+        entry_row, at = csr_spans(ptr[:-1], ptr[1:])
+        los, his = self._group_rows(groups)
+        bits = (his - los) * (dout * (self.data_bits + 1 if gradient else 1))
+        src = self._homes(f"E{layer}", groups)
+        return f"E{layer}->BE{layer}", src, bits, entry_row, routers[at]
 
-    def _vec_leg_be_to_bv(self, acc, layer: int, dout: int) -> None:
+    def _leg_be_to_bv(self, layer: int, dout: int) -> _Leg:
         """BEi -> BVi: back-propagated rows to their chunk owners."""
-        idx = self._index
-        be_routers = self.stage_map.routers(f"BE{layer}")
-        num_be = len(be_routers)
-        bv_routers = self.stage_map.routers(f"BV{layer}")
-        groups = idx.occupied_cols
-        _, los, his, firsts, lasts = self._chunk_spans(bv_routers, groups)
-        tag = f"BE{layer}->BV{layer}"
-        factor = dout * self.data_bits
-        for k, bc in enumerate(groups.tolist()):
-            src = be_routers[bc % num_be]
-            dests = set(bv_routers[int(firsts[k]):int(lasts[k]) + 1])
-            self._add(acc, src, dests, int(his[k] - los[k]) * factor, tag)
+        groups = self._index.occupied_cols
+        entry_row, dests = self._owners(f"BV{layer}", groups)
+        los, his = self._group_rows(groups)
+        bits = (his - los) * (dout * self.data_bits)
+        src = self._homes(f"BE{layer}", groups)
+        return f"BE{layer}->BV{layer}", src, bits, entry_row, dests
 
     # ------------------------------------------------------------------
     # Aggregates
     # ------------------------------------------------------------------
     def leg_volumes(self) -> dict[tuple[str, str], float]:
         """Total bits per (src_stage, dst_stage) leg — the SA cost weights."""
-        volumes: dict[tuple[str, str], float] = defaultdict(float)
-        for msg in self.messages():
-            src_stage, dst_stage = msg.tag.split("->")
-            volumes[(src_stage, dst_stage)] += msg.size_bits
+        table = self.messages()
+        totals = np.bincount(table.tag, weights=table.bits, minlength=len(table.tags))
+        volumes: dict[tuple[str, str], float] = {}
+        for code in dict.fromkeys(table.tag.tolist()):
+            src_stage, dst_stage = table.tags[code].split("->")
+            volumes[(src_stage, dst_stage)] = float(totals[code])
             if dst_stage.startswith("V"):
                 # The same messages also reach BV{i+1} (saved activations);
                 # credit that leg so the annealer pulls it close too.
-                volumes[(src_stage, "B" + dst_stage)] += msg.size_bits
-        return dict(volumes)
+                volumes[(src_stage, "B" + dst_stage)] = float(totals[code])
+        return volumes
 
     def multicast_degree(self) -> float:
         """Mean destination count per message (diagnostic)."""
-        msgs = self.messages()
-        if not msgs:
-            return 0.0
-        return float(np.mean([len(m.dests) for m in msgs]))
+        fanout = np.diff(self.messages().dest_ptr)
+        return float(np.mean(fanout)) if fanout.size else 0.0
+
+
+def _coalesce(legs: list[_Leg], num_ids: int) -> MessageTable:
+    """The legs' rows as one canonically numbered, coalesced table."""
+    names, srcs, bits, rows, dests = zip(*legs)
+    tags = sorted(set(names))
+    sizes = [leg_src.size for leg_src in srcs]
+    tag = np.repeat([tags.index(name) for name in names], sizes)
+    offsets = np.cumsum([0, *sizes[:-1]])
+    rows = np.concatenate([leg_rows + off for leg_rows, off in zip(rows, offsets)])
+    src, bits, dests = np.concatenate(srcs), np.concatenate(bits), np.concatenate(dests)
+    # One entry per (row, destination), sorted; no row sends to its source.
+    rows, dests = np.divmod(distinct(rows * num_ids + dests), num_ids)
+    own = dests == src[rows]
+    fanout = np.bincount(rows[~own], minlength=src.size)
+    live = (fanout > 0) & (bits > 0)
+    ptr = np.concatenate(([0], np.cumsum(fanout[live])))
+    src, bits, tag, dests = src[live], bits[live], tag[live], dests[~own & live[rows]]
+    # Rank by (src, dests, tag), tag codes in tag-name order; equal keys merge.
+    keys = np.column_stack((src, padded_rows(ptr, dests), tag))
+    order = np.lexsort(keys.T[::-1])
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(np.diff(keys[order], axis=0) != 0, axis=1)
+    rep = order[first]
+    _, at = csr_spans(ptr[rep], ptr[rep + 1])
+    return MessageTable(
+        src=src[rep],
+        dest_ptr=np.concatenate(([0], np.cumsum(np.diff(ptr)[rep]))),
+        dests=dests[at],
+        bits=np.add.reduceat(bits[order], np.flatnonzero(first)),
+        inject=np.zeros(rep.size, dtype=np.int64),
+        tag=tag[rep],
+        tags=tuple(tags),
+        msg_id=np.arange(rep.size),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -462,20 +386,23 @@ class NoCValidation:
 def cross_validate_traffic(
     topo,
     noc_config,
-    messages: list[Message],
+    messages: MessageTable | list[Message],
 ) -> NoCValidation:
     """Check a message set against both NoC models (paper Sec. V.A).
 
     Runs the static conflict-free schedule analyzer and the event-driven
     flit-level simulator (affordable even on full GNN traffic sets) over
-    the same unicast expansion and reports how closely
-    they agree.  Used by the integration suite and NoC-scaling studies to
-    confirm the scheduler's contention model on real pipeline traffic.
+    the same unicast expansion and reports how closely they agree (a
+    table reaches the simulator as its messages).  Used by the integration
+    suite and NoC-scaling studies to confirm the scheduler's contention
+    model on real pipeline traffic.
     """
     from repro.noc.schedule import StaticScheduler
     from repro.noc.simulator import FlitSimulator
 
     static = StaticScheduler(topo, noc_config).simulate(messages, multicast=False)
+    if isinstance(messages, MessageTable):
+        messages = messages.to_messages()
     simulated = FlitSimulator(topo, noc_config).simulate(messages)
     return NoCValidation(
         static_makespan_cycles=static.makespan_cycles,

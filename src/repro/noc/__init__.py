@@ -4,7 +4,9 @@ two complementary performance models.
 * :mod:`repro.noc.schedule` — the paper's methodology: traffic is statically
   scheduled, conflict-free, deterministic (Sec. V.A).  The scheduler
   serializes wormhole packets over shared links and reports makespan,
-  per-message latency, link loads, and energy.
+  per-message latency, link loads, and energy.  It reads message sets as
+  :class:`repro.noc.packet.MessageTable` columns, the form the GNN
+  traffic model produces.
 * :mod:`repro.noc.simulator` — a flit-level wormhole simulator used to
   validate the static scheduler.  It runs on the event-driven engine
   (:mod:`repro.noc.events`, cost scales with flit-hops); the cycle-stepped
@@ -23,7 +25,7 @@ from repro.noc.analysis import (
     latency_throughput_sweep,
     saturation_rate,
 )
-from repro.noc.packet import Message
+from repro.noc.packet import Message, MessageTable
 from repro.noc.routing import dimension_order_route
 from repro.noc.events import EventEngine, ExpandedPacket
 from repro.noc.schedule import NoCConfig, ScheduleResult, StaticScheduler
@@ -45,6 +47,7 @@ __all__ = [
     "Mesh3D",
     "Mesh2D",
     "Message",
+    "MessageTable",
     "dimension_order_route",
     "NoCConfig",
     "StaticScheduler",

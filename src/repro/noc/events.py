@@ -47,7 +47,6 @@ import heapq
 from dataclasses import dataclass
 
 from repro.noc.schedule import NoCConfig
-from repro.noc.topology import Mesh3D
 
 #: Event kinds; ``FREE`` and ``ARRIVE`` at the same cycle are ingested
 #: together before any grant, so their relative heap order is irrelevant.
@@ -83,8 +82,7 @@ class _Flight:
 class EventEngine:
     """Priority-queue simulation of the deterministic wormhole model."""
 
-    def __init__(self, topo: Mesh3D, config: NoCConfig) -> None:
-        self.topo = topo
+    def __init__(self, config: NoCConfig) -> None:
         self.config = config
 
     def run(

@@ -13,8 +13,10 @@ Multicast packets traverse their XYZ tree once, forking at branch routers;
 unicast mode replicates one packet per destination.
 
 Links are dense ids ``router * PORTS + port`` (:mod:`repro.noc.topology`),
-so per-link free cycles and flit counts are flat arrays.  Messages are
-scheduled in blocks of :data:`ROUTE_BLOCK`: :func:`~repro.noc.routing.link_paths`
+so per-link free cycles and flit counts are flat arrays.  Messages arrive
+as a :class:`~repro.noc.packet.MessageTable` (a list is converted once),
+are ordered by one ``np.lexsort`` and scheduled in blocks of
+:data:`ROUTE_BLOCK` rows read from its columns: :func:`~repro.noc.routing.link_paths`
 builds the block's link-id routes in numpy, and each packet tree is
 deduplicated there into links that each know their one parent link
 (dimension-order routes from one source are prefix-closed).  Only the
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.noc.packet import Message
+from repro.noc.packet import Message, MessageTable, csr_spans, padded_rows
 from repro.noc.routing import RoutePlan, link_paths, route_plan
 from repro.noc.stats import LinkLoads
 from repro.noc.topology import PORTS, Mesh3D
@@ -131,17 +133,22 @@ class StaticScheduler:
         self.topo = topo
         self.config = config or NoCConfig()
 
-    def simulate(self, messages: list[Message], multicast: bool = True) -> ScheduleResult:
+    def simulate(
+        self, messages: MessageTable | list[Message], multicast: bool = True
+    ) -> ScheduleResult:
         """Schedule ``messages`` and return timing/energy statistics.
 
         Each packet reserves its link tree around earlier reservations, a
         link starting ``hop_cycles`` after its parent (wormhole pipelining):
         conflict-free without in-network buffering, as in the paper.
+        Messages go in order of (injection cycle, source, destinations as
+        a tuple, message id).
 
         Args:
-            messages: the transfer set; multi-destination messages use a
-                multicast tree when ``multicast`` is True, otherwise they
-                are expanded into one unicast packet per destination.
+            messages: the transfer set, as a table or a list (converted
+                once); multi-destination messages use a multicast tree when
+                ``multicast`` is True, otherwise they are expanded into one
+                unicast packet per destination.
             multicast: select tree-multicast vs. unicast routing.
         """
         cfg, topo = self.config, self.topo
@@ -149,12 +156,14 @@ class StaticScheduler:
         atomic, hop = cfg.schedule_mode == "atomic", cfg.hop_cycles
         link_free = [0] * (topo.num_routers * PORTS)
         load = np.zeros(topo.num_routers * PORTS, dtype=np.int64)
-        ordered = sorted(
-            messages, key=lambda m: (m.inject_cycle, m.src, m.dests, m.msg_id)
-        )
+        table = messages
+        if not isinstance(table, MessageTable):
+            table = MessageTable.from_messages(messages)
+        padded = padded_rows(table.dest_ptr, table.dests)
+        order = np.lexsort((table.msg_id, *padded.T[::-1], table.src, table.inject))
         lasts: list[int] = []
-        for lo in range(0, len(ordered), ROUTE_BLOCK):
-            trees = _Trees(plan, ordered[lo:lo + ROUTE_BLOCK], multicast, cfg)
+        for lo in range(0, order.size, ROUTE_BLOCK):
+            trees = _Trees(plan, table, order[lo:lo + ROUTE_BLOCK], multicast, cfg)
             lids = trees.lids.tolist()
             slot_flits = np.repeat(trees.flits, np.diff(trees.bounds))
             if atomic:
@@ -195,15 +204,14 @@ class StaticScheduler:
             tails = ends + trees.flits - 1
             lasts.extend(np.maximum.reduceat(tails, trees.msg_trees).tolist())
 
-        finish: dict[int, int] = {}
         tag_finish: dict[str, int] = {}
-        for msg, last in zip(ordered, lasts):
-            finish[msg.msg_id] = last
-            if msg.tag:
-                tag_finish[msg.tag] = max(tag_finish.get(msg.tag, 0), last)
+        for code, last in zip(table.tag[order].tolist(), lasts):
+            tag = table.tags[code]
+            if tag and tag_finish.get(tag, -1) < last:
+                tag_finish[tag] = last
         return ScheduleResult(
             makespan_cycles=max(lasts, default=0),
-            message_finish=finish,
+            message_finish=dict(zip(table.msg_id[order].tolist(), lasts)),
             link_loads=tuple(load.tolist()),
             topo=topo,
             config=self.config,
@@ -212,7 +220,7 @@ class StaticScheduler:
 
 
 class _Trees:
-    """The packet trees of a block of ordered messages, as flat arrays.
+    """The packet trees of table rows ``rows``, in order, as flat arrays.
 
     One packet per message (its multicast tree) or, without multicast,
     one per destination; message ``m``'s trees start at ``msg_trees[m]``.
@@ -226,18 +234,23 @@ class _Trees:
     """
 
     def __init__(
-        self, plan: RoutePlan, block: list[Message], multicast: bool, cfg: NoCConfig
+        self,
+        plan: RoutePlan,
+        table: MessageTable,
+        rows: np.ndarray,
+        multicast: bool,
+        cfg: NoCConfig,
     ) -> None:
-        fanout = [len(m.dests) for m in block]
-        dsts = [d for m in block for d in m.dests]
-        srcs = np.repeat([m.src for m in block], fanout)
+        fanout = np.diff(table.dest_ptr)[rows]
+        msg, at = csr_spans(table.dest_ptr[rows], table.dest_ptr[rows + 1])
+        srcs, dsts = table.src[rows][msg], table.dests[at]
         ids, offsets = link_paths(plan, srcs, dsts, cfg.model_local_ports)
-        per_msg = np.ones(len(block), dtype=np.int64) if multicast else fanout
+        per_msg = np.ones(rows.size, dtype=np.int64) if multicast else fanout
         self.msg_trees = np.cumsum(per_msg) - per_msg
-        self.flits = np.repeat([m.num_flits(cfg.flit_bits) for m in block], per_msg)
-        self.inject = np.repeat([m.inject_cycle for m in block], per_msg)
+        self.flits = np.repeat(1 + -(-table.bits[rows] // cfg.flit_bits), per_msg)
+        self.inject = np.repeat(table.inject[rows], per_msg)
         route = np.repeat(np.arange(len(dsts)), np.diff(offsets))
-        tree = np.repeat(np.arange(len(block)), fanout)[route] if multicast else route
+        tree = msg[route] if multicast else route
         # Each (tree, link) pair's first occurrence, in path order, is a slot.
         keys = tree * (plan[0] * PORTS) + ids
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

@@ -89,7 +89,7 @@ class FlitSimulator:
         """
         cfg, topo = self.config, self.topo
         loads = [0] * (topo.num_routers * PORTS)
-        finish = EventEngine(topo, cfg).run(self._expand(messages), loads, max_cycles)
+        finish = EventEngine(cfg).run(self._expand(messages), loads, max_cycles)
         return SimulationResult(
             makespan_cycles=max(finish.values(), default=0),
             message_finish=finish,

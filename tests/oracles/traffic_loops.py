@@ -11,9 +11,12 @@ model passed as an argument), so the differential tests in
 ``benchmarks/test_bench_mapping.py``) can assert bit-identical message
 ids, ordering and contents.
 
-Only the leg-independent helpers are shared with the library: the stage
-placement (``_placement``), row-range arithmetic (``_group_rows``,
-``_chunk_bounds``) and message coalescing (``_add``).
+Only the stage placement (``_placement``) and the chunk boundaries
+(``_chunk_bounds``) are shared with the library.  The scalar row range
+(``_group_rows``) and the dict coalescing (``_add``) are kept here: the
+library builds whole legs as arrays and coalesces them in numpy.
+Messages are numbered by rank of ``(src, sorted dests, tag)``, the
+library's canonical numbering.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ def messages(model: GNNTrafficModel) -> list[Message]:
         if i > 1:
             _leg_into_e(model, index, acc, i, din, backward=True)
     messages: list[Message] = []
-    for msg_id, ((src, dests, tag), bits) in enumerate(sorted(acc.items(), key=str)):
+    ordered = sorted(acc.items(), key=_canonical)
+    for msg_id, ((src, dests, tag), bits) in enumerate(ordered):
         messages.append(
             Message(
                 src=src,
@@ -80,6 +84,25 @@ def messages(model: GNNTrafficModel) -> list[Message]:
             )
         )
     return messages
+
+
+def _canonical(item) -> tuple:
+    (src, dests, tag), _ = item
+    return src, tuple(sorted(dests)), tag
+
+
+def _add(acc, src: int, dests: set[int], bits: int, tag: str) -> None:
+    dests = dests - {src}
+    if not dests or bits <= 0:
+        return
+    acc[(src, frozenset(dests), tag)] += bits
+
+
+def _group_rows(model: GNNTrafficModel, group: int) -> tuple[int, int]:
+    """Row range [lo, hi) covered by block group ``group``."""
+    lo = group * model.block_size
+    hi = min(lo + model.block_size, model.num_nodes)
+    return lo, hi
 
 
 # ----------------------------------------------------------------------
@@ -172,10 +195,10 @@ def _leg_into_e(
         partners_of = index.brs_by_col
         tag = f"V{layer}->E{layer}"
     for g in groups:
-        lo, hi = model._group_rows(int(g))
+        lo, hi = _group_rows(model, int(g))
         dests = input_dests(placement, int(g), partners_of[int(g)])
         for router, rows in _chunks_overlapping(model, src_routers, lo, hi):
-            model._add(
+            _add(
                 acc,
                 router,
                 dests,
@@ -200,10 +223,10 @@ def _leg_partial_sums(
         stage = f"E{layer}"
     tag = f"{stage}->{stage}"
     for g in groups:
-        lo, hi = model._group_rows(int(g))
+        lo, hi = _group_rows(model, int(g))
         home = row_home(placement, int(g))
         for src in partial_sources(placement, int(g), partners_of[int(g)]):
-            model._add(acc, src, {home}, (hi - lo) * dout * model.data_bits, tag)
+            _add(acc, src, {home}, (hi - lo) * dout * model.data_bits, tag)
 
 
 def _leg_e_out(
@@ -219,12 +242,12 @@ def _leg_e_out(
         model.stage_map.routers(f"BV{layer + 1}") if model.training else ()
     )
     for br in index.occupied_rows:
-        lo, hi = model._group_rows(int(br))
+        lo, hi = _group_rows(model, int(br))
         src = row_home(placement, int(br))
         dests = _owners(model, v_next, lo, hi)
         if bv_next:
             dests |= _owners(model, bv_next, lo, hi)
-        model._add(
+        _add(
             acc,
             src,
             dests,
@@ -242,10 +265,10 @@ def _leg_e_to_be(
     be_placement = model._placement(layer, backward=True)
     bits_per_value = model.data_bits + 1 if gradient else 1
     for br in index.occupied_rows:
-        lo, hi = model._group_rows(int(br))
+        lo, hi = _group_rows(model, int(br))
         src = row_home(placement, int(br))
         dests = input_dests(be_placement, int(br), index.bcs_by_row[int(br)])
-        model._add(
+        _add(
             acc,
             src,
             dests,
@@ -261,10 +284,10 @@ def _leg_be_to_bv(
     placement = model._placement(layer, backward=True)
     bv_routers = model.stage_map.routers(f"BV{layer}")
     for bc in index.occupied_cols:
-        lo, hi = model._group_rows(int(bc))
+        lo, hi = _group_rows(model, int(bc))
         src = row_home(placement, int(bc))
         dests = _owners(model, bv_routers, lo, hi)
-        model._add(
+        _add(
             acc,
             src,
             dests,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.campaign.analysis import campaign_table
 from repro.campaign.executor import (
+    GraphMemo,
     ProgressEvent,
     evaluate_scenario,
     run_campaign,
@@ -170,7 +171,7 @@ class TestProgressEvents:
 
 
 class TestProgressAndExport:
-    def test_progress_reports_every_scenario(self, store):
+    def test_progress_reports_every_scenario(self, first_run, store):
         lines = []
         run_scenarios(
             SCENARIOS, store=store, on_event=lambda e: lines.append(e.render())
@@ -248,24 +249,61 @@ class TestGraphReuse:
         assert _timeless(pooled.records) == _timeless(reuse_inline.records)
 
 
-@pytest.fixture
-def builds(monkeypatch):
-    """Count graph generations and partitions made by ``build_workload``."""
-    import repro.core.accelerator as accelerator
-
-    counts = {"load_dataset": 0, "partition_graph": 0}
-    for name in counts:
-        original = getattr(accelerator, name)
+def _count_calls(monkeypatch, owners: dict) -> dict[str, int]:
+    """Wrap ``getattr(owners[name], name)`` for each name; count its calls."""
+    counts = dict.fromkeys(owners, 0)
+    for name, owner in owners.items():
+        original = getattr(owner, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(accelerator, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Count graph generations and partitions made by ``build_workload``."""
+    import repro.core.accelerator as accelerator
+
+    owners = {"load_dataset": accelerator, "partition_graph": accelerator}
+    return _count_calls(monkeypatch, owners)
+
+
+@pytest.fixture
+def tilings(monkeypatch):
+    """Count the sub-graphs and block tilings ``build_workload`` makes."""
+    import repro.core.accelerator as accelerator
+    from repro.graph.clustering import ClusterBatcher
+
+    owners = {"first_batch": ClusterBatcher, "block_tile_adjacency": accelerator}
+    return _count_calls(monkeypatch, owners)
+
+
 class TestBuildCount:
+    def test_architecture_sweep_tiles_once(self, tilings):
+        spec = get_preset("nocscale")
+        tiny = replace(spec, base=replace(spec.base, scale=0.005))
+        assert run_campaign(tiny).misses == len(tiny) > 1
+        assert tilings == {"first_batch": 1, "block_tile_adjacency": 1}
+
+    def test_crossbar_size_retiles(self, tilings):
+        """Another E-tile crossbar size tiles again; the memo keeps both."""
+        from repro.core.config import ReGraphXConfig
+        from repro.reram.tile import e_tile_spec
+
+        tile = e_tile_spec()
+        wide_ima = replace(tile.ima, crossbar_size=16)
+        wide = ReGraphXConfig(e_tile=replace(tile, ima=wide_ima))
+        sweep = [Scenario(dataset="ppi", scale=0.005, tiers=t) for t in (2, 3)]
+        memo = GraphMemo()
+        for base in (None, wide, None):
+            for scenario in sweep:
+                evaluate_scenario(scenario, base, graphs=memo)
+        assert tilings == {"first_batch": 2, "block_tile_adjacency": 2}
+
     def test_architecture_sweep_builds_once(self, builds):
         spec = get_preset("nocscale")
         tiny = replace(spec, base=replace(spec.base, scale=0.005))

@@ -43,7 +43,7 @@ class TestGridShape:
 
 class TestTrafficModel:
     def test_messages_valid(self, traffic_model):
-        msgs = traffic_model.messages()
+        msgs = traffic_model.messages().to_messages()
         assert len(msgs) > 100
         ids = [m.msg_id for m in msgs]
         assert len(set(ids)) == len(ids)
@@ -53,7 +53,7 @@ class TestTrafficModel:
     ):
         sm = traffic_model.stage_map
         stage_routers = {s: set(sm.routers(s)) for s in sm.stages}
-        for msg in traffic_model.messages():
+        for msg in traffic_model.messages().to_messages():
             src_stage, dst_stage = msg.tag.split("->")
             assert msg.src in stage_routers[src_stage], msg.tag
             if src_stage != dst_stage and not dst_stage.startswith("V"):
@@ -64,7 +64,9 @@ class TestTrafficModel:
     def test_v_to_e_volume_conservation(self, traffic_model, ppi_workload):
         """Every updated feature row is shipped exactly once: the V1->E1 leg
         carries n x dout x 16 bits in total."""
-        msgs = [m for m in traffic_model.messages() if m.tag == "V1->E1"]
+        msgs = [
+            m for m in traffic_model.messages().to_messages() if m.tag == "V1->E1"
+        ]
         total = sum(m.size_bits for m in msgs)
         n = ppi_workload.num_nodes_per_input
         dout = ppi_workload.layer_dims[0][1]
@@ -76,7 +78,7 @@ class TestTrafficModel:
         assert total == covered_rows * dout * 16
 
     def test_all_expected_legs_present(self, traffic_model, accelerator):
-        tags = {m.tag for m in traffic_model.messages()}
+        tags = {m.tag for m in traffic_model.messages().to_messages()}
         L = accelerator.config.num_layers
         for i in range(1, L + 1):
             assert f"V{i}->E{i}" in tags
@@ -91,7 +93,7 @@ class TestTrafficModel:
     def test_multicast_degree_bounded_by_grid(self, traffic_model):
         """Input-distribution legs multicast to at most grid-column size."""
         a, _ = _grid_shape(16)
-        for msg in traffic_model.messages():
+        for msg in traffic_model.messages().to_messages():
             if msg.tag.startswith("V") and "->E" in msg.tag:
                 assert len(msg.dests) <= a
 
@@ -111,9 +113,9 @@ class TestTrafficModel:
             ppi_workload.num_nodes_per_input,
             ppi_workload.layer_dims,
         )
-        a = [(m.src, m.dests, m.size_bits, m.tag) for m in traffic_model.messages()]
-        b = [(m.src, m.dests, m.size_bits, m.tag) for m in again.messages()]
-        assert a == b
+        assert _message_tuples(traffic_model.messages().to_messages()) == (
+            _message_tuples(again.messages().to_messages())
+        )
 
     def test_validation(self, accelerator, ppi_workload):
         sm = contiguous_mapping(accelerator.config)
@@ -136,7 +138,7 @@ class TestVectorizedEngine:
     ``tests/oracles/traffic_loops.py``: bit-identical."""
 
     def test_matches_loop_engine(self, traffic_model):
-        vectorized = traffic_model.messages()
+        vectorized = traffic_model.messages().to_messages()
         loop = oracle.messages(traffic_model)
         assert _message_tuples(vectorized) == _message_tuples(loop)
 
@@ -149,7 +151,7 @@ class TestVectorizedEngine:
             ppi_workload.layer_dims,
             training=False,
         )
-        assert _message_tuples(model.messages()) == _message_tuples(
+        assert _message_tuples(model.messages().to_messages()) == _message_tuples(
             oracle.messages(model)
         )
 
@@ -162,7 +164,7 @@ class TestVectorizedEngine:
             ppi_workload.num_nodes_per_input,
             ppi_workload.layer_dims,
         )
-        assert _message_tuples(model.messages()) == _message_tuples(
+        assert _message_tuples(model.messages().to_messages()) == _message_tuples(
             oracle.messages(model)
         )
 
@@ -176,7 +178,7 @@ class TestVectorizedEngine:
             ppi_workload.num_nodes_per_input,
             ppi_workload.layer_dims,
         )
-        assert _message_tuples(model.messages()) == _message_tuples(
+        assert _message_tuples(model.messages().to_messages()) == _message_tuples(
             oracle.messages(model)
         )
 
@@ -222,23 +224,9 @@ class TestVectorizedEngine:
             list(zip(dims[:num_layers], dims[1:num_layers + 1])),
             training=training,
         )
-        assert _message_tuples(model.messages()) == _message_tuples(
+        assert _message_tuples(model.messages().to_messages()) == _message_tuples(
             oracle.messages(model)
         )
-
-
-    @given(
-        routers=st.lists(st.integers(0, 600), min_size=1, max_size=40),
-        outsiders=st.lists(st.integers(601, 1200), min_size=2, max_size=4),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_destination_set_built_once_per_group(self, routers, outsiders):
-        """The into-E leg reuses one ``frozenset(dests - {src})`` for every
-        source outside ``dests``: it must iterate (and so print and sort)
-        exactly like the set built for each source separately."""
-        dests = set(routers)
-        built = [repr(frozenset(dests - {src})) for src in outsiders]
-        assert len(set(built)) == 1
 
 
 class TestPipelineModel:

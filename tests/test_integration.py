@@ -127,7 +127,7 @@ class TestNoCModelAgreement:
             ppi_workload.layer_dims,
         )
         # Subsample one leg to keep the flit-level run fast.
-        msgs = [m for m in traffic.messages() if m.tag == "E1->V2"][:40]
+        msgs = [m for m in traffic.messages().to_messages() if m.tag == "E1->V2"][:40]
         assert msgs
         cfg = accelerator.config.noc
         sched = StaticScheduler(accelerator.config.topology, cfg)
@@ -172,7 +172,7 @@ class TestNoCModelAgreement:
             ppi_workload.num_nodes_per_input,
             ppi_workload.layer_dims,
         )
-        msgs = traffic.messages()[:200]
+        msgs = traffic.messages().to_messages()[:200]
         topo = accelerator.config.topology
         pipelined = StaticScheduler(topo, NoCConfig(schedule_mode="pipelined"))
         atomic = StaticScheduler(topo, NoCConfig(schedule_mode="atomic"))
