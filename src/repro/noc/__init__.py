@@ -26,7 +26,6 @@ from repro.noc.analysis import (
     saturation_rate,
 )
 from repro.noc.packet import Message, MessageTable
-from repro.noc.routing import dimension_order_route
 from repro.noc.events import EventEngine, ExpandedPacket
 from repro.noc.schedule import NoCConfig, ScheduleResult, StaticScheduler
 from repro.noc.simulator import FlitSimulator, SimulationResult
@@ -48,7 +47,6 @@ __all__ = [
     "Mesh2D",
     "Message",
     "MessageTable",
-    "dimension_order_route",
     "NoCConfig",
     "StaticScheduler",
     "ScheduleResult",

@@ -10,12 +10,12 @@ own route), so every link of such a tree has exactly one parent link.
 
 Every route is one stride walk: at most one straight segment per axis,
 leaving the routers ``range(start, stop, ±stride)`` through one mesh port.
-:func:`dimension_order_route` walks one route as routers.
 :func:`link_paths` builds a whole batch of routes at once as dense link
 ids (:mod:`repro.noc.topology`) in numpy: every segment of every route is
 one arithmetic run of ids, and the routes come back as one flat array
 plus offsets.  Both NoC models, the static scheduler and the flit
-simulator, read their routes from it.
+simulator, read their routes from it; :func:`route_plan` validates the
+dimension order once per batch.
 """
 
 from __future__ import annotations
@@ -36,45 +36,6 @@ def route_plan(topo: Mesh3D, order: str = "xyz") -> RoutePlan:
     strides = (1, topo.width, topo.routers_per_tier)
     axes = tuple((axis, strides[axis]) for axis in map("xyz".index, order))
     return topo.num_routers, topo.width, topo.routers_per_tier, axes
-
-
-def _walk(plan: RoutePlan, src: int, dst: int) -> list[tuple[int, int, int, int]]:
-    """Route segments ``(start, stop, step, port)``: each leaves the routers
-    ``range(start, stop, step)`` through mesh port ``port``."""
-    n, width, per_tier, axes = plan
-    if not (0 <= src < n and 0 <= dst < n):
-        raise IndexError(f"route {src} -> {dst} leaves the {n}-router mesh")
-    src_z, rem = divmod(src, per_tier)
-    src_y, src_x = divmod(rem, width)
-    dst_z, rem = divmod(dst, per_tier)
-    dst_y, dst_x = divmod(rem, width)
-    offsets = (dst_x - src_x, dst_y - src_y, dst_z - src_z)
-    segments = []
-    at = src
-    for axis, stride in axes:
-        hops = offsets[axis]
-        if hops:
-            step = stride if hops > 0 else -stride
-            segments.append((at, at + hops * stride, step, mesh_port(axis, hops < 0)))
-            at += hops * stride
-    return segments
-
-
-def dimension_order_route(
-    topo: Mesh3D, src: int, dst: int, order: str = "xyz"
-) -> list[int]:
-    """Router path from ``src`` to ``dst`` under a fixed dimension order.
-
-    ``"xyz"`` resolves planar offsets first and takes the vertical hop last
-    (the default); ``"zxy"`` is vertical-first — natural for ReGraphX's
-    sandwich, where V<->E transfers start with their single TSV hop.
-    Any fixed order is deadlock-free and source-deterministic, so route
-    unions still form multicast trees.
-    """
-    path = [src]
-    for start, stop, step, _ in _walk(route_plan(topo, order), src, dst):
-        path.extend(range(start + step, stop + step, step))
-    return path
 
 
 def link_paths(

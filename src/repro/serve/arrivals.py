@@ -18,6 +18,10 @@ from its seed and emits a common stream of :class:`Request` records:
 fixed population of clients that only issue the next request after the
 previous response returns (plus exponential think time), bounding the
 number of requests in flight.
+
+Open-loop streams and closed-loop pools draw through one
+:class:`StreamRng`, which returns numpy's values for the seed without
+numpy's per-call overhead on the uniform size draw.
 """
 
 from __future__ import annotations
@@ -93,6 +97,7 @@ class TenantMix:
             self, "_tenant_cum", (tenant_cum / tenant_cum[-1]).tolist()
         )
         object.__setattr__(self, "_names", self.tenant_names)
+        object.__setattr__(self, "_sizes", tuple(int(s) for s in self.graph_sizes))
         if self.size_weights is not None:
             size_cum = np.cumsum(self.size_weights)
             object.__setattr__(self, "_size_cum", (size_cum / size_cum[-1]).tolist())
@@ -123,15 +128,69 @@ class TenantMix:
         """Name-to-weight map (what the weighted-fair scheduler consumes)."""
         return dict(self.tenants)
 
-    def draw(self, rng: np.random.Generator) -> tuple[str, int]:
-        """One seeded ``(tenant, graph_size)`` draw."""
+    def draw(self, rng: np.random.Generator | StreamRng) -> tuple[str, int]:
+        """One seeded ``(tenant, graph_size)`` draw.
+
+        ``rng`` is anything with ``random()`` and ``integers(n)``: a numpy
+        ``Generator``, or the :class:`StreamRng` an arrival stream draws
+        from (which returns the same values).
+        """
         tenant = self._names[bisect_right(self._tenant_cum, rng.random())]  # type: ignore[attr-defined]
         size_cum: list[float] | None = self._size_cum  # type: ignore[attr-defined]
+        sizes: tuple[int, ...] = self._sizes  # type: ignore[attr-defined]
         if size_cum is None:
-            size = int(self.graph_sizes[int(rng.integers(len(self.graph_sizes)))])
-        else:
-            size = int(self.graph_sizes[bisect_right(size_cum, rng.random())])
-        return tenant, size
+            return tenant, sizes[rng.integers(len(sizes))]
+        return tenant, sizes[bisect_right(size_cum, rng.random())]
+
+
+class StreamRng:
+    """The seeded draws of one request stream.
+
+    ``random`` and ``exponential`` are the generator's own bound methods.
+    :meth:`integers` returns what ``Generator.integers(n)`` returns for
+    PCG64 and consumes the same bits, without numpy's per-call argument
+    handling: Lemire's multiply-and-reject on 32-bit words, where a
+    32-bit word is the low half of a fresh 64-bit raw word and the high
+    half is cached for the next 32-bit draw.  ``random`` and
+    ``exponential`` consume whole 64-bit words and never touch that
+    cache, so it can live here.  Once this object has drawn an integer
+    the generator's own cache is stale: every draw of the stream goes
+    through this object.
+    """
+
+    __slots__ = ("random", "exponential", "_raw", "_half")
+
+    def __init__(self, seed: int | np.random.Generator) -> None:
+        rng = rng_from_seed(seed)
+        state = rng.bit_generator.state
+        self.random = rng.random
+        self.exponential = rng.exponential
+        self._raw = rng.bit_generator.random_raw
+        # The cached upper half of the last raw word, or -1 when empty.
+        self._half: int = state["uinteger"] if state["has_uint32"] else -1
+
+    def _next32(self) -> int:
+        half = self._half
+        if half >= 0:
+            self._half = -1
+            return half
+        word = self._raw()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        """A uniform index in ``[0, n)`` for ``1 <= n <= 2**32``, drawn as
+        ``Generator.integers(n)`` draws it (``n == 1`` consumes nothing)."""
+        if n == 1:
+            return 0
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            # Lemire's rejection: drop the low products that would bias
+            # the result, drawing the next 32-bit word each time.
+            threshold = (0x100000000 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
 
 
 class ArrivalProcess:
@@ -153,22 +212,17 @@ class ArrivalProcess:
         """All requests arriving in ``[0, horizon_seconds)``, in time order."""
         if horizon_seconds <= 0:
             raise ValueError(f"horizon must be positive, got {horizon_seconds}")
-        rng = rng_from_seed(self.seed)
+        rng = StreamRng(self.seed)
+        draw = self.mix.draw
         out: list[Request] = []
+        append = out.append
         for t in self._arrival_times(rng, horizon_seconds):
-            tenant, size = self.mix.draw(rng)
-            out.append(
-                Request(
-                    tenant=tenant,
-                    graph_size=size,
-                    arrival_time=t,
-                    request_id=len(out),
-                )
-            )
+            tenant, size = draw(rng)
+            append(Request(tenant, size, t, len(out)))
         return out
 
     def _arrival_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: StreamRng, horizon: float
     ) -> Iterator[float]:
         raise NotImplementedError
 
@@ -177,7 +231,7 @@ class PoissonArrivals(ArrivalProcess):
     """Memoryless arrivals: exponential inter-arrival gaps at ``rate_qps``."""
 
     def _arrival_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: StreamRng, horizon: float
     ) -> Iterator[float]:
         t = 0.0
         while True:
@@ -222,7 +276,7 @@ class MMPPArrivals(ArrivalProcess):
         self.burst_rate = burst_ratio * self.quiet_rate
 
     def _arrival_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: StreamRng, horizon: float
     ) -> Iterator[float]:
         t = 0.0
         burst = False
@@ -277,7 +331,7 @@ class DiurnalArrivals(ArrivalProcess):
         )
 
     def _arrival_times(
-        self, rng: np.random.Generator, horizon: float
+        self, rng: StreamRng, horizon: float
     ) -> Iterator[float]:
         peak = self.rate_qps * (1.0 + self.amplitude)
         t = 0.0
@@ -285,7 +339,7 @@ class DiurnalArrivals(ArrivalProcess):
             t += rng.exponential(1.0 / peak)
             if t >= horizon:
                 return
-            if rng.uniform() * peak < self.rate_at(t):
+            if rng.random() * peak < self.rate_at(t):
                 yield t
 
 
@@ -331,17 +385,12 @@ class ClosedLoopPool:
         self.num_clients = num_clients
         self.think_seconds = think_seconds
         self.mix = mix or TenantMix()
-        self._rng = rng_from_seed(seed)
+        self._rng = StreamRng(seed)
         self._next_id = 0
 
     def _make(self, arrival_time: float) -> Request:
         tenant, size = self.mix.draw(self._rng)
-        request = Request(
-            tenant=tenant,
-            graph_size=size,
-            arrival_time=arrival_time,
-            request_id=self._next_id,
-        )
+        request = Request(tenant, size, arrival_time, self._next_id)
         self._next_id += 1
         return request
 

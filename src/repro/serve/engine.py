@@ -16,11 +16,14 @@ one handler its kind indexes in a nine-entry table:
 * ``WARMED`` — a scaled-out instance finished its warm-up delay and joins
   the serving pool.
 * ``ARRIVE`` — a request reaches the admission controller; if admitted it
-  is enqueued (routed to a scheduler queue, its max-wait deadline
-  armed), otherwise it is shed on the spot or tarpitted and retried
-  later.
-* ``TIMEOUT`` — a queued request's deadline passed: dispatch whatever is
-  waiting if a replica is free.
+  is enqueued (routed to a scheduler queue), otherwise it is shed on the
+  spot or tarpitted and retried later.
+* ``TIMEOUT`` — a queue head's max-wait deadline passed: dispatch
+  whatever is waiting if a replica is free.  Each queue keeps one such
+  event pending, at its head's deadline ``oldest_arrival() + max_wait``,
+  and re-arms it whenever the head changes (an enqueue into an empty
+  queue or of an older request, a popped batch, a drained queue's
+  requests moving); a head already past its deadline needs none.
 * ``AUTOSCALE`` — the autoscaler's evaluation tick: the policy sees a
   :class:`~repro.serve.autoscale.FleetSnapshot` and may grow or shrink
   the fleet.
@@ -36,6 +39,9 @@ one handler its kind indexes in a nine-entry table:
 * ``HEDGE`` — a request still unfinished ``hedge_seconds`` after its
   enqueue is duplicated onto the least-loaded healthy queue; whichever
   copy departs first wins and the loser cancels at its own departure.
+  Hedge deadlines never decrease, so admitted requests wait on one FIFO
+  and a single event, at the first deadline whose request is still
+  unfinished, fires every entry due.
 
 Arrivals, retries and hedged duplicates share one ``enqueue`` path.
 Every number the handlers accumulate lives in one :class:`RunCounters`.
@@ -98,7 +104,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
+from collections import deque
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Any, Mapping, Sequence
 
 from repro.noc.stats import LatencySummary
@@ -567,7 +576,7 @@ class ServingEngine:
         pending = [
             (request.arrival_time, _ARRIVE, next(tiebreak), request)
             for request in sorted(
-                initial, key=lambda r: (r.arrival_time, r.request_id)
+                initial, key=attrgetter("arrival_time", "request_id")
             )
             if horizon_seconds is None or request.arrival_time < horizon_seconds
         ]
@@ -658,6 +667,21 @@ class ServingEngine:
         finished_ids: set[int] = set()  # hedging: departed-or-failed ids
         copies: dict[int, int] = {}  # hedging: extra outstanding copies
         route_of: dict[int, str] = {}  # hedging: the primary copy's target
+        # Hedging: (deadline, request) per admitted request, in admission
+        # order.  Deadlines never decrease, so one HEDGE event at the
+        # first deadline still pending serves the whole queue.
+        hedge_queue: deque[tuple[float, Request]] = deque()
+
+        # Batching deadlines: each queue keeps one TIMEOUT pending at (or
+        # before) its head's deadline, ``oldest_arrival() + max_wait``;
+        # ``armed`` maps a queue to that event's time.  A head already
+        # past its deadline needs none: the step that exposed it calls
+        # try_dispatch, and only a freed instance can change the outcome.
+        timed = max_wait > 0
+        armed: dict[BatchingScheduler, float] = {}
+        # The last batching and hedge deadlines of any admitted request:
+        # the autoscaler keeps ticking until both have passed.
+        deadline_tail = hedge_tail = -math.inf
 
         if autoscaler is not None:
             push(autoscaler.interval_seconds, _AUTOSCALE, None)
@@ -692,6 +716,16 @@ class ServingEngine:
                 push(follow_up.arrival_time, _ARRIVE, follow_up)
                 c.offered += 1
 
+        def arm(sched: BatchingScheduler, now: float) -> None:
+            """Keep a TIMEOUT pending no later than ``sched``'s head deadline."""
+            head = sched.oldest_arrival()
+            if head is None:
+                return
+            deadline = head + max_wait
+            if now < deadline < armed.get(sched, math.inf):
+                armed[sched] = deadline
+                push(deadline, _TIMEOUT, sched)
+
         def try_dispatch(now: float) -> None:
             for slice_, pool, limit, scheds, scale in serve_plan:
                 while pool.has_free():
@@ -699,6 +733,8 @@ class ServingEngine:
                     for sched in scheds:
                         if sched.ready(now, limit):
                             batch = sched.pop_batch(now, limit)
+                            if timed:
+                                arm(sched, now)
                             break
                     if batch is None:
                         break
@@ -754,7 +790,7 @@ class ServingEngine:
                     target = min(alive, key=lambda t: (depth_of(t), t))
             return target
 
-        def eject_dead_targets() -> int:
+        def eject_dead_targets(now: float) -> int:
             """Drain queues stranded behind targets with no capacity and
             re-enqueue their requests onto the least-loaded healthy
             targets; returns how many requests moved (total outages move
@@ -770,8 +806,10 @@ class ServingEngine:
                 if sched.queue_depth == 0:
                     continue
                 for request in sched.drain():
-                    dest = min(alive, key=lambda t: (depth_of(t), t))
-                    schedulers[dest].enqueue(request)
+                    dest = schedulers[min(alive, key=lambda t: (depth_of(t), t))]
+                    dest.enqueue(request)
+                    if timed:
+                        arm(dest, now)
                     moved += 1
             return moved
 
@@ -780,16 +818,18 @@ class ServingEngine:
         ) -> None:
             """Queue an admitted request: arrivals, retries and hedges.
 
-            The request is routed (failure-aware under faults), arms a
-            batching deadline for its queue position, and may dispatch at
-            once.  ``exclude`` steers a hedged duplicate away from the
-            target already carrying the primary copy.
+            The request is routed (failure-aware under faults), re-arms
+            its queue's batching deadline if it became the head, and may
+            dispatch at once.  ``exclude`` steers a hedged duplicate away
+            from the target already carrying the primary copy.
             """
+            nonlocal deadline_tail
             if faulty or exclude is not None:
                 target = healthy_route(request, exclude)
             else:
                 target = policy.route(request, depth_of)
-            schedulers[target].enqueue(request)
+            sched = schedulers[target]
+            sched.enqueue(request)
             if hedging:  # only a hedge reads it
                 route_of[request.request_id] = target
             c.queue_depth += 1
@@ -799,8 +839,13 @@ class ServingEngine:
                 )
             if c.queue_depth > c.peak_queue_depth:
                 c.peak_queue_depth = c.queue_depth
-            if max_wait > 0:
-                push(now + max_wait, _TIMEOUT, None)
+            if timed:
+                deadline_tail = now + max_wait
+                # A request arriving now cannot move a non-empty queue's
+                # head deadline; an earlier arrival (a retry, hedge or
+                # tarpitted request) can.
+                if sched.queue_depth == 1 or request.arrival_time < now:
+                    arm(sched, now)
             try_dispatch(now)
 
         def fail_attempt(request: Request, now: float) -> None:
@@ -861,7 +906,7 @@ class ServingEngine:
                 # A retiring instance was leaving anyway; everyone else
                 # gets a replacement once the repair completes.
                 push(now + repair_seconds, _RECOVER, handle[0])
-            if eject_dead_targets():
+            if eject_dead_targets(now):
                 try_dispatch(now)
 
         def fleet_state() -> dict[str, object]:
@@ -964,6 +1009,7 @@ class ServingEngine:
                 try_dispatch(now)
 
         def on_arrive(now: float, request: Request) -> None:
+            nonlocal hedge_tail
             c.arrived += 1
             if rec is not None and request.request_id not in seen_requests:
                 seen_requests.add(request.request_id)
@@ -993,9 +1039,12 @@ class ServingEngine:
                 rec.request_event(now, SPAN_ADMIT, request, reason=reason)
             enqueue(request, now)
             if hedging:
-                # Armed once per request, at its first (admitted)
+                # Queued once per request, at its first (admitted)
                 # enqueue; fires only if still unfinished then.
-                push(now + hedge_seconds, _HEDGE, request)
+                hedge_tail = now + hedge_seconds
+                if not hedge_queue:
+                    push(hedge_tail, _HEDGE, None)
+                hedge_queue.append((hedge_tail, request))
 
         def refuse(
             now: float, request: Request, decision: AdmissionDecision
@@ -1033,8 +1082,11 @@ class ServingEngine:
                 # still-full queue would livelock the simulation.
                 spawn_follow_up(now + admission.tarpit_seconds)
 
-        def on_timeout(now: float, _: object) -> None:
+        def on_timeout(now: float, sched: BatchingScheduler) -> None:
+            if armed.get(sched) == now:
+                del armed[sched]
             try_dispatch(now)  # the queue head may have exceeded its wait
+            arm(sched, now)  # this event may have been for an earlier head
 
         def on_autoscale(now: float, _: object) -> None:
             # Observe the interval, maybe resize the fleet.
@@ -1089,7 +1141,14 @@ class ServingEngine:
                 try_dispatch(now)
             c.peak_instances = max(c.peak_instances, fleet.provisioned)
             c.min_instances = min(c.min_instances, fleet.target_size)
-            if pending or events or c.queue_depth > 0 or fleet.busy_count > 0:
+            # Keep observing while work is pending or outstanding, and
+            # until the last admitted request's batching deadline (which
+            # resolves before this tick at the same instant) and hedge
+            # deadline (which resolves after it) have passed.
+            if (
+                pending or events or c.queue_depth > 0 or fleet.busy_count > 0
+                or now < deadline_tail or now <= hedge_tail
+            ):
                 push(now + autoscaler.interval_seconds, _AUTOSCALE, None)
 
         def on_fault(now: float, payload: tuple[str, int]) -> None:
@@ -1152,16 +1211,26 @@ class ServingEngine:
         def on_retry(now: float, request: Request) -> None:
             enqueue(request, now)  # admission was paid at the first arrival
 
-        def on_hedge(now: float, request: Request) -> None:
-            rid = request.request_id
-            primary = route_of.pop(rid, None)
-            if rid in finished_ids:
-                return
-            c.hedges_fired += 1
-            copies[rid] = copies.get(rid, 0) + 1
-            if rec is not None:
-                rec.request_event(now, SPAN_HEDGE_FIRED, request)
-            enqueue(request, now, exclude=primary)
+        def on_hedge(now: float, _: object) -> None:
+            # Every deadline due now, in admission order (HEDGE sorts
+            # after every other kind at the same instant).
+            while hedge_queue and hedge_queue[0][0] <= now:
+                request = hedge_queue.popleft()[1]
+                rid = request.request_id
+                primary = route_of.pop(rid, None)
+                if rid in finished_ids:
+                    continue
+                c.hedges_fired += 1
+                copies[rid] = copies.get(rid, 0) + 1
+                if rec is not None:
+                    rec.request_event(now, SPAN_HEDGE_FIRED, request)
+                enqueue(request, now, exclude=primary)
+            # Settled requests need no hedge: wait for the next one that
+            # may still fire.
+            while hedge_queue and hedge_queue[0][1].request_id in finished_ids:
+                route_of.pop(hedge_queue.popleft()[1].request_id, None)
+            if hedge_queue:
+                push(hedge_queue[0][0], _HEDGE, None)
 
         handlers = (
             on_depart, on_warmed, on_arrive, on_timeout, on_autoscale,

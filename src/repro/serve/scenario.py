@@ -49,7 +49,10 @@ from repro.utils.hashing import stable_digest
 #: v5: reliability — fault injection, retries, hedged dispatch
 #: (``faults``/``retry``/``hedge_seconds`` knobs; records gain
 #: failure/availability fields).
-SERVE_SCHEMA_VERSION = 5
+#: v6: one batching timeout per queue head and one hedge timer: fewer
+#: events split the occupancy integrals, so stored ``utilization``,
+#: ``instance_seconds`` and cost floats move in their last bits.
+SERVE_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)

@@ -148,12 +148,13 @@ class BatchingScheduler:
             return True
         oldest = self.oldest_arrival()
         assert oldest is not None
-        # The engine arms a deadline event at enqueue time + max_wait.  For
-        # a first arrival that is ``arrival + max_wait``; a retried or
-        # hedged request keeps its original ``arrival_time``, so it is
-        # already past its deadline when it is enqueued again.  The
-        # epsilon absorbs the float rounding of ``now - arrival`` so a
-        # fired deadline always finds its queue head ready (liveness).
+        # The engine keeps one deadline event per queue, at
+        # ``oldest_arrival() + max_wait``, re-armed whenever the head
+        # changes.  A retried or hedged request keeps its original
+        # ``arrival_time``, so it is usually past its deadline when it
+        # is enqueued again and is ready at once.  The epsilon absorbs
+        # the float rounding of ``now - arrival`` so a fired deadline
+        # always finds its queue head ready (liveness).
         return now - oldest >= self.max_wait_seconds - 1e-9
 
     # ------------------------------------------------------------------

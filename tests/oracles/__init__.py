@@ -3,14 +3,20 @@
 Each module keeps, verbatim, a slower implementation the library once
 shipped, so a test can assert the library returns the same result:
 
+* :mod:`oracles.arrival_loop` — the per-request arrival loop
+  (``generate``, ``ClosedLoop``, and ``draw`` with
+  ``Generator.integers``); reference for
+  ``repro.serve.arrivals.ArrivalProcess.generate``, ``ClosedLoopPool``
+  and ``StreamRng``.
 * :mod:`oracles.anneal_full` — the full-recompute simulated-annealing
   stage mapper and its ``_mapping_cost``; reference for
   ``repro.core.mapping.anneal_mapping`` and ``IncrementalCost``.
 * :mod:`oracles.flit_cycle` — the cycle-stepped flit-level simulator loop
   (``CycleFlitSimulator``); reference for ``repro.noc.events.EventEngine``
   behind ``repro.noc.simulator.FlitSimulator``.
-* :mod:`oracles.link_route` — the route-at-a-time link-id walk
-  (``link_route``); reference for ``repro.noc.routing.link_paths``.
+* :mod:`oracles.link_route` — the route-at-a-time stride walks
+  (``dimension_order_route`` as routers, ``link_route`` as link ids);
+  reference for ``repro.noc.routing.link_paths``.
 * :mod:`oracles.link_tuples` — the ``(a, b)`` tuple spelling of links
   (``Link``, ``LinkStats``, ``link_of`` and the local-port helpers) that
   the NoC oracles read; tests map the library's link ids through

@@ -1,20 +1,60 @@
-"""Reference copy of the per-route link-id walk.
+"""Reference copies of the route-at-a-time walks.
 
 ``repro.noc.schedule.StaticScheduler.simulate`` used to call
 ``link_route`` once per destination, turning each segment of the stride
-walk ``repro.noc.routing._walk`` into a ``range`` of link ids.  The
+walk ``_walk`` into a ``range`` of link ids, and ``repro.noc.routing``
+walked single routes as routers with ``dimension_order_route``.  The
 library now builds a whole block of routes at once in numpy
-(``repro.noc.routing.link_paths``).  ``link_route`` is kept here
-verbatim, still reading ``_walk``, the single-route walk
-``dimension_order_route`` keeps using, so the differential tests in
+(``repro.noc.routing.link_paths``) and has no single-route walk left.
+``_walk``, ``dimension_order_route`` and ``link_route`` are kept here
+verbatim, so the differential tests in
 ``tests/test_noc_routing_orders.py`` compare the batched routes against
 a route-at-a-time reference.
 """
 
 from __future__ import annotations
 
-from repro.noc.routing import RoutePlan, _walk
-from repro.noc.topology import PORTS, link_id
+from repro.noc.routing import RoutePlan, route_plan
+from repro.noc.topology import PORTS, Mesh3D, link_id, mesh_port
+
+
+def _walk(plan: RoutePlan, src: int, dst: int) -> list[tuple[int, int, int, int]]:
+    """Route segments ``(start, stop, step, port)``: each leaves the routers
+    ``range(start, stop, step)`` through mesh port ``port``."""
+    n, width, per_tier, axes = plan
+    if not (0 <= src < n and 0 <= dst < n):
+        raise IndexError(f"route {src} -> {dst} leaves the {n}-router mesh")
+    src_z, rem = divmod(src, per_tier)
+    src_y, src_x = divmod(rem, width)
+    dst_z, rem = divmod(dst, per_tier)
+    dst_y, dst_x = divmod(rem, width)
+    offsets = (dst_x - src_x, dst_y - src_y, dst_z - src_z)
+    segments = []
+    at = src
+    for axis, stride in axes:
+        hops = offsets[axis]
+        if hops:
+            step = stride if hops > 0 else -stride
+            segments.append((at, at + hops * stride, step, mesh_port(axis, hops < 0)))
+            at += hops * stride
+    return segments
+
+
+def dimension_order_route(
+    topo: Mesh3D, src: int, dst: int, order: str = "xyz"
+) -> list[int]:
+    """Router path from ``src`` to ``dst`` under a fixed dimension order.
+
+    ``"xyz"`` resolves planar offsets first and takes the vertical hop last
+    (the default); ``"zxy"`` is vertical-first — natural for ReGraphX's
+    sandwich, where V<->E transfers start with their single TSV hop.
+    Any fixed order is deadlock-free and source-deterministic, so route
+    unions still form multicast trees.
+    """
+    path = [src]
+    for start, stop, step, _ in _walk(route_plan(topo, order), src, dst):
+        path.extend(range(start + step, stop + step, step))
+    return path
 
 
 def link_route(plan: RoutePlan, src: int, dst: int) -> list[int]:

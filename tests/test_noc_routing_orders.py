@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import schedule_tree as oracle
-from oracles.link_route import link_route
+from oracles.link_route import dimension_order_route, link_route
 from oracles.link_tuples import ejection_link, injection_link, is_local, link_of
-from repro.noc.routing import dimension_order_route, link_paths, route_plan
+from repro.noc.routing import link_paths, route_plan
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.packet import Message
 from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.link_route import dimension_order_route
 from oracles.schedule_tree import multicast_tree, tree_depth_order
 from repro.noc.packet import Message
-from repro.noc.routing import dimension_order_route
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port

@@ -1,15 +1,20 @@
 """Tests for the serving engine's arrival processes.
 
-Covers the ISSUE-mandated properties: seeded determinism, empirical rate
-matching the nominal rate within tolerance, and trace replay
-round-tripping through CSV export.
+Covers seeded determinism, empirical rate matching the nominal rate
+within tolerance, trace replay round-tripping through CSV export, and
+the draw itself: every stream equals the per-request reference loop in
+``tests/oracles/arrival_loop.py`` (numpy's ``Generator.integers`` size
+draw included), and a shorter horizon yields a prefix of a longer one.
 """
 
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import arrival_loop
 from oracles.tenant_draw import SearchsortedMix
 
 from repro.serve.arrivals import (
@@ -19,6 +24,7 @@ from repro.serve.arrivals import (
     MMPPArrivals,
     PoissonArrivals,
     Request,
+    StreamRng,
     TenantMix,
     TraceArrivals,
     empirical_qps,
@@ -143,23 +149,170 @@ class TestDrawMatchesSearchsorted:
             size_weights=(5.0, 2.0, 1.0) if kind != "poisson" else None,
         )
 
-        def stream(m):
+        # The reference is the per-request loop drawing through the numpy
+        # tables with numpy's own Generator (``integers`` included).
+        def stream(oracle):
             if kind == "closed":
-                pool = ClosedLoopPool(num_clients=8, think_seconds=0.01, mix=m, seed=4)
+                pool = (
+                    arrival_loop.ClosedLoop(
+                        8, 0.01, mix, seed=4, draw_mix=SearchsortedMix(mix)
+                    )
+                    if oracle
+                    else ClosedLoopPool(num_clients=8, think_seconds=0.01, mix=mix, seed=4)
+                )
                 return pool.initial_requests() + [
                     pool.next_request(0.01 * i) for i in range(500)
                 ]
             process = make_arrivals(
-                "poisson" if kind == "trace" else kind, 2000.0, mix=m, seed=4
+                "poisson" if kind == "trace" else kind, 2000.0, mix=mix, seed=4
             )
-            requests = process.generate(1.0)
+            requests = (
+                arrival_loop.generate(process, 1.0, mix=SearchsortedMix(mix))
+                if oracle
+                else process.generate(1.0)
+            )
             if kind == "trace":
                 return TraceArrivals(requests).generate(1.0)
             return requests
 
-        library = stream(mix)
+        library = stream(oracle=False)
         assert len(library) > 500
-        assert stream(SearchsortedMix(mix)) == library
+        assert stream(oracle=True) == library
+
+
+def _mix(num_tenants: int, num_sizes: int, weighted: bool) -> TenantMix:
+    """Unequal tenant weights; uniform or unequal size weights."""
+    return TenantMix(
+        tenants=tuple((f"t{i}", 1.0 + i) for i in range(num_tenants)),
+        graph_sizes=tuple(16 * (i + 1) for i in range(num_sizes)),
+        size_weights=(
+            tuple(1.0 + (5 * i) % 3 for i in range(num_sizes)) if weighted else None
+        ),
+    )
+
+
+class TestStreamMatchesOracle:
+    """Every stream equals the per-request reference loop, value for value."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(ARRIVALS) + ["trace", "closed"]),
+        num_sizes=st.sampled_from((1, 2, 3, 5, 64)),
+        weighted=st.booleans(),
+        num_tenants=st.integers(1, 3),
+        seed=st.integers(0, 2**31 - 1),
+        horizon=st.sampled_from((0.01, 0.2, 1.5)),
+    )
+    def test_library_stream_is_the_reference_stream(
+        self, kind, num_sizes, weighted, num_tenants, seed, horizon
+    ):
+        mix = _mix(num_tenants, num_sizes, weighted)
+        if kind == "closed":
+            pool = ClosedLoopPool(num_clients=3, think_seconds=0.01, mix=mix, seed=seed)
+            oracle = arrival_loop.ClosedLoop(3, 0.01, mix, seed=seed)
+            steps = int(400 * horizon)
+            assert pool.initial_requests() + [
+                pool.next_request(0.01 * i) for i in range(steps)
+            ] == oracle.initial_requests() + [
+                oracle.next_request(0.01 * i) for i in range(steps)
+            ]
+            return
+        process = make_arrivals(
+            "poisson" if kind == "trace" else kind, 600.0, mix=mix, seed=seed,
+            **({"period_seconds": 0.5} if kind == "diurnal" else {}),
+        )
+        if kind == "trace":
+            process = TraceArrivals(
+                process.generate(horizon) or [Request("t0", 16, 0.0)]
+            )
+        assert process.generate(horizon) == arrival_loop.generate(process, horizon)
+
+    def test_single_size_draws_no_integer(self):
+        """``n == 1`` consumes nothing, so the stream is the oracle's too
+        with every other draw in place."""
+        process = PoissonArrivals(900.0, mix=_mix(2, 1, False), seed=5)
+        assert process.generate(1.0) == arrival_loop.generate(process, 1.0)
+
+
+class TestStreamRngIntegers:
+    """``StreamRng.integers`` is ``Generator.integers`` for PCG64."""
+
+    def test_matches_generator_over_interleaved_draws(self):
+        # Integer draws interleaved with whole-word draws, so the cached
+        # upper half survives random()/exponential() between them; the
+        # bounds include 1 (no draw) and 2**31 + 1 (rejects ~half the time).
+        bounds = (1, 2, 3, 5, 7, 64, 1000, 2**31 + 1, 2**32 - 1, 2**32)
+        script = random.Random(0)
+        stream, rng = StreamRng(17), np.random.default_rng(17)
+        for _ in range(100_000):
+            op = script.randrange(4)
+            if op == 0:
+                assert stream.random() == rng.random()
+            elif op == 1:
+                assert stream.exponential(0.5) == rng.exponential(0.5)
+            else:
+                n = script.choice(bounds)
+                assert stream.integers(n) == rng.integers(n)
+        assert stream.integers(2**32) == rng.integers(2**32)
+        assert stream.random() == rng.random()
+
+    def test_continues_a_generator_with_a_cached_half(self):
+        rng = np.random.default_rng(3)
+        rng.integers(10)  # leaves the upper half of its raw word cached
+        stream = StreamRng(rng)
+        reference = np.random.default_rng(3)
+        reference.integers(10)
+        assert [stream.integers(6) for _ in range(5)] == [
+            reference.integers(6) for _ in range(5)
+        ]
+
+    @staticmethod
+    def _scripted(words):
+        stream = StreamRng(0)
+        stream._raw = iter(words).__next__
+        return stream
+
+    def test_rejection_draws_the_next_32_bit_word(self):
+        # n = 3: the threshold (2**32 - 3) % 3 is 1, so only a zero word
+        # is rejected.  The first word's low half is 0: rejected, and the
+        # draw takes the cached upper half; the next draw starts a fresh
+        # raw word and the one after reads its upper half.
+        hi = 0xC0000000
+        second = (0x40000000 << 32) | 0x80000000
+        stream = self._scripted([hi << 32, second])
+        assert stream.integers(3) == (hi * 3) >> 32 == 2
+        assert stream.integers(3) == (0x80000000 * 3) >> 32 == 1
+        assert stream.integers(3) == (0x40000000 * 3) >> 32 == 0
+
+    def test_rejection_can_span_raw_words(self):
+        # Both halves of the first word are rejected; the draw ends on the
+        # low half of the second word and caches its upper half.
+        stream = self._scripted([0, (7 << 32) | 0xFFFFFFFF, 0x12345678])
+        assert stream.integers(3) == (0xFFFFFFFF * 3) >> 32 == 2
+        assert stream.integers(2**32) == 7
+        assert stream.integers(2**32) == 0x12345678
+
+    def test_single_bound_consumes_nothing(self):
+        stream = self._scripted([(5 << 32) | 9])
+        assert stream.integers(1) == 0
+        assert stream.integers(2**32) == 9
+        assert stream.integers(2**32) == 5
+
+
+class TestStreamPrefix:
+    """A shorter horizon yields a prefix of a longer one: the stream is
+    drawn in order and cut at the horizon, so perfbench's serving
+    workloads can cut a longer stream at request N + 1."""
+
+    @pytest.mark.parametrize("kind", sorted(ARRIVALS))
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    def test_shorter_horizon_is_a_prefix(self, kind, seed):
+        process = make_arrivals(kind, 400.0, mix=_mix(2, 3, False), seed=seed)
+        longest = process.generate(3.0)
+        for horizon in (0.1, 0.75, 2.0, 3.0):
+            shorter = process.generate(horizon)
+            assert shorter == longest[: len(shorter)]
+            assert all(r.arrival_time >= horizon for r in longest[len(shorter):])
 
 
 class TestSeededDeterminism:
