@@ -7,13 +7,26 @@ Every downstream quantity the architecture consumes — zero-block histograms
 of the adjacency matrix, partition sizes, message counts, feature widths —
 depends only on these matched statistics, so the synthetic stand-ins are
 faithful where the architecture model actually looks.
+
+The community generator draws each endpoint by inverse-CDF lookup through
+``_GuideTable`` instead of ``Generator.choice(..., p=...)``, and the
+graphs are bit-identical to drawing with ``choice``.  ``choice`` builds
+``cdf = p.cumsum(); cdf /= cdf[-1]``, draws ``Generator.random(size)`` and
+returns ``cdf.searchsorted(u, side="right")``.  The table builds the same
+CDF from the same ``p``, consumes the same doubles (one 64-bit word each,
+so one ``random(a + b)`` equals ``random(a)`` then ``random(b)``) and returns
+the same index.  A round's intra-community partners take one ``random``
+call in the order of a stable sort on the source community, which is the
+order a loop of one ``choice`` call per community consumes them in.  The
+generator therefore also ends in the same state, which matters when the
+caller passes its own ``Generator`` and keeps drawing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.graph import CSRGraph, distinct, edge_keys
+from repro.graph.graph import CSRGraph, distinct
 from repro.utils.rng import rng_from_seed
 
 
@@ -44,6 +57,55 @@ def _assign_communities(
     return rng.choice(num_communities, size=num_nodes, p=sizes)
 
 
+class _GuideTable:
+    """Inverse-CDF sampling from several discrete distributions at once.
+
+    Segment ``s`` holds ``values[s]`` drawn with probabilities ``probs[s]``.
+    :meth:`draw` maps uniforms ``u`` in [0, 1) to the value at
+    ``cdf.searchsorted(u, side="right")`` of the segment's CDF, built as
+    ``Generator.choice`` builds it (``cdf = p.cumsum(); cdf /= cdf[-1]``),
+    so ``draw(s, rng.random(size))`` returns exactly
+    ``rng.choice(values[s], size, p=probs[s])`` and leaves ``rng`` in the
+    same state.
+
+    A guide table of ``bins`` (a power of two, at least 4x the segment's
+    length) entries replaces the binary search: ``guide[j]`` is the answer
+    for ``u = j / bins``.  Scaling by a power of two is exact, so a draw in
+    bin ``j = floor(u * bins)`` has ``u >= j / bins`` and its answer is at
+    least ``guide[j]``; an upward scan while ``cdf[idx] <= u`` then finds
+    it.  The CDFs are stored back to back, each followed by an ``inf``
+    sentinel that stops the scan inside its segment.
+    """
+
+    def __init__(self, probs: list[np.ndarray], values: list[np.ndarray]) -> None:
+        cdfs, guides, values_out, bins = [], [], [], []
+        offset = 0
+        for p, v in zip(probs, values):
+            cdf = p.cumsum()
+            cdf /= cdf[-1]
+            b = 1 << (4 * cdf.size - 1).bit_length()
+            guides.append(cdf.searchsorted(np.arange(b) / b, side="right") + offset)
+            cdfs += [cdf, [np.inf]]
+            values_out += [v, [-1]]
+            bins.append(b)
+            offset += cdf.size + 1
+        self.cdf = np.concatenate(cdfs)
+        self.values = np.concatenate(values_out)
+        self.guide = np.concatenate(guides)
+        self.guide_start = np.cumsum([0] + bins[:-1])
+        self.bins = np.array(bins, dtype=np.float64)
+
+    def draw(self, segment: int | np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The value each uniform in ``u`` selects in its ``segment``."""
+        cdf = self.cdf
+        idx = self.guide[self.guide_start[segment] + (u * self.bins[segment]).astype(np.intp)]
+        active = np.flatnonzero(cdf[idx] <= u)
+        while active.size:
+            idx[active] += 1
+            active = active[cdf[idx[active]] <= u[active]]
+        return self.values[idx]
+
+
 def powerlaw_community_graph(
     num_nodes: int,
     num_edges: int,
@@ -57,8 +119,10 @@ def powerlaw_community_graph(
 
     Args:
         num_nodes: target node count (exact).
-        num_edges: target undirected edge count (approached within a few
-            percent; duplicates from the stub-sampling process are removed).
+        num_edges: target undirected edge count (exact unless 20
+            oversampling rounds cannot draw that many distinct edges, as in
+            near-complete graphs; duplicates from the stub-sampling process
+            are removed, surplus edges trimmed).
         num_communities: number of planted clusters; partitioners should
             roughly rediscover them.
         mixing: fraction of edge endpoints wired across communities
@@ -82,65 +146,68 @@ def powerlaw_community_graph(
     weights = _powerlaw_weights(num_nodes, exponent, rng)
     community = _assign_communities(num_nodes, num_communities, rng)
 
-    # Pre-compute, per community, the member list and a weight-proportional
-    # sampling distribution so intra-community partners can be drawn fast.
-    members: list[np.ndarray] = []
-    member_probs: list[np.ndarray] = []
+    # Segment 0 draws any node by weight; each community of two or more
+    # members gets its own segment over its members.  A smaller community
+    # keeps drawing its intra partners from segment 0.
+    probs, values = [weights / weights.sum()], [np.arange(num_nodes)]
+    segment_of = np.zeros(num_communities, dtype=np.intp)
     for c in range(num_communities):
         m = np.flatnonzero(community == c)
-        members.append(m)
-        w = weights[m]
-        member_probs.append(w / w.sum() if m.size else w)
+        if m.size >= 2:
+            w = weights[m]
+            segment_of[c] = len(probs)
+            probs.append(w / w.sum())
+            values.append(m)
+    table = _GuideTable(probs, values)
+    node_segment = segment_of[community]
+    # Narrow ints make numpy's stable sort a radix sort.
+    sort_key = community.astype(np.min_scalar_type(num_communities - 1))
 
-    global_probs = weights / weights.sum()
-    nodes = np.arange(num_nodes)
-
-    # Sorted distinct edge keys drawn so far (see graph.edge_keys).
+    # Sorted distinct edge keys drawn so far.
     keys = np.empty(0, dtype=np.int64)
+    n = np.int64(num_nodes)
     # Oversample in rounds, dropping duplicate edges and self-loops, until
-    # the target is met.
+    # the target is met.  Each round consumes the generator's doubles in
+    # the order of the per-community ``Generator.choice`` loop kept in
+    # tests/oracles/generator_loop.py: sources, the cross mask, cross
+    # partners, then intra partners community by community in ascending id.
     for _round in range(20):
         need = num_edges - keys.size
         if need <= 0:
             break
         batch = int(need * 1.6) + 32
-        src = rng.choice(nodes, size=batch, p=global_probs)
+        src = table.draw(0, rng.random(batch))
         cross = rng.random(batch) < mixing
         dst = np.empty(batch, dtype=np.int64)
-        dst[cross] = rng.choice(nodes, size=int(cross.sum()), p=global_probs)
+        dst[cross] = table.draw(0, rng.random(int(cross.sum())))
         intra = np.flatnonzero(~cross)
-        src_comm = community[src[intra]]
-        for c in np.unique(src_comm):
-            sel = intra[src_comm == c]
-            if members[c].size < 2:
-                # Degenerate community: fall back to a global partner.
-                dst[sel] = rng.choice(nodes, size=sel.size, p=global_probs)
-            else:
-                dst[sel] = rng.choice(members[c], size=sel.size, p=member_probs[c])
-        new = np.stack([src, dst], axis=1)
-        new = new[new[:, 0] != new[:, 1]]
-        keys = distinct(np.concatenate([keys, edge_keys(new, num_nodes)]))
+        intra = intra[np.argsort(sort_key[src[intra]], kind="stable")]
+        dst[intra] = table.draw(node_segment[src[intra]], rng.random(intra.size))
+        # graph.edge_keys without stacking the pairs; self-loops dropped.
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        fresh = distinct((lo * n + hi)[lo != hi])
+        # Merge the round's new keys into the sorted array.
+        at = keys.searchsorted(fresh)
+        if keys.size:
+            new = keys[np.minimum(at, keys.size - 1)] != fresh
+            fresh, at = fresh[new], at[new]
+        keys = np.insert(keys, at, fresh)
 
-    n = np.int64(num_nodes)
-    graph = CSRGraph.from_edges(num_nodes, np.stack([keys // n, keys % n], axis=1), name=name)
-    graph = _trim_to_edge_count(graph, num_edges, rng)
+    keys = _trim_to_edge_count(keys, num_edges, rng)
+    graph = CSRGraph.from_keys(num_nodes, keys, name=name)
     graph.community = community  # planted structure, used by feature synthesis
     return graph
 
 
 def _trim_to_edge_count(
-    graph: CSRGraph, num_edges: int, rng: np.random.Generator
-) -> CSRGraph:
-    """Drop random surplus edges so the graph hits ``num_edges`` exactly."""
-    surplus = graph.num_edges - num_edges
-    if surplus <= 0:
-        return graph
-    src = np.repeat(np.arange(graph.num_nodes), graph.degrees)
-    dst = graph.indices
-    keep_dir = src < dst
-    pairs = np.stack([src[keep_dir], dst[keep_dir]], axis=1)
-    keep = rng.choice(pairs.shape[0], size=num_edges, replace=False)
-    return CSRGraph.from_edges(graph.num_nodes, pairs[keep], name=graph.name)
+    keys: np.ndarray, num_edges: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Drop random surplus keys so ``num_edges`` remain (still sorted)."""
+    if keys.size <= num_edges:
+        return keys
+    keep = np.zeros(keys.size, dtype=bool)
+    keep[rng.choice(keys.size, size=num_edges, replace=False)] = True
+    return keys[keep]
 
 
 def rmat_graph(

@@ -90,18 +90,52 @@ class CSRGraph:
         if edges.size and (edges.min() < 0 or edges.max() >= num_nodes):
             raise ValueError("edge endpoint out of range")
         edges = edges[edges[:, 0] != edges[:, 1]]  # drop self-loops
-        n = np.int64(num_nodes)
-        canon = distinct(edge_keys(edges, num_nodes))
-        lo, hi = canon // n, canon % n
-        rows = np.concatenate([lo, hi])
-        cols = np.concatenate([hi, lo])
-        # Every (row, col) pair is distinct, so one sort on the combined key
-        # gives the row-major order whatever the sort's tie handling.
-        order = np.argsort(rows * n + cols)
-        rows, cols = rows[order], cols[order]
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
-        return cls(indptr=indptr, indices=cols, features=features, labels=labels, name=name)
+        keys = distinct(edge_keys(edges, num_nodes))
+        return cls.from_keys(num_nodes, keys, features=features, labels=labels, name=name)
+
+    @classmethod
+    def from_keys(
+        cls,
+        num_nodes: int,
+        keys: np.ndarray,
+        features: np.ndarray | None = None,
+        labels: np.ndarray | None = None,
+        name: str = "graph",
+    ) -> "CSRGraph":
+        """Build from strictly increasing undirected edge keys (:func:`edge_keys`).
+
+        Each key ``lo * num_nodes + hi`` with ``lo < hi`` is one edge, stored
+        in both directions.  Row ``r`` lists its lower neighbours (keys with
+        ``hi == r``) and then its upper ones (``lo == r``).  The sorted keys
+        already hold the upper halves in row-major order, and scipy's
+        counting CSR -> CSC transpose gives the lower halves in order, so no
+        sort runs.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        lo, hi = np.divmod(keys, np.int64(num_nodes))
+        if keys.size and (
+            keys[0] < 0 or np.any(keys[1:] <= keys[:-1]) or np.any(lo >= hi)
+        ):
+            raise ValueError("edge keys must be strictly increasing lo * n + hi with lo < hi")
+        m = keys.size
+        upper_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(lo, minlength=num_nodes), out=upper_ptr[1:])
+        lower = sparse.csr_matrix(
+            (np.ones(m, dtype=np.int8), hi, upper_ptr), shape=(num_nodes, num_nodes)
+        ).tocsc()
+        lower.sort_indices()  # a no-op guard: scipy flags the transpose sorted
+        indices = np.empty(2 * m, dtype=np.int64)
+        at = np.arange(m)
+        # Upper entry i of row lo sits after that row's lower entries.
+        indices[at + lower.indptr[1:][lo]] = hi
+        indices[at + np.repeat(upper_ptr[:-1], np.diff(lower.indptr))] = lower.indices
+        return cls(
+            indptr=upper_ptr + lower.indptr,
+            indices=indices,
+            features=features,
+            labels=labels,
+            name=name,
+        )
 
     @classmethod
     def from_scipy(

@@ -853,6 +853,7 @@ class ServingEngine:
             rid = request.request_id
             if rid in finished_ids:
                 copies.pop(rid, None)  # late copy of a settled request
+                route_of.pop(rid, None)
                 return
             extra = copies.get(rid, 0)
             if extra > 0:
@@ -969,6 +970,7 @@ class ServingEngine:
                         # failure); drop the duplicate silently.
                         c.hedges_cancelled += 1
                         copies.pop(rid, None)
+                        route_of.pop(rid, None)
                         if rec is not None:
                             rec.request_event(
                                 now, SPAN_HEDGE_CANCELLED, request,
@@ -976,6 +978,7 @@ class ServingEngine:
                             )
                         continue
                     finished_ids.add(rid)
+                    route_of.pop(rid, None)
                 attempt_count.pop(rid, None)  # a retried request succeeded
                 latency = now - request.arrival_time
                 sketch = tenant_sketches.get(request.tenant)
@@ -1256,6 +1259,10 @@ class ServingEngine:
                 sampler.record(now, fleet_state())
             handlers[kind](now, payload)
 
+        if route_of:
+            raise RuntimeError(
+                f"{len(route_of)} hedge routes outlived their requests"
+            )
         if rec is not None:
             rec.finish()
         if sampler is not None:

@@ -49,6 +49,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="out of range"):
             CSRGraph.from_edges(3, np.array([[-1, 0]]))
 
+    def test_from_keys_row_major(self):
+        # Edges 0-2, 1-2, 2-3 as keys lo * 4 + hi.
+        g = CSRGraph.from_keys(4, np.array([2, 6, 11]))
+        assert g.indptr.tolist() == [0, 1, 2, 5, 6]
+        assert g.indices.tolist() == [2, 2, 0, 1, 3, 2]
+
+    def test_from_keys_empty(self):
+        g = CSRGraph.from_keys(3, np.empty(0, dtype=np.int64))
+        assert g.indptr.tolist() == [0, 0, 0, 0]
+        assert g.num_edges == 0
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[6, 2], [2, 2], [5], [-1], [16], [3 * 4 + 1]],
+        ids=["unsorted", "duplicate", "self-loop", "negative", "past-end", "lo>hi"],
+    )
+    def test_from_keys_rejects_non_canonical_keys(self, keys):
+        with pytest.raises(ValueError, match="edge keys"):
+            CSRGraph.from_keys(4, np.array(keys))
+
     def test_bad_indptr_rejected(self):
         with pytest.raises(ValueError):
             CSRGraph(indptr=np.array([0, 5]), indices=np.array([1]))

@@ -250,6 +250,24 @@ class TestFaultedEngine:
         assert report.hedges_cancelled <= report.hedges_fired
         assert report.completed + report.failed == report.offered
 
+    def test_hedge_routes_released_after_late_copies(self):
+        """A retry queued before its hedge fired can run after the hedge
+        copy already settled the request.  That late copy re-routes the
+        request; the engine must still end with no hedge route held (its
+        run raises otherwise).  Seed 39 reaches that path in 2 s."""
+        report = simulate_serving_scenario(
+            ServingScenario(
+                arrival="mmpp", qps=5900.0, duration_seconds=2.0,
+                num_tenants=4, policy="wfq",
+                fleet="small:6,default:8,large:4", routing="size_affinity",
+                autoscaler="target-util", max_instances=128,
+                admission="shed", queue_budget=256, faults="default",
+                retry="backoff", hedge_seconds=0.04, metrics_backend="p2",
+                seed=39,
+            )
+        )
+        assert report.hedges_fired > 0 and report.retries > 0
+
     def test_slowdowns_degrade_latency_without_failures(self):
         slow = simulate_serving_scenario(
             scenario_with(
