@@ -31,7 +31,7 @@ from repro.core.thermal import (
     ThermalSpec,
     tier_powers_from_report,
 )
-from repro.core.traffic import GNNTrafficModel, NoCValidation, cross_validate_traffic
+from repro.core.traffic import GNNTrafficModel
 
 __all__ = [
     "ReGraphXConfig",
@@ -42,8 +42,6 @@ __all__ = [
     "default_sa_iterations",
     "IncrementalCost",
     "GNNTrafficModel",
-    "NoCValidation",
-    "cross_validate_traffic",
     "PipelineModel",
     "StageCost",
     "ReGraphX",

@@ -55,7 +55,7 @@ import numpy as np
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import StageMap
 from repro.graph.graph import distinct
-from repro.noc.packet import Message, MessageTable, csr_spans, padded_rows
+from repro.noc.packet import MessageTable, csr_spans, padded_rows
 from repro.reram.sparse_mapping import BlockMapping
 
 
@@ -360,53 +360,3 @@ def _coalesce(legs: list[_Leg], num_ids: int) -> MessageTable:
         msg_id=np.arange(rep.size),
     )
 
-
-# ----------------------------------------------------------------------
-# Cross-model validation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class NoCValidation:
-    """Agreement between the static schedule and the flit-level simulator
-    on one message set (unicast expansion on both sides)."""
-
-    static_makespan_cycles: int
-    simulated_makespan_cycles: int
-    flit_hops_match: bool
-    num_messages: int
-
-    @property
-    def makespan_ratio(self) -> float:
-        """static / simulated; ~1 means the models agree, >1 means the
-        static schedule is (expectedly) more conservative."""
-        if self.simulated_makespan_cycles == 0:
-            return 1.0
-        return self.static_makespan_cycles / self.simulated_makespan_cycles
-
-
-def cross_validate_traffic(
-    topo,
-    noc_config,
-    messages: MessageTable | list[Message],
-) -> NoCValidation:
-    """Check a message set against both NoC models (paper Sec. V.A).
-
-    Runs the static conflict-free schedule analyzer and the event-driven
-    flit-level simulator (affordable even on full GNN traffic sets) over
-    the same unicast expansion and reports how closely they agree (a
-    table reaches the simulator as its messages).  Used by the integration
-    suite and NoC-scaling studies to confirm the scheduler's contention
-    model on real pipeline traffic.
-    """
-    from repro.noc.schedule import StaticScheduler
-    from repro.noc.simulator import FlitSimulator
-
-    static = StaticScheduler(topo, noc_config).simulate(messages, multicast=False)
-    if isinstance(messages, MessageTable):
-        messages = messages.to_messages()
-    simulated = FlitSimulator(topo, noc_config).simulate(messages)
-    return NoCValidation(
-        static_makespan_cycles=static.makespan_cycles,
-        simulated_makespan_cycles=simulated.makespan_cycles,
-        flit_hops_match=simulated.total_flit_hops == static.total_flit_hops,
-        num_messages=len(messages),
-    )

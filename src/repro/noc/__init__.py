@@ -3,7 +3,8 @@ two complementary performance models.
 
 * :mod:`repro.noc.schedule` — the paper's methodology: traffic is statically
   scheduled, conflict-free, deterministic (Sec. V.A).  The scheduler
-  serializes wormhole packets over shared links and reports makespan,
+  pipelines wormhole packets over shared links along X-Y-Z trees, tile
+  injection and ejection ports included, and reports makespan,
   per-message latency, link loads, and energy.  It reads message sets as
   :class:`repro.noc.packet.MessageTable` columns, the form the GNN
   traffic model produces.

@@ -3,7 +3,8 @@
 Standard network-on-chip characterization on top of the static scheduler:
 latency-vs-injection-rate curves (the saturation plot every NoC paper
 shows), bisection link counts, and average hop distance under a traffic
-pattern.  Used by the design-space exploration and the NoC ablations.
+pattern.  Reached from the NoC-saturation extension benchmark and the
+README's flit-simulator example, not from the paper pipeline.
 """
 
 from __future__ import annotations
@@ -12,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.noc.stats import summarize_latencies
 from repro.noc.topology import Mesh3D
-from repro.utils.rng import rng_from_seed
+from repro.noc.traffic_gen import uniform_random_traffic
 
 
 @dataclass(frozen=True)
@@ -79,23 +79,10 @@ def latency_throughput_sweep(
     scheduler = StaticScheduler(topo, config)
     points: list[SweepPoint] = []
     for rate in rates:
-        rng = rng_from_seed(seed)
         count = max(1, int(rate * topo.num_routers * window_cycles / 100))
-        messages = []
-        for i in range(count):
-            src = int(rng.integers(topo.num_routers))
-            dst = int(rng.integers(topo.num_routers))
-            while dst == src:
-                dst = int(rng.integers(topo.num_routers))
-            messages.append(
-                Message(
-                    src=src,
-                    dests=(dst,),
-                    size_bits=size_bits,
-                    inject_cycle=int(rng.integers(window_cycles)),
-                    msg_id=i,
-                )
-            )
+        messages = uniform_random_traffic(
+            topo, count, size_bits, seed=seed, inject_window=window_cycles - 1
+        )
         if backend == "static":
             result = scheduler.simulate(messages, multicast=False)
             latencies = [

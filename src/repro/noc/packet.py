@@ -98,7 +98,8 @@ class MessageTable:
     ``tags[tag[k]]`` and reported as ``msg_id[k]``; the fields mean what
     :class:`Message`'s do.  Destinations keep the caller's order (the
     traffic model's rows are sorted).  The columns are validated once, on
-    construction, with :class:`Message`'s checks and messages.
+    construction, with :class:`Message`'s checks and messages; message ids
+    must also be distinct, since results report finish cycles by id.
     """
 
     src: np.ndarray
@@ -130,6 +131,10 @@ class MessageTable:
             raise ValueError(f"message size must be positive, got {small[0]}")
         if np.any(self.inject < 0):
             raise ValueError("inject_cycle must be non-negative")
+        ids = np.sort(self.msg_id)
+        repeated = ids[1:][ids[1:] == ids[:-1]]
+        if repeated.size:
+            raise ValueError(f"duplicate message id {repeated[0]}")
 
     def __len__(self) -> int:
         return self.src.size

@@ -1,4 +1,4 @@
-"""Deterministic routing: dimension-ordered unicast routes.
+"""Deterministic routing: X-Y-Z dimension-ordered unicast routes.
 
 Unicast uses X-Y-Z dimension order (planar first, then the vertical hop —
 in ReGraphX's sandwich the V<->E hop is the single final Z step).  Because
@@ -13,9 +13,9 @@ leaving the routers ``range(start, stop, ±stride)`` through one mesh port.
 :func:`link_paths` builds a whole batch of routes at once as dense link
 ids (:mod:`repro.noc.topology`) in numpy: every segment of every route is
 one arithmetic run of ids, and the routes come back as one flat array
-plus offsets.  Both NoC models, the static scheduler and the flit
-simulator, read their routes from it; :func:`route_plan` validates the
-dimension order once per batch.
+plus offsets.  Each route starts on its source tile's injection port and
+ends on its destination tile's ejection port.  Both NoC models, the
+static scheduler and the flit simulator, read their routes from it.
 """
 
 from __future__ import annotations
@@ -24,32 +24,16 @@ import numpy as np
 
 from repro.noc.topology import EJECT, INJECT, PORTS, Mesh3D, mesh_port
 
-#: A mesh and a validated dimension order, ready to route:
-#: ``(num_routers, width, routers_per_tier, ((axis, router-id stride), ...))``.
-RoutePlan = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
-
-def route_plan(topo: Mesh3D, order: str = "xyz") -> RoutePlan:
-    """Validate a dimension order once and pair each axis with its stride."""
-    if sorted(order) != ["x", "y", "z"]:
-        raise ValueError(f"order must be a permutation of 'xyz', got {order!r}")
-    strides = (1, topo.width, topo.routers_per_tier)
-    axes = tuple((axis, strides[axis]) for axis in map("xyz".index, order))
-    return topo.num_routers, topo.width, topo.routers_per_tier, axes
-
-
-def link_paths(
-    plan: RoutePlan, srcs, dsts, local_ports: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def link_paths(topo: Mesh3D, srcs, dsts) -> tuple[np.ndarray, np.ndarray]:
     """Dense link-id paths of the routes ``srcs[k] -> dsts[k]``, built at once.
 
-    Returns ``(ids, offsets)``: route ``k`` is ``ids[offsets[k]:offsets[k + 1]]``,
-    the same ids a hop-by-hop walk of the route names.  Each axis segment
+    Returns ``(ids, offsets)``: route ``k`` is ``ids[offsets[k]:offsets[k + 1]]``:
+    its source's injection port, the links a hop-by-hop X-Y-Z walk of the
+    route names, then its destination's ejection port.  Each axis segment
     is one run of ids ``router * PORTS + port`` with a constant stride.
-    With ``local_ports`` every path also starts on its source's injection
-    port and ends on its destination's ejection port.
     """
-    n, width, per_tier, axes = plan
+    n, width, per_tier = topo.num_routers, topo.width, topo.routers_per_tier
     srcs = np.asarray(srcs, dtype=np.int64)
     dsts = np.asarray(dsts, dtype=np.int64)
     if srcs.size and (
@@ -61,21 +45,21 @@ def link_paths(
     dst_z, rem = np.divmod(dsts, per_tier)
     dst_y, dst_x = np.divmod(rem, width)
     deltas = (dst_x - src_x, dst_y - src_y, dst_z - src_z)
-    # Per route and segment (in dimension order): the first link id, the
-    # id stride along the segment and the path position it starts at.
+    # Per route and axis segment: the first link id, the id stride along
+    # the segment and the path position it starts at (0 is the injection).
     first = np.empty((srcs.size, 3), dtype=np.int64)
     step = np.empty((srcs.size, 3), dtype=np.int64)
     begin = np.empty((srcs.size, 3), dtype=np.int64)
-    at, length = srcs.copy(), np.full(srcs.size, int(local_ports), dtype=np.int64)
-    for seg, (axis, stride) in enumerate(axes):
+    at, length = srcs.copy(), np.ones(srcs.size, dtype=np.int64)
+    for axis, stride in enumerate((1, width, per_tier)):
         hops = deltas[axis]
         negative = hops < 0
-        first[:, seg] = at * PORTS + mesh_port(axis, negative)
-        step[:, seg] = np.where(negative, -stride, stride) * PORTS
-        begin[:, seg] = length
+        first[:, axis] = at * PORTS + mesh_port(axis, negative)
+        step[:, axis] = np.where(negative, -stride, stride) * PORTS
+        begin[:, axis] = length
         at += hops * stride
         length += np.abs(hops)
-    length += int(local_ports)
+    length += 1
     offsets = np.zeros(srcs.size + 1, dtype=np.int64)
     np.cumsum(length, out=offsets[1:])
     route = np.repeat(np.arange(srcs.size), length)
@@ -84,8 +68,6 @@ def link_paths(
     # (an empty segment begins where the next one does).
     seg = (pos >= begin[route, 1]).astype(np.int64) + (pos >= begin[route, 2])
     ids = first[route, seg] + (pos - begin[route, seg]) * step[route, seg]
-    if local_ports:
-        ids[offsets[:-1]] = srcs * PORTS + INJECT
-        ids[offsets[1:] - 1] = dsts * PORTS + EJECT
+    ids[offsets[:-1]] = srcs * PORTS + INJECT
+    ids[offsets[1:] - 1] = dsts * PORTS + EJECT
     return ids, offsets
-

@@ -10,7 +10,11 @@ the network — conflicts are resolved at schedule time by delaying the
 statically scheduled NoC does.
 
 Multicast packets traverse their XYZ tree once, forking at branch routers;
-unicast mode replicates one packet per destination.
+unicast mode replicates one packet per destination.  Every packet also
+crosses its source tile's injection port and each destination tile's
+ejection port, so a tile's packets serialize on the way in and traffic
+converging on one tile (the many-to-one contention GNN traffic creates)
+serializes on the way out.
 
 Links are dense ids ``router * PORTS + port`` (:mod:`repro.noc.topology`),
 so per-link free cycles and flit counts are flat arrays.  Messages arrive
@@ -20,10 +24,10 @@ are ordered by one ``np.lexsort`` and scheduled in blocks of
 builds the block's link-id routes in numpy, and each packet tree is
 deduplicated there into links that each know their one parent link
 (dimension-order routes from one source are prefix-closed).  Only the
-greedy reservation loop, one visit per tree link, runs in Python; both
-schedule modes read the same trees.  Flit-hops, utilization and network
-energy are sums of the flat loads by port class
-(:class:`~repro.noc.stats.LinkLoads`, shared with the flit simulator).
+greedy reservation loop, one visit per tree link, runs in Python.
+Flit-hops, utilization and network energy are sums of the flat loads by
+port class (:class:`~repro.noc.stats.LinkLoads`, shared with the flit
+simulator).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.noc.packet import Message, MessageTable, csr_spans, padded_rows
-from repro.noc.routing import RoutePlan, link_paths, route_plan
+from repro.noc.routing import link_paths
 from repro.noc.stats import LinkLoads
 from repro.noc.topology import PORTS, Mesh3D
 from repro.utils.units import GHZ, PICO
@@ -62,19 +66,6 @@ class NoCConfig:
     planar_link_energy_per_flit: float = 1.2 * PICO
     vertical_link_energy_per_flit: float = 0.05 * PICO
     local_port_energy_per_flit: float = 0.3 * PICO
-    # Model tile<->router injection/ejection ports: the source tile's
-    # injection link serializes its packets, and a destination's ejection
-    # link serializes everything converging on it (the many-to-one
-    # contention GNN traffic creates).
-    model_local_ports: bool = True
-    # "pipelined": links queue independently with cut-through chaining —
-    # the efficient time-multiplexed schedule a conflict-free static
-    # router would produce.  "atomic": each packet reserves its whole
-    # route/tree for its full duration — a conservative wormhole bound.
-    schedule_mode: str = "pipelined"
-    # Dimension order for deterministic routing: "xyz" (planar first) or
-    # "zxy" (vertical first, natural for the V/E sandwich).
-    routing_order: str = "xyz"
 
     def __post_init__(self) -> None:
         if self.flit_bits < 1:
@@ -83,16 +74,6 @@ class NoCConfig:
             raise ValueError("clock must be positive")
         if self.router_cycles < 1 or self.link_cycles < 1:
             raise ValueError("pipeline latencies must be at least one cycle")
-        if self.schedule_mode not in ("pipelined", "atomic"):
-            raise ValueError(
-                f"schedule_mode must be 'pipelined' or 'atomic', "
-                f"got {self.schedule_mode!r}"
-            )
-        if sorted(self.routing_order) != ["x", "y", "z"]:
-            raise ValueError(
-                f"routing_order must be a permutation of 'xyz', "
-                f"got {self.routing_order!r}"
-            )
 
     @property
     def cycle_time(self) -> float:
@@ -152,8 +133,7 @@ class StaticScheduler:
             multicast: select tree-multicast vs. unicast routing.
         """
         cfg, topo = self.config, self.topo
-        plan = route_plan(topo, cfg.routing_order)
-        atomic, hop = cfg.schedule_mode == "atomic", cfg.hop_cycles
+        hop = cfg.hop_cycles
         link_free = [0] * (topo.num_routers * PORTS)
         load = np.zeros(topo.num_routers * PORTS, dtype=np.int64)
         table = messages
@@ -163,42 +143,25 @@ class StaticScheduler:
         order = np.lexsort((table.msg_id, *padded.T[::-1], table.src, table.inject))
         lasts: list[int] = []
         for lo in range(0, order.size, ROUTE_BLOCK):
-            trees = _Trees(plan, table, order[lo:lo + ROUTE_BLOCK], multicast, cfg)
-            lids = trees.lids.tolist()
+            trees = _Trees(topo, table, order[lo:lo + ROUTE_BLOCK], multicast, cfg)
             slot_flits = np.repeat(trees.flits, np.diff(trees.bounds))
-            if atomic:
-                # The head waits until each link is free depth * hop later.
-                delays = (trees.depths * hop).tolist()
-                bounds = trees.bounds.tolist()
-                heads = []
-                for t, (inject, flits) in enumerate(
-                    zip(trees.inject.tolist(), trees.flits.tolist())
-                ):
-                    tree = range(bounds[t], bounds[t + 1])
-                    start = max(inject, *(link_free[lids[s]] - delays[s] for s in tree))
-                    for s in tree:
-                        link_free[lids[s]] = start + delays[s] + flits
-                    heads.append(start)
-                deepest = np.maximum.reduceat(trees.depths, trees.bounds[:-1])
-                ends = np.asarray(heads) + (deepest + 1) * hop
-            else:
-                # Pipelined: a link starts once it frees AND the head has
-                # crossed its parent link; parents come before children.
-                # ``starts`` opens with one virtual parent per tree, a hop
-                # before its injection, so a root's head arrives at inject.
-                starts = (trees.inject - hop).tolist()
-                append = starts.append
-                for lid, parent, flits in zip(
-                    lids, trees.parents.tolist(), slot_flits.tolist()
-                ):
-                    arrival = starts[parent] + hop
-                    start = link_free[lid]
-                    if start < arrival:
-                        start = arrival
-                    link_free[lid] = start + flits
-                    append(start)
-                slot_starts = np.asarray(starts[len(trees.flits):])
-                ends = np.maximum.reduceat(slot_starts, trees.bounds[:-1]) + hop
+            # A link starts once it frees AND the head has crossed its
+            # parent link; parents come before children.  ``starts`` opens
+            # with one virtual parent per tree, a hop before its injection,
+            # so a root's head arrives at inject.
+            starts = (trees.inject - hop).tolist()
+            append = starts.append
+            for lid, parent, flits in zip(
+                trees.lids.tolist(), trees.parents.tolist(), slot_flits.tolist()
+            ):
+                arrival = starts[parent] + hop
+                start = link_free[lid]
+                if start < arrival:
+                    start = arrival
+                link_free[lid] = start + flits
+                append(start)
+            slot_starts = np.asarray(starts[len(trees.flits):])
+            ends = np.maximum.reduceat(slot_starts, trees.bounds[:-1]) + hop
             np.add.at(load, trees.lids, slot_flits)
             # The tail arrives flits - 1 cycles after the deepest head.
             tails = ends + trees.flits - 1
@@ -226,16 +189,15 @@ class _Trees:
     one per destination; message ``m``'s trees start at ``msg_trees[m]``.
     Each tree's links are deduplicated in path order into *slots*: tree
     ``t`` owns slots ``bounds[t]:bounds[t + 1]``, slot ``s`` is link
-    ``lids[s]`` at position ``depths[s]`` along its paths.  Dimension-order
-    routes from one source are prefix-closed, so every tree link has
-    exactly one parent, and it comes earlier.  ``parents`` indexes one
+    ``lids[s]``.  Dimension-order routes from one source are prefix-closed,
+    so every tree link has exactly one parent, and it comes earlier.  ``parents`` indexes one
     virtual root per tree followed by the slots: a root link of tree ``t``
     has parent ``t``, any other slot the parent slot plus the tree count.
     """
 
     def __init__(
         self,
-        plan: RoutePlan,
+        topo: Mesh3D,
         table: MessageTable,
         rows: np.ndarray,
         multicast: bool,
@@ -244,7 +206,7 @@ class _Trees:
         fanout = np.diff(table.dest_ptr)[rows]
         msg, at = csr_spans(table.dest_ptr[rows], table.dest_ptr[rows + 1])
         srcs, dsts = table.src[rows][msg], table.dests[at]
-        ids, offsets = link_paths(plan, srcs, dsts, cfg.model_local_ports)
+        ids, offsets = link_paths(topo, srcs, dsts)
         per_msg = np.ones(rows.size, dtype=np.int64) if multicast else fanout
         self.msg_trees = np.cumsum(per_msg) - per_msg
         self.flits = np.repeat(1 + -(-table.bits[rows] // cfg.flit_bits), per_msg)
@@ -252,15 +214,16 @@ class _Trees:
         route = np.repeat(np.arange(len(dsts)), np.diff(offsets))
         tree = msg[route] if multicast else route
         # Each (tree, link) pair's first occurrence, in path order, is a slot.
-        keys = tree * (plan[0] * PORTS) + ids
+        keys = tree * (topo.num_routers * PORTS) + ids
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         order = np.argsort(first)
         slot = np.empty(order.size, dtype=np.int64)
         slot[order] = np.arange(order.size)
         heads = first[order]
         self.lids = ids[heads]
-        self.depths = heads - offsets[route[heads]]
         self.bounds = np.searchsorted(tree[heads], np.arange(self.flits.size + 1))
         self.parents = np.where(
-            self.depths > 0, slot[inverse[heads - 1]] + self.flits.size, tree[heads]
+            heads > offsets[route[heads]],
+            slot[inverse[heads - 1]] + self.flits.size,
+            tree[heads],
         )

@@ -2,12 +2,15 @@
 
 Used to validate the static schedule analyzer: for an uncontended packet
 both models give *identical* latencies (``hops * hop_cycles + flits - 1``
-after injection); under contention the dynamic simulator may finish earlier
-(it interleaves flits where the static schedule serializes whole packets),
-never later.  Tests assert both properties.
+after injection), and both load every link with the same flits.  Under
+contention the models differ: the dynamic simulator interleaves flits where
+the static schedule serializes whole packets, and grants links first come
+where the schedule reserves them in injection order.  On the GNN traffic
+tested the schedule never finished first; tests keep the static/simulated
+makespan ratio inside a measured band.
 
-The model: deterministic dimension-order routes, built as dense link ids
-by the static scheduler's route builder
+The model: X-Y-Z dimension-order routes between tile ports, built as
+dense link ids by the static scheduler's route builder
 (:func:`repro.noc.routing.link_paths`); one flit per link per cycle;
 flits of a packet cross each link in order; a flit becomes eligible for
 the next link ``hop_cycles`` after it started crossing the previous one;
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 from repro.noc.events import EventEngine, ExpandedPacket
 from repro.noc.packet import Message
-from repro.noc.routing import link_paths, route_plan
+from repro.noc.routing import link_paths
 from repro.noc.schedule import NoCConfig
 from repro.noc.stats import LinkLoads
 from repro.noc.topology import PORTS, Mesh3D
@@ -124,10 +127,7 @@ class FlitSimulator:
                 seen.add(key)
                 pairs.append((msg, dst))
         ids, offsets = link_paths(
-            route_plan(self.topo, cfg.routing_order),
-            [msg.src for msg, _ in pairs],
-            [dst for _, dst in pairs],
-            cfg.model_local_ports,
+            self.topo, [msg.src for msg, _ in pairs], [dst for _, dst in pairs]
         )
         ids, offsets = ids.tolist(), offsets.tolist()
         return [

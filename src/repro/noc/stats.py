@@ -145,15 +145,13 @@ class LinkLoads:
         """Mean per-link occupancy over the makespan.
 
         The link population is the one flits can cross: the directed mesh
-        links plus, with ``config.model_local_ports``, one injection and
-        one ejection port per router.
+        links plus one injection and one ejection port per router.
         """
         if self.makespan_cycles <= 0:
             return 0.0
         w, h, t = self.topo.width, self.topo.height, self.topo.tiers
-        num_links = 2 * ((w - 1) * h * t + w * (h - 1) * t + w * h * (t - 1))
-        if self.config.model_local_ports:
-            num_links += 2 * self.topo.num_routers
+        mesh_links = (w - 1) * h * t + w * (h - 1) * t + w * h * (t - 1)
+        num_links = 2 * (mesh_links + self.topo.num_routers)
         return self.total_flit_hops / (num_links * self.makespan_cycles)
 
     def energy_joules(self) -> float:

@@ -3,7 +3,10 @@
 Besides standard uniform-random and hotspot patterns, this module provides
 the GNN-shaped *many-to-one-to-many* pattern of paper Sec. III: many source
 routers (V-PEs) send to a shared set of sink routers (E-PEs), which reply
-to many destinations.
+to many destinations.  Reached from the NoC load sweep
+(:mod:`repro.noc.analysis`), the NoC ablation and flit-simulator
+benchmarks and ``examples/noc_study.py``, not from the paper pipeline,
+whose traffic comes from :mod:`repro.core.traffic`.
 """
 
 from __future__ import annotations

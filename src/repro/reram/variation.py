@@ -15,7 +15,9 @@ Model:
   (stuck-off, the common failure) or at full scale (stuck-on).
 
 Faults are drawn per *device* (fixed at program time); variation is drawn
-per program operation.
+per program operation.  Reached from the variation-robustness extension
+benchmark and ``examples/robustness.py``; the paper pipeline models ideal
+cells.
 """
 
 from __future__ import annotations

@@ -1,21 +1,34 @@
-"""Reference copies of the route-at-a-time walks.
+"""Reference copies of the route-at-a-time walks, in any dimension order.
 
 ``repro.noc.schedule.StaticScheduler.simulate`` used to call
 ``link_route`` once per destination, turning each segment of the stride
 walk ``_walk`` into a ``range`` of link ids, and ``repro.noc.routing``
 walked single routes as routers with ``dimension_order_route``.  The
-library now builds a whole block of routes at once in numpy
+library now builds a whole block of X-Y-Z routes at once in numpy
 (``repro.noc.routing.link_paths``) and has no single-route walk left.
 ``_walk``, ``dimension_order_route`` and ``link_route`` are kept here
-verbatim, so the differential tests in
+verbatim, with the ``route_plan`` that once validated a configurable
+dimension order for them, so the differential tests in
 ``tests/test_noc_routing_orders.py`` compare the batched routes against
 a route-at-a-time reference.
 """
 
 from __future__ import annotations
 
-from repro.noc.routing import RoutePlan, route_plan
 from repro.noc.topology import PORTS, Mesh3D, link_id, mesh_port
+
+#: A mesh and a validated dimension order, ready to route:
+#: ``(num_routers, width, routers_per_tier, ((axis, router-id stride), ...))``.
+RoutePlan = tuple[int, int, int, tuple[tuple[int, int], ...]]
+
+
+def route_plan(topo: Mesh3D, order: str = "xyz") -> RoutePlan:
+    """Validate a dimension order once and pair each axis with its stride."""
+    if sorted(order) != ["x", "y", "z"]:
+        raise ValueError(f"order must be a permutation of 'xyz', got {order!r}")
+    strides = (1, topo.width, topo.routers_per_tier)
+    axes = tuple((axis, strides[axis]) for axis in map("xyz".index, order))
+    return topo.num_routers, topo.width, topo.routers_per_tier, axes
 
 
 def _walk(plan: RoutePlan, src: int, dst: int) -> list[tuple[int, int, int, int]]:

@@ -14,6 +14,15 @@ link spelling it reads (``Link``, ``LinkStats`` and the local-port
 helpers, once ``Mesh3D`` methods) comes from :mod:`oracles.link_tuples`.  ``multicast_tree``
 exists only here now; the tree-property tests in
 ``tests/test_noc_topology_routing.py`` pin it.
+
+The library now runs one NoC configuration: the pipelined schedule, X-Y-Z
+routes and modelled tile ports.  The three knobs that once selected other
+models from ``NoCConfig`` are this scheduler's own keyword arguments:
+``mode`` (``"pipelined"`` or ``"atomic"``, where each packet reserves its
+whole tree for its full duration, a conservative wormhole bound),
+``order`` (any permutation of ``"xyz"``) and ``local_ports``.  The
+invariant tests bound the library's schedule and the flit simulator by
+the atomic schedule computed here.
 """
 
 from __future__ import annotations
@@ -139,9 +148,20 @@ def tree_depth_order(tree: dict[Link, Link | None]) -> list[Link]:
 class StaticScheduler:
     """Deterministic wormhole schedule over a mesh."""
 
-    def __init__(self, topo: Mesh3D, config: NoCConfig | None = None) -> None:
+    def __init__(
+        self,
+        topo: Mesh3D,
+        config: NoCConfig | None = None,
+        *,
+        mode: str = "pipelined",
+        order: str = "xyz",
+        local_ports: bool = True,
+    ) -> None:
+        if mode not in ("pipelined", "atomic"):
+            raise ValueError(f"mode must be 'pipelined' or 'atomic', got {mode!r}")
         self.topo = topo
         self.config = config or NoCConfig()
+        self.mode, self.order, self.local_ports = mode, order, local_ports
 
     def simulate(self, messages: list[Message], multicast: bool = True) -> ScheduleResult:
         """Schedule ``messages`` and return timing/energy statistics.
@@ -209,8 +229,8 @@ class StaticScheduler:
         in-network buffering, matching the paper's static methodology.
         """
         cfg = self.config
-        tree = multicast_tree(self.topo, msg.src, msg.dests, cfg.routing_order)
-        if cfg.model_local_ports:
+        tree = multicast_tree(self.topo, msg.src, msg.dests, self.order)
+        if self.local_ports:
             # Wrap the router tree with the tile<->router port links.
             inj = injection_link(self.topo, msg.src)
             wrapped: dict[Link, Link | None] = {inj: None}
@@ -225,7 +245,7 @@ class StaticScheduler:
         for link in ordered_links:
             parent = tree[link]
             depth[link] = 0 if parent is None else depth[parent] + 1
-        if cfg.schedule_mode == "atomic":
+        if self.mode == "atomic":
             # Earliest head-departure so no link conflicts with prior packets.
             start = msg.inject_cycle
             for link in ordered_links:

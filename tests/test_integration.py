@@ -8,17 +8,18 @@ between the two NoC performance models on workload-derived traffic.
 import numpy as np
 import pytest
 
+from oracles import schedule_tree as oracle
 from repro.core.accelerator import ReGraphX
 from repro.core.config import ReGraphXConfig
 from repro.core.evaluation import compare_with_gpu
 from repro.core.mapping import contiguous_mapping
-from repro.core.traffic import GNNTrafficModel, cross_validate_traffic
+from repro.core.traffic import GNNTrafficModel
 from repro.gnn.layers import GCNLayer
 from repro.gnn.model import GCN
 from repro.graph.clustering import ClusterBatcher
 from repro.graph.datasets import load_dataset
 from repro.graph.partition import partition_graph
-from repro.noc.schedule import NoCConfig, StaticScheduler
+from repro.noc.schedule import StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.reram.ima import IMASpec
 from repro.reram.tile import ReRAMTile, TileSpec, v_tile_spec
@@ -153,15 +154,17 @@ class TestNoCModelAgreement:
             ppi_workload.num_nodes_per_input,
             ppi_workload.layer_dims,
         )
-        msgs = traffic.messages()
-        validation = cross_validate_traffic(
-            accelerator.config.topology, accelerator.config.noc, msgs
-        )
-        assert validation.num_messages == len(msgs)
-        assert validation.flit_hops_match
+        table = traffic.messages()
+        topo, noc = accelerator.config.topology, accelerator.config.noc
+        static = StaticScheduler(topo, noc).simulate(table, multicast=False)
+        simulated = FlitSimulator(topo, noc).simulate(table.to_messages())
+        assert len(simulated.finish_by_message()) == len(table)
+        assert simulated.total_flit_hops == static.total_flit_hops
         # The static schedule is conservative: never faster than the
-        # flit-level dynamics, and within an order of magnitude of them.
-        assert 1.0 <= validation.makespan_ratio < 10.0
+        # flit-level dynamics on GNN traffic, and inside the measured band
+        # (GNN_RATIO_BAND in tests/test_noc_schedule_invariants.py).
+        ratio = static.makespan_cycles / simulated.makespan_cycles
+        assert 1.0 <= ratio <= 3.0
 
     def test_atomic_bounds_pipelined_on_workload(self, accelerator, ppi_workload):
         sm = contiguous_mapping(accelerator.config)
@@ -174,10 +177,9 @@ class TestNoCModelAgreement:
         )
         msgs = traffic.messages().to_messages()[:200]
         topo = accelerator.config.topology
-        pipelined = StaticScheduler(topo, NoCConfig(schedule_mode="pipelined"))
-        atomic = StaticScheduler(topo, NoCConfig(schedule_mode="atomic"))
+        atomic = oracle.StaticScheduler(topo, mode="atomic")
         assert (
-            pipelined.simulate(msgs).makespan_cycles
+            StaticScheduler(topo).simulate(msgs).makespan_cycles
             <= atomic.simulate(msgs).makespan_cycles
         )
 

@@ -6,16 +6,15 @@ per-(msg_id, dest) finish cycles, same makespan, same per-link flit
 counts.  This suite sweeps >= 50 seeded traces across uniform, hotspot,
 and many-to-one-to-many patterns on meshes up to 8x8x4, and cross-checks
 the engine against the static schedule analyzer (the same flits on every
-link as its unicast schedule; the dynamic simulator never beats the
-atomic static bound the wrong way).
+link as its unicast schedule; the dynamic simulator never finishes after
+the atomic static bound of ``tests/oracles/schedule_tree.py``).
 """
-
-from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import schedule_tree as oracle
 from oracles.flit_cycle import CycleFlitSimulator
 from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
@@ -66,8 +65,6 @@ def generated_traces(draw):
         flit_bits=draw(st.sampled_from([16, 32, 64])),
         router_cycles=draw(st.integers(1, 3)),
         link_cycles=draw(st.integers(1, 2)),
-        model_local_ports=draw(st.booleans()),
-        routing_order=draw(st.sampled_from(["xyz", "zxy", "yzx"])),
     )
     n = topo.num_routers
     window = draw(st.integers(0, 200))
@@ -110,7 +107,7 @@ class TestUniformDifferential:
         # the dynamic simulator never exceeds the conservative atomic bound.
         static = StaticScheduler(topo).simulate(msgs, multicast=False)
         assert event.total_flit_hops == static.total_flit_hops
-        atomic = StaticScheduler(topo, NoCConfig(schedule_mode="atomic")).simulate(
+        atomic = oracle.StaticScheduler(topo, mode="atomic").simulate(
             msgs, multicast=False
         )
         assert event.makespan_cycles <= atomic.makespan_cycles
@@ -159,17 +156,13 @@ class TestGeneratedDifferential:
 
 @st.composite
 def small_unicast_cases(draw):
-    """A small mesh (any axis may be 1), any dimension order, local ports
-    on or off, and a few unicast/multicast messages."""
+    """A small mesh (any axis may be 1) and a few unicast/multicast
+    messages."""
     topo = Mesh3D(
         draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
     )
     if topo.num_routers < 2:
         topo = Mesh3D(2, topo.height, topo.tiers)
-    config = NoCConfig(
-        model_local_ports=draw(st.booleans()),
-        routing_order=draw(st.sampled_from(["".join(p) for p in permutations("xyz")])),
-    )
     n = topo.num_routers
     messages = []
     for msg_id in range(draw(st.integers(0, 6))):
@@ -184,7 +177,7 @@ def small_unicast_cases(draw):
                 msg_id=msg_id,
             )
         )
-    return topo, config, messages
+    return topo, messages
 
 
 class TestPerLinkLoadsMatchStatic:
@@ -193,9 +186,9 @@ class TestPerLinkLoadsMatchStatic:
     def test_same_flits_on_every_link(self, case):
         """One route builder feeds both models: the flit simulator loads
         every link exactly as the static unicast schedule does."""
-        topo, config, msgs = case
-        static = StaticScheduler(topo, config).simulate(msgs, multicast=False)
-        event = FlitSimulator(topo, config).simulate(msgs)
+        topo, msgs = case
+        static = StaticScheduler(topo).simulate(msgs, multicast=False)
+        event = FlitSimulator(topo).simulate(msgs)
         assert event.link_loads == static.link_loads
 
 
@@ -206,17 +199,6 @@ class TestTraceCountFloor:
 
 
 class TestBackendSemantics:
-    def test_routing_orders_agree(self):
-        topo = MESHES["6x6x3"]
-        msgs = uniform_random_traffic(topo, 20, seed=11)
-        for order in ("xyz", "zxy"):
-            assert_backends_identical(topo, msgs, NoCConfig(routing_order=order))
-
-    def test_without_local_ports(self):
-        topo = MESHES["4x4x2"]
-        msgs = uniform_random_traffic(topo, 25, seed=3, inject_window=50)
-        assert_backends_identical(topo, msgs, NoCConfig(model_local_ports=False))
-
     def test_watchdog_agrees(self):
         topo = MESHES["4x4x2"]
         msgs = uniform_random_traffic(topo, 10, size_bits=4096, seed=0)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.mapping import contiguous_mapping, random_mapping
 from repro.core.traffic import GNNTrafficModel
 from repro.noc.packet import Message, MessageTable
-from repro.noc.schedule import NoCConfig, StaticScheduler
+from repro.noc.schedule import StaticScheduler
 from repro.noc.topology import Mesh3D
 
 TOPO = Mesh3D(4, 3, 2)
@@ -57,11 +57,23 @@ def test_rejects_what_message_rejects(row):
     assert str(table.value) == str(message.value)
 
 
+def test_rejects_duplicate_message_ids():
+    """Results report finish cycles by id: two messages left at the
+    default id -1 would share one entry and lose a finish cycle."""
+    messages = [Message(0, (5,), 320), Message(1, (9,), 3200)]
+    with pytest.raises(ValueError, match="duplicate message id -1"):
+        MessageTable.from_messages(messages)
+    with pytest.raises(ValueError, match="duplicate message id 3"):
+        StaticScheduler(Mesh3D(4, 4, 2)).simulate(
+            [Message(0, (5,), 32, msg_id=3), Message(1, (9,), 32, msg_id=3)]
+        )
+
+
 @st.composite
 def message_lists(draw) -> list[Message]:
     n = TOPO.num_routers
     messages = []
-    for msg_id in draw(st.lists(st.integers(-1, 50), max_size=12)):
+    for msg_id in draw(st.lists(st.integers(-1, 50), max_size=12, unique=True)):
         src = draw(st.integers(0, n - 1))
         others = [r for r in range(n) if r != src]
         messages.append(
@@ -88,14 +100,10 @@ def test_from_messages_round_trips(messages):
     assert [(m, m.msg_id) for m in back] == [(m, m.msg_id) for m in messages]
 
 
-@given(
-    message_lists(),
-    st.sampled_from(["pipelined", "atomic"]),
-    st.booleans(),
-)
+@given(message_lists(), st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_list_and_table_schedule_identically(messages, mode, multicast):
-    scheduler = StaticScheduler(TOPO, NoCConfig(schedule_mode=mode))
+def test_list_and_table_schedule_identically(messages, multicast):
+    scheduler = StaticScheduler(TOPO)
     from_list = scheduler.simulate(messages, multicast=multicast)
     from_table = scheduler.simulate(MessageTable.from_messages(messages), multicast)
     assert from_list == from_table

@@ -1,7 +1,8 @@
-"""Tests for configurable dimension-order routing (vertical-first ablation),
-the batched link-id routes both NoC models read, and the reference
-id -> tuple map (``oracles.link_tuples.link_of``) the differential and
-golden tests compare per-link loads through."""
+"""Tests for the dimension-order routes of the reference walks (any
+order; the library routes X-Y-Z only), the batched link-id routes both
+NoC models read, and the reference id -> tuple map
+(``oracles.link_tuples.link_of``) the differential and golden tests
+compare per-link loads through."""
 
 from itertools import permutations
 
@@ -10,11 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import schedule_tree as oracle
-from oracles.link_route import dimension_order_route, link_route
+from oracles.link_route import dimension_order_route, link_route, route_plan
 from oracles.link_tuples import ejection_link, injection_link, is_local, link_of
-from repro.noc.routing import link_paths, route_plan
-from repro.noc.schedule import NoCConfig, StaticScheduler
-from repro.noc.packet import Message
+from repro.noc.routing import link_paths
 from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port
 
 TOPO = Mesh3D(8, 8, 3)
@@ -22,19 +21,26 @@ ORDERS = ["".join(p) for p in permutations("xyz")]
 
 
 @st.composite
-def mesh_routes(draw):
-    """A mesh (width, height or tiers may be 1), an order and a router pair."""
+def mesh_pairs(draw):
+    """A mesh (width, height or tiers may be 1) and a router pair."""
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     topo = Mesh3D(width, height, draw(st.integers(1, 4)))
     src = draw(st.integers(0, topo.num_routers - 1))
     dst = draw(st.integers(0, topo.num_routers - 1))
+    return topo, src, dst
+
+
+@st.composite
+def mesh_routes(draw):
+    """A mesh, a dimension order and a router pair."""
+    topo, src, dst = draw(mesh_pairs())
     return topo, draw(st.sampled_from(ORDERS)), src, dst
 
 
 @st.composite
 def route_batches(draw):
-    """A mesh (planar, 1-wide and 1-row ones included), an order and a
-    possibly empty batch of router pairs."""
+    """A mesh (planar, 1-wide and 1-row ones included) and a possibly
+    empty batch of router pairs."""
     shape = draw(st.sampled_from(["3d", "planar", "one-wide", "one-row"]))
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     if shape == "planar":
@@ -46,8 +52,7 @@ def route_batches(draw):
     else:
         topo = Mesh3D(width, height, draw(st.integers(1, 4)))
     routers = st.integers(0, topo.num_routers - 1)
-    pairs = draw(st.lists(st.tuples(routers, routers), max_size=12))
-    return topo, draw(st.sampled_from(ORDERS)), pairs, draw(st.booleans())
+    return topo, draw(st.lists(st.tuples(routers, routers), max_size=12))
 
 
 class TestDimensionOrderRoute:
@@ -100,38 +105,34 @@ class TestStrideWalk:
             oracle.dimension_order_route(topo, src, dst, order)
         )
 
-    @given(case=mesh_routes())
+    @given(case=mesh_pairs())
     @settings(max_examples=200, deadline=None)
     def test_link_ids_name_the_router_route(self, case):
-        topo, order, src, dst = case
-        ids, offsets = link_paths(route_plan(topo, order), [src], [dst])
+        topo, src, dst = case
+        ids, offsets = link_paths(topo, [src], [dst])
         assert offsets.tolist() == [0, len(ids)]
-        assert [link_of(topo, lid) for lid in ids.tolist()] == oracle.route_links(
-            dimension_order_route(topo, src, dst, order)
-        )
+        inject, *mesh, eject = [link_of(topo, lid) for lid in ids.tolist()]
+        assert (inject, eject) == (injection_link(topo, src), ejection_link(topo, dst))
+        assert mesh == oracle.route_links(dimension_order_route(topo, src, dst))
 
     @given(case=route_batches())
     @settings(max_examples=300, deadline=None)
     def test_batched_paths_match_route_at_a_time_walk(self, case):
-        topo, order, pairs, local_ports = case
-        plan = route_plan(topo, order)
+        topo, pairs = case
         srcs = [src for src, _ in pairs]
         dsts = [dst for _, dst in pairs]
-        ids, offsets = link_paths(plan, srcs, dsts, local_ports)
+        ids, offsets = link_paths(topo, srcs, dsts)
         assert len(offsets) == len(pairs) + 1 and offsets[0] == 0
         got = [ids[a:b].tolist() for a, b in zip(offsets[:-1], offsets[1:])]
-        want = [link_route(plan, src, dst) for src, dst in pairs]
-        if local_ports:
-            want = [
-                [link_id(src, INJECT), *path, link_id(dst, EJECT)]
-                for path, (src, dst) in zip(want, pairs)
-            ]
-        assert got == want
+        plan = route_plan(topo)
+        assert got == [
+            [link_id(src, INJECT), *link_route(plan, src, dst), link_id(dst, EJECT)]
+            for src, dst in pairs
+        ]
 
     def test_empty_batch(self):
-        for local_ports in (False, True):
-            ids, offsets = link_paths(route_plan(TOPO), [], [], local_ports)
-            assert ids.size == 0 and offsets.tolist() == [0]
+        ids, offsets = link_paths(TOPO, [], [])
+        assert ids.size == 0 and offsets.tolist() == [0]
 
     def test_local_port_ids(self):
         n = TOPO.num_routers
@@ -143,9 +144,9 @@ class TestStrideWalk:
         with pytest.raises(ValueError, match="permutation"):
             route_plan(TOPO, "xyy")
         with pytest.raises(IndexError):
-            link_paths(route_plan(TOPO), [0], [TOPO.num_routers])
+            link_paths(TOPO, [0], [TOPO.num_routers])
         with pytest.raises(IndexError):
-            link_paths(route_plan(TOPO), [-1, 0], [1, 2])
+            link_paths(TOPO, [-1, 0], [1, 2])
 
 
 class TestLinkOf:
@@ -195,38 +196,3 @@ class TestLinkOf:
         local |= {ejection_link(topo, r) for r in routers}
         assert named == mesh | local
 
-
-class TestSchedulerRoutingOrder:
-    def test_config_accepts_order(self):
-        cfg = NoCConfig(routing_order="zxy")
-        assert cfg.routing_order == "zxy"
-        with pytest.raises(ValueError):
-            NoCConfig(routing_order="abc")
-
-    def test_uncontended_latency_order_invariant(self):
-        """Minimal routes have equal length, so a single message's latency
-        is identical under any dimension order."""
-        msg = Message(src=0, dests=(TOPO.router_id(5, 3, 2),), size_bits=640, msg_id=0)
-        results = {
-            order: StaticScheduler(TOPO, NoCConfig(routing_order=order))
-            .simulate([msg])
-            .makespan_cycles
-            for order in ("xyz", "zxy")
-        }
-        assert results["xyz"] == results["zxy"]
-
-    def test_orders_use_different_links(self):
-        msgs = [
-            Message(
-                src=TOPO.router_id(0, 0, 1),
-                dests=(TOPO.router_id(4, 4, 0),),
-                size_bits=640,
-                msg_id=0,
-            )
-        ]
-        xyz = StaticScheduler(TOPO, NoCConfig(routing_order="xyz")).simulate(msgs)
-        zxy = StaticScheduler(TOPO, NoCConfig(routing_order="zxy")).simulate(msgs)
-        assert {lid for lid, n in enumerate(xyz.link_loads) if n} != {
-            lid for lid, n in enumerate(zxy.link_loads) if n
-        }
-        assert xyz.total_flit_hops == zxy.total_flit_hops

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
-from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -31,21 +30,18 @@ from repro.noc.schedule import StaticScheduler
 
 MESHES = {"8x8x3": (8, 8, 3), "12x12x4": (12, 12, 4)}
 
-#: (mesh, schedule_mode, multicast) -> blake2b digest of
+#: (mesh, schedule mode, multicast) -> blake2b digest of
 #: (makespan, sorted message_finish, sorted per-link flits), links keyed by
 #: their ``(a, b)`` tuples as when the digests were pinned.  Message ids
 #: are the rank by (src, dests, tag); when they replaced the ``str`` order
 #: of the old coalescing keys the digests were re-pinned, with makespan,
 #: link loads, ``tag_finish`` and every message's finish cycle unchanged.
+#: The mode is the library's one schedule, kept in the keys as pinned.
 SCHEDULE_GOLDEN = {
     ("8x8x3", "pipelined", True): "9719520ebdfc6ee0995bc7a8f721b234",
     ("8x8x3", "pipelined", False): "a3bfba1200d2aa2c958ce5a93b3994ae",
-    ("8x8x3", "atomic", True): "dfd011f82015f655d3cbacec4489fd8e",
-    ("8x8x3", "atomic", False): "767b5d1266703351a4105cea628b0f74",
     ("12x12x4", "pipelined", True): "99c41525a4b234b6f111d1c9359e5b3c",
     ("12x12x4", "pipelined", False): "90be54a31390b534d78686ade3761c49",
-    ("12x12x4", "atomic", True): "d83bd053c1cd4385bf8106d292107016",
-    ("12x12x4", "atomic", False): "a44ad1401701dd87e625fcdb3614b27b",
 }
 
 
@@ -78,8 +74,7 @@ def schedule_digest(result) -> str:
 @pytest.mark.parametrize("mesh,mode,multicast", list(SCHEDULE_GOLDEN))
 def test_schedule_digest(mesh, mode, multicast):
     config, messages = _traffic(mesh)
-    noc = replace(config.noc, schedule_mode=mode)
-    result = StaticScheduler(config.topology, noc).simulate(
+    result = StaticScheduler(config.topology, config.noc).simulate(
         messages, multicast=multicast
     )
     assert schedule_digest(result) == SCHEDULE_GOLDEN[(mesh, mode, multicast)]
@@ -94,7 +89,6 @@ SIMULATE_PEAK_BYTES = 4_000_000
 def test_simulate_peak_memory():
     config, messages = _traffic("12x12x4")
     scheduler = StaticScheduler(config.topology, config.noc)
-    assert config.noc.schedule_mode == "pipelined"
     scheduler.simulate(messages)  # first-call allocations are not the bound's
     tracemalloc.start()
     try:

@@ -1,11 +1,11 @@
-"""Properties the static schedule must hold on generated GNN traffic.
+"""Properties the NoC models must hold on generated traffic.
 
 The golden digests pin the schedule bit for bit on two meshes; these
 tests pin what must hold whatever the numbering or the instance.  Each
 example draws a mesh (width, height, tiers, V tier), a layer count,
 training or inference and a tiny generated graph, builds the traffic
-model's message table and schedules it in both modes, with and without
-multicast.  The checks:
+model's message table and schedules it with and without multicast.  The
+checks:
 
 * per-link flits equal the sum, over packets, of the packet's links
   times its flits, with every route rebuilt one at a time by
@@ -13,33 +13,54 @@ multicast.  The checks:
 * the makespan is at least the heaviest link's load;
 * a message finishes no earlier than its injection plus its longest
   route in links times ``hop_cycles`` plus its flits minus one;
-* the pipelined schedule finishes every message no later than the
-  atomic one;
+* the schedule finishes every message no later than the atomic one of
+  ``tests/oracles/schedule_tree.py`` (each packet holding its whole tree
+  for its full duration);
 * multicast trees never cost more flit-hops than unicast copies;
-* no tag finishes after the makespan.
+* no tag finishes after the makespan;
+* the unicast schedule and the flit-level simulator carry the same
+  flit-hops, and the schedule's makespan stays within a measured ratio
+  band of the simulator's (:data:`GNN_RATIO_BAND` on GNN traffic,
+  :data:`SYNTHETIC_RATIO_BAND` on the synthetic generators' traffic).
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
-from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles.link_route import link_route
+from oracles import schedule_tree as oracle
+from oracles.link_route import link_route, route_plan
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import contiguous_mapping
 from repro.core.traffic import GNNTrafficModel
 from repro.graph.generators import powerlaw_community_graph
-from repro.noc.routing import route_plan
 from repro.noc.schedule import StaticScheduler
-from repro.noc.topology import EJECT, INJECT, PORTS
+from repro.noc.simulator import FlitSimulator
+from repro.noc.topology import EJECT, INJECT, PORTS, Mesh3D
+from repro.noc.traffic_gen import (
+    hotspot_traffic,
+    many_to_one_to_many_traffic,
+    uniform_random_traffic,
+)
 from repro.reram.sparse_mapping import block_tile_adjacency
 
-ORDERS = ["".join(p) for p in permutations("xyz")]
-MODES = [(mode, mc) for mode in ("pipelined", "atomic") for mc in (True, False)]
+#: Bounds on static / flit-level makespan, unicast on both sides, for
+#: GNN traffic (every message injected at cycle 0).  Measured from 1.0
+#: to 2.24 over 2,800 instances of :data:`knobs`, from 2.05 to 2.92 on
+#: ppi@0.05 on the 6x6x2, 8x8x3 and 12x12x4 meshes (contiguous and
+#: random stage maps) and 2.41 on ppi@0.1 on the 8x8x3 mesh
+#: (``tests/test_integration.py``).  The schedule serializes whole packets where the
+#: simulator interleaves flits, so it is the slower model here.
+GNN_RATIO_BAND = (1.0, 3.0)
+
+#: The same bounds for the synthetic generators' traffic.  The schedule
+#: reserves links in injection order while the simulator grants them
+#: first come, so on a few of these sets the schedule finishes first:
+#: measured from 0.89 to 1.89 over 7,000 generated sets.
+SYNTHETIC_RATIO_BAND = (0.85, 3.0)
 
 knobs = st.tuples(
     st.integers(2, 4),  # mesh width
@@ -48,7 +69,6 @@ knobs = st.tuples(
     st.integers(0, 2),  # V tier (mod tiers)
     st.integers(1, 2),  # layers
     st.booleans(),  # training
-    st.sampled_from(ORDERS),
     st.integers(16, 64),  # graph nodes
     st.integers(0, 2**16),  # graph seed
 )
@@ -56,8 +76,8 @@ EXAMPLES = settings(max_examples=30, derandomize=True, deadline=None)
 
 
 @lru_cache(maxsize=None)
-def _schedules(width, height, tiers, v_tier, layers, training, order, nodes, seed):
-    """The traffic table, its scheduler config and its four schedules."""
+def _schedules(width, height, tiers, v_tier, layers, training, nodes, seed):
+    """The traffic's config and messages, and its schedules by multicast."""
     config = ReGraphXConfig(
         mesh_width=width, mesh_height=height, tiers=tiers,
         v_tier=v_tier % tiers, num_layers=layers,
@@ -75,17 +95,14 @@ def _schedules(width, height, tiers, v_tier, layers, training, order, nodes, see
         list(zip(dims, dims[1:])),
         training=training,
     ).messages()
-    noc = replace(config.noc, routing_order=order)
-    results = {}
-    for mode, multicast in MODES:
-        scheduler = StaticScheduler(config.topology, replace(noc, schedule_mode=mode))
-        results[mode, multicast] = scheduler.simulate(table, multicast=multicast)
-    return config, noc, table.to_messages(), results
+    scheduler = StaticScheduler(config.topology, config.noc)
+    results = {mc: scheduler.simulate(table, multicast=mc) for mc in (True, False)}
+    return config, table.to_messages(), results
 
 
-def _routes(config, noc, msg):
-    """Each destination's link ids, local ports included, one at a time."""
-    plan = route_plan(config.topology, noc.routing_order)
+def _routes(config, msg):
+    """Each destination's link ids, tile ports included, one at a time."""
+    plan = route_plan(config.topology)
     inject = msg.src * PORTS + INJECT
     return [
         [inject, *link_route(plan, msg.src, dst), dst * PORTS + EJECT]
@@ -96,18 +113,16 @@ def _routes(config, noc, msg):
 @given(knobs)
 @EXAMPLES
 def test_link_loads_are_tree_links_times_flits(params):
-    config, noc, messages, results = _schedules(*params)
-    assert noc.model_local_ports
+    config, messages, results = _schedules(*params)
     for multicast in (True, False):
         expected = [0] * (config.topology.num_routers * PORTS)
         for msg in messages:
-            routes = _routes(config, noc, msg)
+            routes = _routes(config, msg)
             packets = [set().union(*routes)] if multicast else [set(r) for r in routes]
             for links in packets:
                 for lid in links:
-                    expected[lid] += msg.num_flits(noc.flit_bits)
-        for mode in ("pipelined", "atomic"):
-            assert list(results[mode, multicast].link_loads) == expected
+                    expected[lid] += msg.num_flits(config.noc.flit_bits)
+        assert list(results[multicast].link_loads) == expected
 
 
 @given(knobs)
@@ -121,9 +136,10 @@ def test_makespan_covers_the_bottleneck_link(params):
 @given(knobs)
 @EXAMPLES
 def test_no_message_beats_its_uncontended_latency(params):
-    config, noc, messages, results = _schedules(*params)
+    config, messages, results = _schedules(*params)
+    noc = config.noc
     for msg in messages:
-        longest = max(len(route) for route in _routes(config, noc, msg))
+        longest = max(len(route) for route in _routes(config, msg))
         flits = msg.num_flits(noc.flit_bits)
         bound = msg.inject_cycle + longest * noc.hop_cycles + flits - 1
         for result in results.values():
@@ -133,10 +149,11 @@ def test_no_message_beats_its_uncontended_latency(params):
 @given(knobs)
 @EXAMPLES
 def test_pipelined_never_finishes_after_atomic(params):
-    *_, messages, results = _schedules(*params)
+    config, messages, results = _schedules(*params)
+    scheduler = oracle.StaticScheduler(config.topology, config.noc, mode="atomic")
     for multicast in (True, False):
-        pipelined = results["pipelined", multicast].message_finish
-        atomic = results["atomic", multicast].message_finish
+        pipelined = results[multicast].message_finish
+        atomic = scheduler.simulate(messages, multicast).message_finish
         assert all(pipelined[m.msg_id] <= atomic[m.msg_id] for m in messages)
         assert max(pipelined.values(), default=0) <= max(atomic.values(), default=0)
 
@@ -145,9 +162,7 @@ def test_pipelined_never_finishes_after_atomic(params):
 @EXAMPLES
 def test_multicast_never_costs_more_flit_hops(params):
     *_, results = _schedules(*params)
-    for mode in ("pipelined", "atomic"):
-        tree, copies = results[mode, True], results[mode, False]
-        assert tree.total_flit_hops <= copies.total_flit_hops
+    assert results[True].total_flit_hops <= results[False].total_flit_hops
 
 
 @given(knobs)
@@ -157,3 +172,55 @@ def test_every_tag_finishes_within_the_makespan(params):
     for result in results.values():
         assert set(result.tag_finish) == {m.tag for m in messages}
         assert all(c <= result.makespan_cycles for c in result.tag_finish.values())
+
+
+def assert_in_ratio_band(topo, noc, messages, band) -> None:
+    """Unicast schedule and flit simulator: same flit-hops, makespans in ``band``."""
+    static = StaticScheduler(topo, noc).simulate(messages, multicast=False)
+    flit = FlitSimulator(topo, noc).simulate(messages)
+    assert static.total_flit_hops == flit.total_flit_hops
+    low, high = band
+    ratio = static.makespan_cycles / max(flit.makespan_cycles, 1)
+    assert low <= ratio <= high, f"static / flit makespan {ratio:.3f} outside {band}"
+
+
+@given(knobs)
+@EXAMPLES
+def test_gnn_traffic_stays_in_the_ratio_band(params):
+    config, messages, _ = _schedules(*params)
+    assert_in_ratio_band(config.topology, config.noc, messages, GNN_RATIO_BAND)
+
+
+@st.composite
+def synthetic_traffic(draw):
+    """A mesh (one axis may be 1) and a uniform, hotspot or
+    many-to-one-to-many message set, injected at once or over a window."""
+    topo = Mesh3D(
+        draw(st.integers(2, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    )
+    n = topo.num_routers
+    size_bits = draw(st.sampled_from([32, 256, 1024]))
+    seed = draw(st.integers(0, 2**16))
+    window = draw(st.sampled_from([0, 50, 200]))
+    pattern = draw(st.sampled_from(["uniform", "hotspot", "m2o2m"]))
+    if pattern == "uniform":
+        count = draw(st.integers(1, 40))
+        return topo, uniform_random_traffic(topo, count, size_bits, seed, window)
+    if pattern == "hotspot" and n >= 3:  # else many-to-one-to-many below
+        return topo, hotspot_traffic(
+            topo, draw(st.integers(1, 40)), draw(st.integers(0, n - 1)),
+            draw(st.floats(0, 1)), size_bits, seed, window,
+        )
+    routers = draw(st.permutations(range(n)))
+    split = draw(st.integers(1, n - 1))
+    return topo, many_to_one_to_many_traffic(
+        topo, routers[:split][:6], routers[split:][:4], size_bits,
+        seed=seed, inject_window=window,
+    )
+
+
+@given(synthetic_traffic())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_synthetic_traffic_stays_in_the_ratio_band(case):
+    topo, messages = case
+    assert_in_ratio_band(topo, None, messages, SYNTHETIC_RATIO_BAND)

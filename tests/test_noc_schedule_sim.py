@@ -3,6 +3,7 @@ their cross-validation (the two NoC models of docs/architecture.rst)."""
 
 import pytest
 
+from oracles import schedule_tree as oracle
 from oracles.flit_cycle import CycleFlitSimulator
 from repro.noc.packet import Message
 from repro.noc.schedule import NoCConfig, StaticScheduler
@@ -53,8 +54,6 @@ class TestNoCConfig:
             NoCConfig(clock_hz=0)
         with pytest.raises(ValueError):
             NoCConfig(router_cycles=0)
-        with pytest.raises(ValueError):
-            NoCConfig(schedule_mode="magic")
 
 
 def analytic_latency(topo, cfg, msg):
@@ -133,10 +132,9 @@ class TestStaticScheduler:
 
     def test_atomic_mode_conservative(self):
         msgs = uniform_random_traffic(TOPO, 60, size_bits=512, seed=3)
-        pipelined = StaticScheduler(TOPO, NoCConfig(schedule_mode="pipelined"))
-        atomic = StaticScheduler(TOPO, NoCConfig(schedule_mode="atomic"))
+        atomic = oracle.StaticScheduler(TOPO, CFG, mode="atomic")
         assert (
-            pipelined.simulate(msgs).makespan_cycles
+            StaticScheduler(TOPO, CFG).simulate(msgs).makespan_cycles
             <= atomic.simulate(msgs).makespan_cycles
         )
 
@@ -158,13 +156,6 @@ class TestStaticScheduler:
         result = StaticScheduler(TOPO, CFG).simulate(msgs)
         assert result.makespan_cycles >= result.max_link_load
 
-    def test_without_local_ports(self):
-        cfg = NoCConfig(model_local_ports=False)
-        msg = Message(src=0, dests=(TOPO.router_id(3, 2, 1),), size_bits=320, msg_id=0)
-        result = StaticScheduler(TOPO, cfg).simulate([msg])
-        hops = TOPO.distance(0, msg.dests[0])
-        assert result.makespan_cycles == hops * cfg.hop_cycles + msg.num_flits(32) - 1
-
 
 class TestFlitSimulator:
     def test_single_message_matches_scheduler(self):
@@ -175,7 +166,7 @@ class TestFlitSimulator:
 
     def test_contended_not_worse_than_atomic(self):
         msgs = uniform_random_traffic(TOPO, 40, size_bits=512, seed=5)
-        atomic = StaticScheduler(TOPO, NoCConfig(schedule_mode="atomic")).simulate(
+        atomic = oracle.StaticScheduler(TOPO, CFG, mode="atomic").simulate(
             msgs, multicast=False
         )
         sim = FlitSimulator(TOPO, CFG).simulate(msgs)
@@ -272,22 +263,10 @@ class TestLinkUtilization:
         result = FlitSimulator(small, CFG).simulate(msgs)
         util = result.utilization
         assert 0.0 < util <= 1.0
-        # With local ports modelled the denominator counts the 8 directed
-        # mesh links + 2N local ports.
+        # The denominator counts the 8 directed mesh links + 2N local ports.
         expected_links = 8 + 2 * small.num_routers
         assert util == pytest.approx(
             result.total_flit_hops / (expected_links * result.makespan_cycles)
-        )
-
-    def test_without_local_ports(self):
-        small = Mesh3D(2, 2, 1)
-        cfg = NoCConfig(model_local_ports=False)
-        msgs = [Message(src=1, dests=(2,), size_bits=4096, msg_id=0)]
-        result = FlitSimulator(small, cfg).simulate(msgs)
-        util = result.utilization
-        assert 0.0 < util <= 1.0
-        assert util == pytest.approx(
-            result.total_flit_hops / (8 * result.makespan_cycles)
         )
 
     def test_zero_makespan(self):

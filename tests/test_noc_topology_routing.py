@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles.link_route import dimension_order_route
 from oracles.schedule_tree import multicast_tree, tree_depth_order
 from repro.noc.packet import Message
-from repro.noc.schedule import NoCConfig, StaticScheduler
+from repro.noc.schedule import StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port
 
@@ -48,19 +48,18 @@ class TestMesh3D:
         expected = 2 * ((w - 1) * h * t + w * (h - 1) * t + w * h * (t - 1))
         assert sum(len(self.topo.neighbors(r)) for r in range(192)) == expected
 
-    def _loads(self, src, dst, config=None):
+    def _loads(self, src, dst):
         msg = Message(src=src, dests=(dst,), size_bits=32, msg_id=0)
-        return StaticScheduler(self.topo, config).simulate([msg])
+        return StaticScheduler(self.topo).simulate([msg])
 
     def test_vertical_detection(self):
         a = self.topo.router_id(2, 2, 0)
         b = self.topo.router_id(2, 2, 1)
         c = self.topo.router_id(3, 2, 0)
-        no_ports = NoCConfig(model_local_ports=False)
-        up = self._loads(a, b, no_ports)
+        up = self._loads(a, b)
         assert up.link_loads[link_id(a, mesh_port(2, False))] == 2
-        assert up.vertical_flit_hops == up.total_flit_hops == 2
-        east = self._loads(a, c, no_ports)
+        assert up.vertical_flit_hops == 2 and up.planar_flit_hops == 0
+        east = self._loads(a, c)
         assert east.vertical_flit_hops == 0 and east.planar_flit_hops == 2
 
     def test_local_ports(self):
