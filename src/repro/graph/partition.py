@@ -19,9 +19,12 @@ On the dense scaled Table II graphs (ppi@0.1, reddit@0.02, amazon2m@0.004,
 ppi@0.05) heavy-edge matching stalls at the first level, so region growing
 and refinement run on the full graph and set the cost.  Matching is whole-
 array numpy.  Region growing walks each placed node's neighbours once, on
-Python lists.  Refinement screens each pass with one sparse node-by-part
-product and runs its scalar gain scan only on the few boundary nodes that
-could move (a refine call moves 0.5-1.3k of 5-10k nodes there).
+Python lists, and keeps its frontier in buckets keyed by connection value,
+each a min-heap of small int first-seen ranks, so it pushes ints rather
+than tuples.  Refinement screens each pass with one sparse node-by-part
+product and runs its gain scan, one ``np.bincount`` per node, only on the
+few boundary nodes that could move (a refine call moves 0.5-1.3k of 5-10k
+nodes there).
 Sparser graphs do coarsen: ``powerlaw_community_graph(3000, 9000,
 num_communities=50)`` cut into 16 parts goes through ten levels.
 """
@@ -151,7 +154,16 @@ def _initial_partition(
     k: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Greedy region growing on the coarsest graph."""
+    """Greedy region growing on the coarsest graph.
+
+    Each part grows from an unplaced seed by repeatedly taking the frontier
+    node most strongly connected to it, the earliest seen among ties.  The
+    frontier is bucketed by connection value: ``buckets[c]`` is a min-heap
+    of the first-seen ranks pushed at connection ``c``, and ``keys`` is a
+    max-heap of the values that have a bucket.  An entry is stale once its
+    node is placed or its connection has moved past ``c``; a bucket and its
+    key go only when the bucket is found empty at the top.
+    """
     n = adj.shape[0]
     assignment = [-1] * n
     weights = node_weight.tolist()
@@ -159,6 +171,10 @@ def _initial_partition(
     # Seeds: heaviest nodes first, so hubs anchor distinct regions.
     seed_order = np.argsort(-node_weight + rng.random(n) * 1e-9).tolist()
     indptr, indices, data = adj.indptr.tolist(), adj.indices, adj.data
+    # Per node: the part that last saw it, its connection to that part and
+    # its first-seen rank there; ``seen[rank]`` maps a rank back to its node.
+    stamp, conn, rank = [-1] * n, [0.0] * n, [0] * n
+    heappush, heappop = heapq.heappush, heapq.heappop
     for part in range(k):
         # Find an unassigned seed.
         while seed_order and assignment[seed_order[-1]] >= 0:
@@ -166,28 +182,43 @@ def _initial_partition(
         if not seed_order:
             break
         seed = seed_order.pop()
-        # Frontier node -> its connection to the part, plus a lazy max-heap
-        # of (-connection, first seen, node) entries: the heap top that
-        # still matches the frontier is the strongest-connected node,
-        # earliest seen among ties.
-        frontier: dict[int, float] = {seed: 0.0}
-        first_seen: dict[int, int] = {seed: 0}
-        heap = [(-0.0, 0, seed)]
+        stamp[seed], conn[seed], rank[seed] = part, 0.0, 0
+        seen = [seed]
+        buckets: dict[float, list[int]] = {0.0: [0]}
+        keys = [-0.0]
+        live = 1  # frontier nodes not yet placed
         weight = 0.0
-        while frontier and weight < target:
-            negated, _, node = heapq.heappop(heap)
-            if frontier.get(node) != -negated:
-                continue  # stale: the node was pushed again or already placed
-            del frontier[node]
+        while live and weight < target:
+            top = -keys[0]
+            bucket = buckets[top]
+            while bucket:
+                node = seen[heappop(bucket)]
+                if assignment[node] < 0 and conn[node] == top:
+                    break
+            else:
+                del buckets[top]
+                heappop(keys)
+                continue
+            live -= 1
             assignment[node] = part
             weight += weights[node]
             lo, hi = indptr[node], indptr[node + 1]
             for nbr, w in zip(indices[lo:hi].tolist(), data[lo:hi].tolist()):
                 if assignment[nbr] < 0:
-                    connection = frontier.get(nbr, 0.0) + w
-                    frontier[nbr] = connection
-                    order = first_seen.setdefault(nbr, len(first_seen))
-                    heapq.heappush(heap, (-connection, order, nbr))
+                    if stamp[nbr] == part:
+                        connection = conn[nbr] + w
+                    else:
+                        stamp[nbr], connection = part, w
+                        rank[nbr] = len(seen)
+                        seen.append(nbr)
+                        live += 1
+                    conn[nbr] = connection
+                    bucket = buckets.get(connection)
+                    if bucket is None:
+                        buckets[connection] = [rank[nbr]]
+                        heappush(keys, -connection)
+                    else:
+                        heappush(bucket, rank[nbr])
     assignment = np.array(assignment, dtype=np.int64)
     # Any stragglers (disconnected bits) go to the lightest part.
     part_weight = np.bincount(
@@ -255,13 +286,22 @@ def _refine(
     part_weight = np.bincount(assignment, weights=node_weight, minlength=k).astype(float)
     cap = max_imbalance * node_weight.sum() / k
     _rebalance(adj, node_weight, assignment, part_weight, cap)
-    assign, part_weight = assignment.tolist(), part_weight.tolist()
+    part_weight = part_weight.tolist()
     weights = node_weight.tolist()
     indptr, indices, data = adj.indptr.tolist(), adj.indices, adj.data
+    # Pass-invariant screen inputs.  A connection sums at most d
+    # non-negative weights; any two summation orders of it differ by under
+    # d * eps * (its value).  The scan compares two such sums, so
+    # 2 * d * eps * (weighted degree) of slack keeps the screen conservative
+    # however either side rounds.
+    n = adj.shape[0]
+    degree = np.diff(adj.indptr)
+    src = np.repeat(np.arange(n), degree)
+    slack = 2 * np.finfo(float).eps * degree * np.bincount(src, adj.data, minlength=n)
     for _ in range(passes):
-        boundary, candidates = _move_candidates(adj, np.array(assign), k)
+        boundary, candidates = _move_candidates(adj, assignment, k, src, slack)
         queue = list(candidates)  # ascending, so already a heap
-        dirty = bytearray(len(assign))
+        dirty = np.zeros(n, dtype=bool)
         moved = 0
         while queue:
             node = heapq.heappop(queue)
@@ -269,37 +309,42 @@ def _refine(
                 part_weight[part] + weights[node] > cap for part in candidates[node]
             ):
                 continue  # every part it could gain from is full
-            here = assign[node]
+            here = int(assignment[node])
             lo, hi = indptr[node], indptr[node + 1]
-            nbrs = indices[lo:hi].tolist()
-            gains: dict[int, float] = {}
-            for nbr, w in zip(nbrs, data[lo:hi].tolist()):
-                part = assign[nbr]
-                gains[part] = gains.get(part, 0.0) + w
-            internal = gains.pop(here, 0.0)
+            nbrs = indices[lo:hi]
+            parts = assignment[nbrs]
+            # Each part's connection sums its weights in neighbour order; the
+            # parts are tried in order of first appearance, so the first-seen
+            # part wins a tie.  Its own part gains 0 and never wins.
+            gains = np.bincount(parts, weights=data[lo:hi], minlength=k).tolist()
+            internal = gains[here]
             best_part, best_gain = here, 0.0
-            for part, weight in gains.items():
-                gain = weight - internal
+            for part in dict.fromkeys(parts.tolist()):
+                gain = gains[part] - internal
                 if gain > best_gain and part_weight[part] + weights[node] <= cap:
                     best_part, best_gain = part, gain
             if best_part != here:
                 part_weight[here] -= weights[node]
                 part_weight[best_part] += weights[node]
-                assign[node] = best_part
+                assignment[node] = best_part
                 moved += 1
                 # Later boundary neighbours now see a changed connectivity.
-                for nbr in nbrs:
-                    if nbr > node and boundary[nbr] and not dirty[nbr]:
-                        dirty[nbr] = 1
-                        if nbr not in candidates:
-                            heapq.heappush(queue, nbr)
+                fresh = nbrs[(nbrs > node) & boundary[nbrs] & ~dirty[nbrs]]
+                dirty[fresh] = True
+                for nbr in fresh.tolist():
+                    if nbr not in candidates:
+                        heapq.heappush(queue, nbr)
         if not moved:
             break
-    return np.array(assign, dtype=assignment.dtype)
+    return assignment
 
 
 def _move_candidates(
-    adj: sparse.csr_matrix, assignment: np.ndarray, k: int
+    adj: sparse.csr_matrix,
+    assignment: np.ndarray,
+    k: int,
+    src: np.ndarray,
+    slack: np.ndarray,
 ) -> tuple[np.ndarray, dict[int, list[int]]]:
     """Screen one refinement pass.
 
@@ -309,9 +354,10 @@ def _move_candidates(
     only to a part it gains from, so a node missing from the dict keeps its
     part unless a neighbour moves first.  The node-by-part connectivity is a
     sparse product with at most ``adj.nnz`` entries, never a dense n x k table.
+    ``src`` is the row of each stored entry of ``adj`` and ``slack`` the
+    per-node rounding allowance that :func:`_refine` computes once.
     """
     n = adj.shape[0]
-    src = np.repeat(np.arange(n), np.diff(adj.indptr))
     boundary = np.zeros(n, dtype=bool)
     boundary[src[assignment[src] != assignment[adj.indices]]] = True
     onehot = sparse.csr_matrix(
@@ -322,13 +368,6 @@ def _move_candidates(
     own = conn.indices == assignment[rows]
     internal = np.zeros(n)
     internal[rows[own]] = conn.data[own]
-    # A connection sums at most d non-negative weights; any two summation
-    # orders of it differ by under d * eps * (its value).  The scan compares
-    # two such sums, so 2 * d * eps * (row total) of slack keeps the screen
-    # conservative however either side rounds.
-    row_total = np.zeros(n)
-    np.add.at(row_total, rows, conn.data)
-    slack = 2 * np.finfo(float).eps * np.diff(adj.indptr) * row_total
     keep = ~own & (conn.data >= internal[rows] - slack[rows])
     cand_rows, cand_parts = rows[keep], conn.indices[keep].tolist()
     starts = np.flatnonzero(np.diff(cand_rows, prepend=-1)).tolist()

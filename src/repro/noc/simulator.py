@@ -111,21 +111,17 @@ class FlitSimulator:
         link grants), matching the static scheduler's processing order.
         """
         cfg = self.config
-        pairs: list[tuple[Message, int]] = []
-        seen: set[tuple[int, int]] = set()
+        # Results are keyed by (msg_id, dest) and folded by msg_id, so two
+        # messages sharing an id would merge their finish cycles.
+        seen: set[int] = set()
+        for msg in messages:
+            if msg.msg_id in seen:
+                raise ValueError(f"duplicate message id {msg.msg_id}")
+            seen.add(msg.msg_id)
         ordered = sorted(
             messages, key=lambda m: (m.inject_cycle, m.src, m.dests, m.msg_id)
         )
-        for msg in ordered:
-            for dst in msg.dests:
-                key = (msg.msg_id, dst)
-                if key in seen:
-                    raise ValueError(
-                        f"duplicate (msg_id, dest) pair {key}; message ids "
-                        f"must be unique per destination for result keying"
-                    )
-                seen.add(key)
-                pairs.append((msg, dst))
+        pairs = [(msg, dst) for msg in ordered for dst in msg.dests]
         ids, offsets = link_paths(
             self.topo, [msg.src for msg, _ in pairs], [dst for _, dst in pairs]
         )

@@ -3,7 +3,8 @@ refinement loops.
 
 ``_initial_partition`` and ``_refine`` are the scalar, numpy-indexed loops
 ``repro.graph.partition`` shipped before its inner loops moved to Python
-lists, a lazy frontier heap and a screened refinement pass.
+lists, a bucketed frontier and a screened, ``np.bincount``-scored
+refinement pass.
 ``_heavy_edge_matching`` is the version built on scipy's per-row
 ``argmax``, before proposals became one ``np.maximum.reduceat``.  They are
 kept verbatim so the differential tests in ``tests/test_graph_partition.py``

@@ -164,9 +164,10 @@ def weighted_levels(draw):
     return adj, node_weight, k, assignment
 
 
-def _coarsened_levels(seed):
+def _coarsened_hierarchy(seed):
     """Every matching level ``partition_graph`` builds for a sparse graph
-    that coarsens, with the RNG state each matching starts from."""
+    that coarsens: its adjacency, node weights and the RNG state its
+    matching starts from."""
     graph = powerlaw_community_graph(3000, 9000, num_communities=50, seed=seed)
     adj = graph.to_scipy().astype(np.float64)
     node_weight = np.ones(graph.num_nodes)
@@ -175,15 +176,26 @@ def _coarsened_levels(seed):
     while adj.shape[0] > 256:
         state = rng.bit_generator.state
         coarse_map = lib._heavy_edge_matching(adj, rng)
-        levels.append((adj, state))
+        levels.append((adj, node_weight, state))
         if coarse_map.max() + 1 >= adj.shape[0] * 0.95:
             break
         adj, node_weight = lib._coarsen(adj, node_weight, coarse_map)
     return levels
 
 
+def _coarsened_levels(seed):
+    """Every level of :func:`_coarsened_hierarchy` as (adjacency, RNG state)."""
+    return [(adj, state) for adj, _, state in _coarsened_hierarchy(seed)]
+
+
+def _pairs_and_singletons():
+    """50 nodes: 10 disjoint edges and 30 isolated nodes, so region growing
+    places at most two nodes per part and needs exactly 40 parts."""
+    return CSRGraph.from_edges(50, np.array([[2 * i, 2 * i + 1] for i in range(10)]))
+
+
 class TestLoopsMatchOracle:
-    """The array-native matching, list-native region growing and screened
+    """The array-native matching, bucketed region growing and screened
     refinement reproduce the reference loops node for node, ties included."""
 
     @given(level=weighted_levels(), tied=st.booleans(), seed=st.integers(0, 2**16))
@@ -232,3 +244,56 @@ class TestLoopsMatchOracle:
         want = oracle._refine(adj, node_weight, assignment, k, max_imbalance)
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loops_on_coarsened_levels(self, seed):
+        """Weighted levels with unsorted rows and many distinct connection
+        values, as the multilevel scheme hands them to the loops."""
+        levels = _coarsened_hierarchy(seed)
+        assert any(not adj.has_sorted_indices for adj, _, _ in levels)
+        assert max(np.unique(adj.data).size for adj, _, _ in levels) > 10
+        for adj, node_weight, state in levels:
+            rng_got, rng_want = np.random.default_rng(), np.random.default_rng()
+            rng_got.bit_generator.state = rng_want.bit_generator.state = state
+            got = lib._initial_partition(adj, node_weight, 16, rng_got)
+            want = oracle._initial_partition(adj, node_weight, 16, rng_want)
+            assert np.array_equal(got, want)
+            got = lib._refine(adj, node_weight, want, 16, 1.1)
+            assert np.array_equal(got, oracle._refine(adj, node_weight, want, 16, 1.1))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loops_on_unit_weights_many_parts(self, seed):
+        """Unit weights cut 40 ways: nearly every pick is a tie."""
+        graph = powerlaw_community_graph(400, 2400, num_communities=8, seed=seed)
+        adj = graph.to_scipy().astype(np.float64)
+        node_weight = np.ones(graph.num_nodes)
+        got = lib._initial_partition(adj, node_weight, 40, np.random.default_rng(seed))
+        want = oracle._initial_partition(adj, node_weight, 40, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+        for max_imbalance in (1.0, 1.1):
+            got = lib._refine(adj, node_weight, want, 40, max_imbalance)
+            assert np.array_equal(
+                got, oracle._refine(adj, node_weight, want, 40, max_imbalance)
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_loops_when_seeds_run_out(self, seed):
+        """k close to n: at k=45 the 40 components are placed before the
+        parts run out, so seeds run out; at k=35 the parts run out first,
+        so the straggler loop places the rest."""
+        adj = _pairs_and_singletons().to_scipy().astype(np.float64)
+        node_weight = np.ones(50)
+        for k in (35, 45):
+            got = lib._initial_partition(adj, node_weight, k, np.random.default_rng(seed))
+            want = oracle._initial_partition(adj, node_weight, k, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+            groups = [np.flatnonzero(want == part) for part in range(k)]
+            if k == 45:
+                assert sum(group.size == 0 for group in groups) == 5
+            else:  # a straggler joins a part it has no edge to
+                assert any(
+                    group.size > 2 or (group.size == 2 and adj[group[0], group[1]] == 0)
+                    for group in groups
+                )
+            got = lib._refine(adj, node_weight, want, k, 1.1)
+            assert np.array_equal(got, oracle._refine(adj, node_weight, want, k, 1.1))

@@ -225,6 +225,16 @@ class TestSimulationResultKeying:
         with pytest.raises(ValueError, match="duplicate"):
             FlitSimulator(TOPO, CFG).simulate(msgs)
 
+    def test_shared_id_different_dests_rejected(self):
+        """Two messages left at the default id -1 would fold into one
+        ``finish_by_message()`` entry, losing a finish cycle."""
+        msgs = [
+            Message(src=0, dests=(5,), size_bits=320),
+            Message(src=1, dests=(9,), size_bits=3200),
+        ]
+        with pytest.raises(ValueError, match="duplicate message id -1"):
+            FlitSimulator(Mesh3D(4, 4, 2)).simulate(msgs)
+
 
 class TestWatchdogAndEmptyInput:
     def test_empty_trace_zero_makespan(self):
