@@ -12,7 +12,10 @@ import cProfile
 import pstats
 import types
 
+import pytest
+
 from repro.serve.engine import ServingEngine
+from repro.serve.scenario import simulate_serving_scenario
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -64,3 +67,22 @@ def engine_work(fn, *args, **kwargs):
         if caller in _ENGINE_CODE
     )
     return result, calls / events
+
+
+@pytest.fixture(scope="session")
+def plain_serving_work():
+    """``engine_work`` of the plain 10^5-request serving run, once per session.
+
+    ``test_bench_faults.PLAIN`` and ``test_bench_serve.HOM`` are the same
+    scenario on the same analytic service model, the baseline both the
+    armed-idle fault gate and the typed-fleet gate divide by.  It is
+    profiled here once; the fixture fails if the two definitions drift
+    apart.  Returns ``(report, calls_per_event)``.
+    """
+    from benchmarks import test_bench_faults, test_bench_serve
+
+    scenario, service = test_bench_serve.HOM, test_bench_serve.SERVICE
+    assert test_bench_faults.PLAIN == scenario
+    assert type(test_bench_faults.SERVICE) is type(service)
+    assert vars(test_bench_faults.SERVICE) == vars(service)
+    return engine_work(simulate_serving_scenario, scenario, service=service)

@@ -61,11 +61,9 @@ def _timed(fn, *args, **kwargs) -> float:
     return time.perf_counter() - t0
 
 
-def test_idle_fault_machinery_overhead(benchmark):
+def test_idle_fault_machinery_overhead(benchmark, plain_serving_work):
     """Acceptance: armed-but-idle faults <= 1.10x plain work per event."""
-    plain_report, plain_work = engine_work(
-        simulate_serving_scenario, PLAIN, service=SERVICE
-    )
+    plain_report, plain_work = plain_serving_work
     inert_report, inert_work = engine_work(
         simulate_serving_scenario, INERT, service=SERVICE
     )

@@ -58,11 +58,9 @@ def _timed(fn, *args, **kwargs) -> float:
     return time.perf_counter() - t0
 
 
-def test_typed_fleet_event_rate(benchmark):
+def test_typed_fleet_event_rate(benchmark, plain_serving_work):
     """Acceptance: het fleet <= 1.25x hom work per event at 10^5 requests."""
-    hom_report, hom_work = engine_work(
-        simulate_serving_scenario, HOM, service=SERVICE
-    )
+    hom_report, hom_work = plain_serving_work
     het_report, het_work = engine_work(
         simulate_serving_scenario, HET, service=SERVICE
     )

@@ -14,10 +14,13 @@ Two interchangeable backends, chosen by name through ``backend=``; both
 are in use, so the switch selects behaviour, not a test reference:
 
 * ``"p2"`` — :class:`P2Sketch`, the constant-memory estimator (five
-  P² markers per tracked percentile, all updated by one fused step per
-  observation, plus exact count / mean / min / max, which are trivially
-  streamable).  :class:`P2Quantile` tracks one percentile with the same
-  step.
+  P² markers per tracked percentile plus exact count / mean / min / max,
+  which are trivially streamable).  ``add`` appends to a fixed pending
+  buffer of ``_PENDING`` observations; a full buffer, or any read,
+  flushes it through one :func:`_p2_run` loop per estimator, with the
+  same float operations in the same order as one P² step per
+  observation.  :class:`P2Quantile` tracks one percentile as a
+  one-estimator sketch.
 * ``"exact"`` — :class:`ExactSketch`, which stores every value and
   answers through :func:`repro.noc.stats.percentile`.  It is the
   differential oracle the P² backend is tested against, and the default
@@ -40,6 +43,11 @@ SKETCH_BACKENDS = ("exact", "p2")
 #: Percentiles a default sketch tracks — exactly the ones
 #: :class:`~repro.noc.stats.LatencySummary` reports.
 DEFAULT_QUANTILES = (50.0, 95.0, 99.0)
+
+#: Observations a :class:`P2Sketch` holds before running its P² steps: a
+#: fixed buffer (memory stays O(1)) that lets one flush run each
+#: estimator over the whole batch with its markers in local variables.
+_PENDING = 32
 
 
 def _p2_markers(q: float) -> tuple[list[float], list[float], list[float], tuple]:
@@ -68,66 +76,109 @@ def _p2_startup(markers, value: float) -> None:
         h.insert(lo, value)
 
 
-def _p2_update(markers, value: float) -> None:
-    """One P² step (after startup) for every estimator in ``markers``.
+def _p2_run(markers, values: list[float]) -> None:
+    """P² steps (after startup) for ``values``, one estimator at a time.
 
     Each estimator is a ``(heights, positions, desired, rates)`` tuple of
-    :func:`_p2_markers`.  The cell search and the increments are written
-    out per cell; the nested ``<=`` tests take the same branch as the
-    textbook scan (``k`` grows while ``heights[k + 1] <= value``), so
-    every float operation happens in the same order as the loop form.
+    :func:`_p2_markers`.  Its five heights, five positions, four moving
+    desired positions and four rates live in local variables for the
+    whole batch and are written back once.  No estimator reads another's
+    state, so running the batch through one estimator before the next
+    does every float operation of the per-observation loop in the same
+    order.  The nested ``<=`` tests of the cell search take the same
+    branch as the textbook scan (``k`` grows while
+    ``heights[k + 1] <= value``), and the three interior-marker nudges
+    are written out, each falling back to a linear step toward the
+    neighbour on the side of its sign.
     """
     for h, n, d, r in markers:
-        # Locate the cell, stretching the extreme markers if needed, and
-        # shift the positions of every marker above it.
-        if value < h[0]:
-            h[0] = value
-            n[1] += 1.0
-            n[2] += 1.0
-            n[3] += 1.0
-            n[4] += 1.0
-        elif value >= h[4]:
-            h[4] = value
-            n[4] += 1.0
-        elif h[1] <= value:
-            if h[2] <= value:
-                if not h[3] <= value:
-                    n[3] += 1.0
-                n[4] += 1.0
+        h0, h1, h2, h3, h4 = h
+        n0, n1, n2, n3, n4 = n
+        _, d1, d2, d3, d4 = d
+        _, r1, r2, r3, r4 = r
+        for value in values:
+            # Locate the cell, stretching the extreme markers if needed,
+            # and shift the positions of every marker above it.
+            if value < h0:
+                h0 = value
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+                n4 += 1.0
+            elif value >= h4:
+                h4 = value
+                n4 += 1.0
+            elif h1 <= value:
+                if h2 <= value:
+                    if not h3 <= value:
+                        n3 += 1.0
+                    n4 += 1.0
+                else:
+                    n2 += 1.0
+                    n3 += 1.0
+                    n4 += 1.0
             else:
-                n[2] += 1.0
-                n[3] += 1.0
-                n[4] += 1.0
-        else:
-            n[1] += 1.0
-            n[2] += 1.0
-            n[3] += 1.0
-            n[4] += 1.0
-        d[1] += r[1]
-        d[2] += r[2]
-        d[3] += r[3]
-        d[4] += r[4]
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = d[i] - n[i]
-            if (delta >= 1.0 and n[i + 1] - n[i] > 1.0) or (
-                delta <= -1.0 and n[i - 1] - n[i] < -1.0
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+                n4 += 1.0
+            d1 += r1
+            d2 += r2
+            d3 += r3
+            d4 += r4
+            # Nudge the three interior markers toward their desired
+            # positions (parabolic; linear if that leaves the bracket).
+            delta = d1 - n1
+            if (delta >= 1.0 and n2 - n1 > 1.0) or (
+                delta <= -1.0 and n0 - n1 < -1.0
             ):
                 sign = 1.0 if delta >= 1.0 else -1.0
-                candidate = h[i] + sign / (n[i + 1] - n[i - 1]) * (
-                    (n[i] - n[i - 1] + sign)
-                    * (h[i + 1] - h[i])
-                    / (n[i + 1] - n[i])
-                    + (n[i + 1] - n[i] - sign)
-                    * (h[i] - h[i - 1])
-                    / (n[i] - n[i - 1])
+                candidate = h1 + sign / (n2 - n0) * (
+                    (n1 - n0 + sign) * (h2 - h1) / (n2 - n1)
+                    + (n2 - n1 - sign) * (h1 - h0) / (n1 - n0)
                 )
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:  # parabola left the bracket: fall back to linear
-                    step = int(sign)
-                    h[i] += sign * (h[i + step] - h[i]) / (n[i + step] - n[i])
-                n[i] += sign
+                if h0 < candidate < h2:
+                    h1 = candidate
+                elif sign > 0.0:
+                    h1 += sign * (h2 - h1) / (n2 - n1)
+                else:
+                    h1 += sign * (h0 - h1) / (n0 - n1)
+                n1 += sign
+            delta = d2 - n2
+            if (delta >= 1.0 and n3 - n2 > 1.0) or (
+                delta <= -1.0 and n1 - n2 < -1.0
+            ):
+                sign = 1.0 if delta >= 1.0 else -1.0
+                candidate = h2 + sign / (n3 - n1) * (
+                    (n2 - n1 + sign) * (h3 - h2) / (n3 - n2)
+                    + (n3 - n2 - sign) * (h2 - h1) / (n2 - n1)
+                )
+                if h1 < candidate < h3:
+                    h2 = candidate
+                elif sign > 0.0:
+                    h2 += sign * (h3 - h2) / (n3 - n2)
+                else:
+                    h2 += sign * (h1 - h2) / (n1 - n2)
+                n2 += sign
+            delta = d3 - n3
+            if (delta >= 1.0 and n4 - n3 > 1.0) or (
+                delta <= -1.0 and n2 - n3 < -1.0
+            ):
+                sign = 1.0 if delta >= 1.0 else -1.0
+                candidate = h3 + sign / (n4 - n2) * (
+                    (n3 - n2 + sign) * (h4 - h3) / (n4 - n3)
+                    + (n4 - n3 - sign) * (h3 - h2) / (n3 - n2)
+                )
+                if h2 < candidate < h4:
+                    h3 = candidate
+                elif sign > 0.0:
+                    h3 += sign * (h4 - h3) / (n4 - n3)
+                else:
+                    h3 += sign * (h2 - h3) / (n2 - n3)
+                n3 += sign
+        h[:] = h0, h1, h2, h3, h4
+        n[1:] = n1, n2, n3, n4
+        d[1:] = d1, d2, d3, d4
 
 
 def _p2_estimate(count: int, heights: list[float], q: float) -> float:
@@ -148,40 +199,45 @@ class P2Quantile:
     with a piecewise-parabolic (fallback: linear) interpolation step.
 
     Until five observations have arrived the estimator answers exactly
-    from its startup buffer, so small streams lose nothing.
+    from its startup buffer, so small streams lose nothing.  It is a
+    one-estimator :class:`P2Sketch`, buffered the same way.
     """
 
-    __slots__ = ("q", "_count", "_markers")
+    __slots__ = ("q", "_sketch")
 
     def __init__(self, q: float) -> None:
         if not 0 < q < 100:
             raise ValueError(f"tracked quantile must be in (0, 100), got {q}")
         self.q = q
-        self._count = 0
-        self._markers = (_p2_markers(q),)
+        self._sketch = P2Sketch((q,))
+
+    @property
+    def _markers(self):
+        """The estimator's P² state as a 1-tuple, pending values absorbed."""
+        return self._sketch._markers
 
     @property
     def count(self) -> int:
         """Observations absorbed so far."""
-        return self._count
+        return self._sketch.count
 
     def add(self, value: float) -> None:
-        """Absorb one observation in O(1)."""
-        value = float(value)
-        self._count += 1
-        if self._count <= 5:
-            _p2_startup(self._markers, value)
-        else:
-            _p2_update(self._markers, value)
+        """Absorb one observation in O(1) (amortised)."""
+        self._sketch.add(value)
 
     @property
     def value(self) -> float:
         """Current quantile estimate (exact while the buffer is small)."""
-        return _p2_estimate(self._count, self._markers[0][0], self.q)
+        return self._sketch.quantile(self.q)
 
 
 class P2Sketch:
     """Constant-memory distribution summary: P² markers per percentile.
+
+    :meth:`add` appends to a pending buffer of ``_PENDING`` observations.
+    The buffer is flushed into the exact accumulators and every estimator
+    when it fills and before any read, so every answer is the one the
+    observation-at-a-time update gives, bit for bit.
 
     Attributes:
         quantiles: the tracked percentiles (each owns five P² markers).
@@ -191,7 +247,9 @@ class P2Sketch:
 
     backend = "p2"
 
-    __slots__ = ("quantiles", "_markers", "_count", "_sum", "_min", "_max")
+    __slots__ = (
+        "quantiles", "_estimators", "_pending", "_count", "_sum", "_min", "_max"
+    )
 
     def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
         if not quantiles:
@@ -200,64 +258,96 @@ class P2Sketch:
         if len(set(self.quantiles)) != len(self.quantiles):
             raise ValueError(f"duplicate tracked quantiles in {quantiles}")
         # One (heights, positions, desired, rates) tuple per percentile,
-        # in ``quantiles`` order: every observation updates them all in
-        # one :func:`_p2_update` pass.
-        self._markers = tuple(_p2_markers(q) for q in self.quantiles)
+        # in ``quantiles`` order.
+        self._estimators = tuple(_p2_markers(q) for q in self.quantiles)
+        # Observations not yet in the state below, in arrival order.
+        self._pending: list[float] = []
         self._count = 0
         self._sum = 0.0
         self._min = 0.0
         self._max = 0.0
 
+    def _flush(self) -> None:
+        """Fold the pending observations into the state, in arrival order:
+        the exact accumulators (one sequential ``+=`` each, first-seen
+        min/max), then every estimator."""
+        pending = self._pending
+        if not pending:
+            return
+        if self._count == 0:
+            self._min = self._max = pending[0]
+        # min/max scan their arguments in order and replace on a strict
+        # comparison, exactly as a per-observation ``if value < min``.
+        self._min = min(self._min, *pending)
+        self._max = max(self._max, *pending)
+        total = self._sum
+        for value in pending:
+            total += value
+        self._sum = total
+        # The first five observations overall fill the sorted startup
+        # buffers; the rest are P² steps.
+        steps = pending
+        if self._count < 5:
+            startup = 5 - self._count
+            for value in pending[:startup]:
+                _p2_startup(self._estimators, value)
+            steps = pending[startup:]
+        if steps:
+            _p2_run(self._estimators, steps)
+        self._count += len(pending)
+        pending.clear()
+
+    @property
+    def _markers(self):
+        """Every estimator's P² state, pending observations absorbed."""
+        self._flush()
+        return self._estimators
+
     @property
     def count(self) -> int:
         """Observations absorbed so far."""
+        self._flush()
         return self._count
 
     @property
     def mean(self) -> float:
         """Streaming mean (exact)."""
+        self._flush()
         return self._sum / self._count if self._count else 0.0
 
     @property
     def min(self) -> float:
         """Smallest observation (exact; 0 for an empty sketch)."""
+        self._flush()
         return self._min
 
     @property
     def max(self) -> float:
         """Largest observation (exact; 0 for an empty sketch)."""
+        self._flush()
         return self._max
 
     @property
     def state_size(self) -> int:
         """Stored floats — constant in the stream length (the whole point)."""
         # 5 heights + 5 positions + 5 desired positions per estimator,
-        # plus the four exact accumulators.
-        return 15 * len(self._markers) + 4
+        # the four exact accumulators and the pending buffer.
+        return 15 * len(self._estimators) + 4 + _PENDING
 
     def add(self, value: float) -> None:
-        """Absorb one observation into every tracked estimator, O(1)."""
-        value = float(value)
-        if self._count == 0:
-            self._min = self._max = value
-        else:
-            if value < self._min:
-                self._min = value
-            if value > self._max:
-                self._max = value
-        self._count += 1
-        self._sum += value
-        if self._count <= 5:
-            _p2_startup(self._markers, value)
-        else:
-            _p2_update(self._markers, value)
+        """Absorb one observation into every tracked estimator, O(1)
+        amortised: a full pending buffer is flushed."""
+        pending = self._pending
+        pending.append(float(value))
+        if len(pending) == _PENDING:
+            self._flush()
 
     def quantile(self, q: float) -> float:
         """Estimate of the ``q``-th percentile (must be tracked, 0, or 100)."""
         if q == 0:
-            return self._min
+            return self.min
         if q == 100:
-            return self._max
+            return self.max
         if float(q) not in self.quantiles:
             raise ValueError(
                 f"percentile {q} is not tracked by this sketch "
@@ -266,12 +356,12 @@ class P2Sketch:
             )
         index = self.quantiles.index(float(q))
         return _p2_estimate(
-            self._count, self._markers[index][0], self.quantiles[index]
+            self.count, self._estimators[index][0], self.quantiles[index]
         )
 
     def summary(self) -> LatencySummary:
         """The standard p50/p95/p99 summary, from the streaming state."""
-        if self._count == 0:
+        if self.count == 0:
             return LatencySummary(
                 count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0
             )

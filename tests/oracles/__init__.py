@@ -22,8 +22,8 @@ shipped, so a test can assert the library returns the same result:
   the NoC oracles read; tests map the library's link ids through
   ``link_of`` to compare per-link loads with them.
 * :mod:`oracles.p2_loop` — the per-estimator P² update loop
-  (``P2Quantile.add``); reference for ``repro.obs.sketch``'s fused
-  ``P2Sketch.add`` step.
+  (``P2Quantile.add``); reference for ``repro.obs.sketch``'s buffered
+  ``P2Sketch`` flush (``_p2_run``).
 * :mod:`oracles.partition_loops` — the numpy-indexed region-growing and
   refinement loops; reference for ``repro.graph.partition``.
 * :mod:`oracles.schedule_tree` — the tuple-keyed static scheduler, its

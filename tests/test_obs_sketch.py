@@ -23,6 +23,7 @@ from repro.obs import (
     P2Sketch,
     make_sketch,
 )
+from repro.obs.sketch import _PENDING
 
 
 def lognormal_stream(n, seed=7):
@@ -88,7 +89,9 @@ class TestP2Sketch:
         baseline = sketch.state_size
         for v in lognormal_stream(10_000):
             sketch.add(v)
-        assert sketch.state_size == baseline == 15 * len(DEFAULT_QUANTILES) + 4
+        # Five heights, positions and desired positions per estimator, four
+        # exact accumulators and the 32-observation pending buffer.
+        assert sketch.state_size == baseline == 15 * len(DEFAULT_QUANTILES) + 36
 
     def test_untracked_quantile_raises(self):
         sketch = P2Sketch(quantiles=(50.0,))
@@ -282,3 +285,177 @@ class TestLoopOracle:
                 )
             )
             assert sketch.summary() == expected
+
+
+def _sketch_state(sketch):
+    """Every estimator's state as bit patterns, read without a flush."""
+    return [_library_state(markers) for markers in sketch._estimators]
+
+
+def _draw_stream(rng, length, pool, negative, copy_rate, oracles):
+    """Yield a stream as :class:`TestLoopOracle` draws it, feeding
+    ``oracles`` each value before the next is drawn (copies read their
+    current marker heights)."""
+    low = -50.0 if negative else 0.0
+    values = [round(rng.uniform(low, 50.0), 1) for _ in range(pool)]
+    for step in range(length):
+        if step >= 5 and rng.random() < copy_rate:
+            value = rng.choice(rng.choice(oracles)._heights)
+        elif values:
+            value = rng.choice(values)
+        else:
+            value = rng.uniform(low, 50.0)
+        for oracle in oracles:
+            oracle.add(value)
+        yield value
+
+
+class _Exact:
+    """Count, sum, min and max folded one observation at a time."""
+
+    def __init__(self):
+        self.count, self.total, self.min, self.max = 0, 0.0, 0.0, 0.0
+
+    def add(self, value):
+        if self.count == 0:
+            self.min = self.max = value
+        else:
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
+        self.count += 1
+        self.total += value
+
+
+#: Reads that flush: every :class:`P2Sketch` accessor (``summary`` needs
+#: 50/95/99 tracked) and every :class:`P2Quantile` one.
+_SKETCH_READS = ("count", "mean", "min", "max", "quantile", "_markers")
+_SINGLE_READS = ("count", "value", "_markers")
+
+
+def _check_read(rng, sketch, single, oracles, exact):
+    """Read one random accessor of each object and compare it, then the
+    whole state, with the oracles bit for bit."""
+    reads = _SKETCH_READS + (("summary",) if len(oracles) == 5 else ())
+    name = rng.choice(reads)
+    oracle = rng.choice(oracles)
+    if name == "count":
+        assert sketch.count == exact.count
+    elif name == "mean":
+        assert _bits([sketch.mean]) == _bits([exact.total / exact.count])
+    elif name == "min":
+        assert _bits([sketch.min]) == _bits([exact.min])
+    elif name == "max":
+        assert _bits([sketch.max]) == _bits([exact.max])
+    elif name == "quantile":
+        assert _bits([sketch.quantile(oracle.q)]) == _bits([oracle.value])
+    elif name == "summary":
+        by_q = {o.q: o.value for o in oracles}
+        assert sketch.summary() == LatencySummary(
+            count=exact.count,
+            mean=exact.total / exact.count,
+            p50=by_q[50.0],
+            p95=by_q[95.0],
+            p99=by_q[99.0],
+            max=exact.max,
+        )
+    else:
+        assert [_library_state(m) for m in sketch._markers] == [
+            _oracle_state(o) for o in oracles
+        ]
+    assert not sketch._pending
+    assert _sketch_state(sketch) == [_oracle_state(o) for o in oracles]
+
+    name = rng.choice(_SINGLE_READS)
+    if name == "count":
+        assert single.count == exact.count
+    elif name == "value":
+        assert _bits([single.value]) == _bits([oracles[0].value])
+    else:
+        assert _library_state(single._markers[0]) == _oracle_state(oracles[0])
+
+
+class TestBufferedFlush:
+    """The pending buffer against the per-observation loop oracle.
+
+    :class:`TestLoopOracle` reads after every observation, so each flush
+    holds one value.  Here a random accessor is read at random gaps, so
+    flushes hold anywhere from 1 to ``_PENDING`` values and some cross
+    the five-observation startup.  At each read the answer and the whole
+    estimator state (read without flushing, so the accessor itself must
+    have flushed) must equal the oracle's bit for bit, and so must
+    everything at the end of the stream.
+    """
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        length=st.integers(0, 3000),
+        pool=st.sampled_from([0, 2, 7, 40]),
+        negative=st.booleans(),
+        copy_rate=st.sampled_from([0.0, 0.05, 0.3]),
+        quantiles=st.one_of(_ONE, _FIVE),
+        max_gap=st.sampled_from([3, 12, 40, 100]),
+    )
+    def test_random_reads_match_the_loop_oracle(
+        self, seed, length, pool, negative, copy_rate, quantiles, max_gap
+    ):
+        rng = random.Random(seed)
+        oracles = [LoopP2Quantile(q) for q in quantiles]
+        sketch = P2Sketch(quantiles)
+        single = P2Quantile(quantiles[0])
+        exact = _Exact()
+        next_read = rng.randint(1, max_gap)
+        stream = _draw_stream(rng, length, pool, negative, copy_rate, oracles)
+        for value in stream:
+            sketch.add(value)
+            single.add(value)
+            exact.add(value)
+            if exact.count == next_read:
+                _check_read(rng, sketch, single, oracles, exact)
+                next_read += rng.randint(1, max_gap)
+        assert sketch.count == single.count == length
+        assert _sketch_state(sketch) == [_oracle_state(o) for o in oracles]
+        assert _library_state(single._markers[0]) == _oracle_state(oracles[0])
+        assert _bits([sketch.min, sketch.max]) == _bits([exact.min, exact.max])
+        assert _bits([sketch.mean]) == _bits(
+            [exact.total / length if length else 0.0]
+        )
+
+    def test_every_flush_size_from_every_start(self):
+        """One flush of each size 1.._PENDING after 0-6 one-value flushes,
+        so flushes start before, at and after the startup's end."""
+        rng = random.Random(11)
+        for start in range(7):
+            for size in range(1, _PENDING + 1):
+                oracles = [LoopP2Quantile(q) for q in DEFAULT_QUANTILES]
+                sketch = P2Sketch()
+                single = P2Quantile(DEFAULT_QUANTILES[0])
+                exact = _Exact()
+                stream = _draw_stream(rng, start + size + 40, 7, True, 0.3, oracles)
+                for step, value in enumerate(stream, 1):
+                    sketch.add(value)
+                    single.add(value)
+                    exact.add(value)
+                    if step <= start or step == start + size:
+                        assert len(sketch._pending) == (
+                            1 if step <= start else size % _PENDING
+                        )
+                        _check_read(rng, sketch, single, oracles, exact)
+                _check_read(rng, sketch, single, oracles, exact)
+
+    def test_signed_zero_ties_keep_the_first_seen(self):
+        """min/max keep the first of equal values, as the per-observation
+        fold does: ``0.0`` and ``-0.0`` compare equal but differ in bits."""
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            sketch = P2Sketch()
+            exact = _Exact()
+            for value in (first, second) * 20 + (1.0, second, -1.0):
+                sketch.add(value)
+                exact.add(value)
+                if exact.count in (1, 7, 38):
+                    assert _bits([sketch.min, sketch.max]) == _bits(
+                        [exact.min, exact.max]
+                    )
+            assert _bits([sketch.min, sketch.max]) == _bits([exact.min, exact.max])
