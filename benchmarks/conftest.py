@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cProfile
 import pstats
+import time
 import types
 
 import pytest
@@ -69,15 +70,24 @@ def engine_work(fn, *args, **kwargs):
     return result, calls / events
 
 
+def timed(fn, *args, **kwargs) -> float:
+    """Host seconds of one unprofiled ``fn(*args, **kwargs)`` call."""
+    t0 = time.perf_counter()
+    fn(*args, **kwargs)
+    return time.perf_counter() - t0
+
+
 @pytest.fixture(scope="session")
 def plain_serving_work():
-    """``engine_work`` of the plain 10^5-request serving run, once per session.
+    """The plain 10^5-request serving run, profiled and timed once per
+    session.
 
     ``test_bench_faults.PLAIN`` and ``test_bench_serve.HOM`` are the same
     scenario on the same analytic service model, the baseline both the
     armed-idle fault gate and the typed-fleet gate divide by.  It is
-    profiled here once; the fixture fails if the two definitions drift
-    apart.  Returns ``(report, calls_per_event)``.
+    profiled here once, and timed once more without the profiler for the
+    host time both gates print; the fixture fails if the two definitions
+    drift apart.  Returns ``(report, calls_per_event, host_seconds)``.
     """
     from benchmarks import test_bench_faults, test_bench_serve
 
@@ -85,4 +95,6 @@ def plain_serving_work():
     assert test_bench_faults.PLAIN == scenario
     assert type(test_bench_faults.SERVICE) is type(service)
     assert vars(test_bench_faults.SERVICE) == vars(service)
-    return engine_work(simulate_serving_scenario, scenario, service=service)
+    report, work = engine_work(simulate_serving_scenario, scenario, service=service)
+    seconds = timed(simulate_serving_scenario, scenario, service=service)
+    return report, work, seconds

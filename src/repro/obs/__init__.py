@@ -7,7 +7,7 @@ designed for the million-request scale the serving roadmap targets:
 
 * :mod:`repro.obs.sketch` — P² streaming quantile sketches: latency
   percentiles in O(1) memory, or a store-everything exact sketch (the
-  serving default) chosen by a ``backend=`` switch.
+  serving default) chosen by backend name.
 * :mod:`repro.obs.metrics` — the :class:`~repro.obs.metrics
   .MetricRegistry` of counters, gauges, and sketch-backed histograms,
   plus the fixed-interval fleet-state :class:`~repro.obs.metrics
@@ -38,7 +38,6 @@ from repro.obs.sketch import (
     DEFAULT_QUANTILES,
     SKETCH_BACKENDS,
     ExactSketch,
-    P2Quantile,
     P2Sketch,
     make_sketch,
 )
@@ -71,7 +70,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "P2Quantile",
     "P2Sketch",
     "ExactSketch",
     "make_sketch",

@@ -8,10 +8,11 @@ function of the seeded scenario.
 * :class:`Counter` / :class:`Gauge` — monotonically accumulated and
   last-write-wins scalars.
 * :class:`Histogram` — a named distribution backed by a quantile sketch
-  (:mod:`repro.obs.sketch`): ``backend="p2"`` keeps it O(1) memory,
-  ``backend="exact"`` keeps it an oracle.
-* :class:`MetricRegistry` — get-or-create access by name; the engine
-  owns one per run and fills it as it simulates.
+  (:mod:`repro.obs.sketch`) that its owner built: a ``"p2"`` sketch
+  keeps it O(1) memory, an ``"exact"`` one keeps it an oracle.
+* :class:`MetricRegistry` — get-or-create access to counters and gauges
+  by name, plus attached histograms; the engine owns one per run and
+  fills it as it simulates.
 * :class:`Sampler` — fixed simulated-time-interval snapshots of fleet
   state (ready/warming/busy/retiring, queue depth, admission tallies,
   utilization), sample-and-hold: each tick records the state that was
@@ -28,9 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
-
-from repro.obs.sketch import DEFAULT_QUANTILES, make_sketch
+from typing import Any, Iterator, Mapping
 
 
 @dataclass
@@ -60,19 +59,11 @@ class Gauge:
 
 
 class Histogram:
-    """A named distribution, answered through its sketch backend."""
+    """A named distribution, answered through its sketch."""
 
-    def __init__(
-        self,
-        name: str,
-        backend: str = "p2",
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        sketch: Any | None = None,
-    ) -> None:
+    def __init__(self, name: str, sketch: Any) -> None:
         self.name = name
-        self.sketch = sketch if sketch is not None else make_sketch(
-            backend, quantiles
-        )
+        self.sketch = sketch
 
     def observe(self, value: float) -> None:
         """Absorb one observation."""
@@ -124,18 +115,6 @@ class MetricRegistry:
             metric = self._metrics[name] = Gauge(name)
         return metric
 
-    def histogram(
-        self,
-        name: str,
-        backend: str = "p2",
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ) -> Histogram:
-        """The histogram called ``name``, created on first use."""
-        metric = self._get(name, Histogram)
-        if metric is None:
-            metric = self._metrics[name] = Histogram(name, backend, quantiles)
-        return metric
-
     def attach_histogram(self, name: str, sketch: Any) -> Histogram:
         """Register an externally-owned sketch under ``name``.
 
@@ -145,7 +124,7 @@ class MetricRegistry:
         """
         if name in self._metrics:
             raise ValueError(f"metric {name!r} already registered")
-        metric = self._metrics[name] = Histogram(name, sketch=sketch)
+        metric = self._metrics[name] = Histogram(name, sketch)
         return metric
 
     def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:

@@ -14,13 +14,12 @@ Two interchangeable backends, chosen by name through ``backend=``; both
 are in use, so the switch selects behaviour, not a test reference:
 
 * ``"p2"`` — :class:`P2Sketch`, the constant-memory estimator (five
-  P² markers per tracked percentile plus exact count / mean / min / max,
-  which are trivially streamable).  ``add`` appends to a fixed pending
-  buffer of ``_PENDING`` observations; a full buffer, or any read,
-  flushes it through one :func:`_p2_run` loop per estimator, with the
-  same float operations in the same order as one P² step per
-  observation.  :class:`P2Quantile` tracks one percentile as a
-  one-estimator sketch.
+  P² markers for each of the fixed :data:`DEFAULT_QUANTILES` plus exact
+  count / mean / min / max, which are trivially streamable).  ``add``
+  appends to a fixed pending buffer of ``_PENDING`` observations; a
+  full buffer, or any read, flushes it through one :func:`_p2_run` loop
+  per estimator, with the same float operations in the same order as
+  one P² step per observation.
 * ``"exact"`` — :class:`ExactSketch`, which stores every value and
   answers through :func:`repro.noc.stats.percentile`.  It is the
   differential oracle the P² backend is tested against, and the default
@@ -33,14 +32,12 @@ either (it routes a sketch through its own :meth:`~P2Sketch.summary`).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.noc.stats import LatencySummary, percentile
 
 #: Registered sketch backends (the ``metrics_backend`` scenario knob).
 SKETCH_BACKENDS = ("exact", "p2")
 
-#: Percentiles a default sketch tracks — exactly the ones
+#: Percentiles a :class:`P2Sketch` tracks — exactly the ones
 #: :class:`~repro.noc.stats.LatencySummary` reports.
 DEFAULT_QUANTILES = (50.0, 95.0, 99.0)
 
@@ -190,47 +187,6 @@ def _p2_estimate(count: int, heights: list[float], q: float) -> float:
     return heights[2]
 
 
-class P2Quantile:
-    """One streaming quantile via the P² algorithm (five markers, O(1)).
-
-    Tracks the ``q``-th percentile (``0 < q < 100``) of a stream without
-    storing it: five marker heights approximate the quantile curve, and
-    each observation nudges the markers toward their desired positions
-    with a piecewise-parabolic (fallback: linear) interpolation step.
-
-    Until five observations have arrived the estimator answers exactly
-    from its startup buffer, so small streams lose nothing.  It is a
-    one-estimator :class:`P2Sketch`, buffered the same way.
-    """
-
-    __slots__ = ("q", "_sketch")
-
-    def __init__(self, q: float) -> None:
-        if not 0 < q < 100:
-            raise ValueError(f"tracked quantile must be in (0, 100), got {q}")
-        self.q = q
-        self._sketch = P2Sketch((q,))
-
-    @property
-    def _markers(self):
-        """The estimator's P² state as a 1-tuple, pending values absorbed."""
-        return self._sketch._markers
-
-    @property
-    def count(self) -> int:
-        """Observations absorbed so far."""
-        return self._sketch.count
-
-    def add(self, value: float) -> None:
-        """Absorb one observation in O(1) (amortised)."""
-        self._sketch.add(value)
-
-    @property
-    def value(self) -> float:
-        """Current quantile estimate (exact while the buffer is small)."""
-        return self._sketch.quantile(self.q)
-
-
 class P2Sketch:
     """Constant-memory distribution summary: P² markers per percentile.
 
@@ -238,25 +194,18 @@ class P2Sketch:
     The buffer is flushed into the exact accumulators and every estimator
     when it fills and before any read, so every answer is the one the
     observation-at-a-time update gives, bit for bit.
-
-    Attributes:
-        quantiles: the tracked percentiles (each owns five P² markers).
-            :meth:`quantile` answers only these (plus 0 and 100, which
-            stream exactly); :meth:`summary` needs 50/95/99 tracked.
     """
 
     backend = "p2"
 
-    __slots__ = (
-        "quantiles", "_estimators", "_pending", "_count", "_sum", "_min", "_max"
-    )
+    #: The tracked percentiles, each owning five P² markers.
+    #: :meth:`quantile` answers only these (plus 0 and 100, which stream
+    #: exactly).
+    quantiles = DEFAULT_QUANTILES
 
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        if not quantiles:
-            raise ValueError("need at least one tracked quantile")
-        self.quantiles = tuple(float(q) for q in quantiles)
-        if len(set(self.quantiles)) != len(self.quantiles):
-            raise ValueError(f"duplicate tracked quantiles in {quantiles}")
+    __slots__ = ("_estimators", "_pending", "_count", "_sum", "_min", "_max")
+
+    def __init__(self) -> None:
         # One (heights, positions, desired, rates) tuple per percentile,
         # in ``quantiles`` order.
         self._estimators = tuple(_p2_markers(q) for q in self.quantiles)
@@ -348,13 +297,12 @@ class P2Sketch:
             return self.min
         if q == 100:
             return self.max
-        if float(q) not in self.quantiles:
+        if q not in self.quantiles:
             raise ValueError(
                 f"percentile {q} is not tracked by this sketch "
-                f"(tracked: {self.quantiles}); construct it with "
-                f"quantiles=(..., {q})"
+                f"(tracked: {self.quantiles})"
             )
-        index = self.quantiles.index(float(q))
+        index = self.quantiles.index(q)
         return _p2_estimate(
             self.count, self._estimators[index][0], self.quantiles[index]
         )
@@ -387,10 +335,9 @@ class ExactSketch:
 
     backend = "exact"
 
-    __slots__ = ("quantiles", "_values")
+    __slots__ = ("_values",)
 
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        self.quantiles = tuple(float(q) for q in quantiles)
+    def __init__(self) -> None:
         self._values: list[float] = []
 
     @property
@@ -440,9 +387,7 @@ class ExactSketch:
         return summarize_latencies(self._values)
 
 
-def make_sketch(
-    backend: str = "exact", quantiles: Sequence[float] = DEFAULT_QUANTILES
-):
+def make_sketch(backend: str = "exact"):
     """Instantiate a registered sketch backend by name.
 
     ``"exact"`` answers exactly in O(n) memory; ``"p2"`` answers within a
@@ -450,9 +395,9 @@ def make_sketch(
     ``count`` / ``mean`` / ``max`` / ``quantile`` / ``summary``.
     """
     if backend == "exact":
-        return ExactSketch(quantiles)
+        return ExactSketch()
     if backend == "p2":
-        return P2Sketch(quantiles)
+        return P2Sketch()
     raise ValueError(
         f"unknown sketch backend {backend!r}; choose from {SKETCH_BACKENDS}"
     )

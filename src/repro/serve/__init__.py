@@ -20,11 +20,12 @@ The pieces:
 * :mod:`repro.serve.scheduler` — size-or-deadline batching with FIFO or
   weighted-fair (stride) composition across tenants.
 * :mod:`repro.serve.autoscale` — pluggable fleet controllers
-  (target-utilization and queue-depth PID) with cooldowns and instance
-  warm-up, closing the loop the capacity planner answers statically.
+  (target-utilization and queue-depth PID) with a scale-in cooldown and
+  instance warm-up, closing the loop the capacity planner answers
+  statically.
 * :mod:`repro.serve.fleet` — typed instances (``small``/``default``/
-  ``large``) and heterogeneous fleet compositions with per-type warm-up,
-  batch ceilings, service scaling, and $-cost accounting.
+  ``large``) and heterogeneous fleet compositions with per-type batch
+  ceilings, service scaling, and $-cost accounting.
 * :mod:`repro.serve.routing` — pluggable routing between admission and
   the per-target schedulers: shared queue (the bit-identical default),
   size affinity, power-of-two-choices, tenant pinning.
@@ -55,7 +56,6 @@ from repro.serve.arrivals import (
     Request,
     TenantMix,
     TraceArrivals,
-    empirical_qps,
     load_trace,
     make_arrivals,
     save_trace,
@@ -105,7 +105,6 @@ from repro.serve.fleet import (
     ReplicaPool,
     TypedReplicaPool,
     TypeUsage,
-    fleet_with_total,
     get_instance_type,
 )
 from repro.serve.retry import (
@@ -156,7 +155,6 @@ __all__ = [
     "ClosedLoopPool",
     "ARRIVALS",
     "make_arrivals",
-    "empirical_qps",
     "save_trace",
     "load_trace",
     "ServiceModel",
@@ -204,7 +202,6 @@ __all__ = [
     "FleetSpec",
     "TypedReplicaPool",
     "TypeUsage",
-    "fleet_with_total",
     "allocate_fleet",
     "RoutingPolicy",
     "SharedQueueRouting",

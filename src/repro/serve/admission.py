@@ -8,8 +8,8 @@ that unbounded queue into a bounded one by refusing work it cannot serve
 within budget.  Two independent gates, checked in order on every arrival:
 
 1. **Per-tenant token-bucket quotas** — each tenant owns a bucket refilled
-   at ``tenant_quota_qps`` tokens per second up to a ``quota_burst`` cap;
-   an arrival without a token is over quota.  This is the multi-tenant
+   at ``tenant_quota_qps`` tokens per second up to a ``quota_burst`` cap
+   of 16; an arrival without a token is over quota.  This is the multi-tenant
    isolation layer on top of the weighted-fair scheduler: a runaway tenant
    exhausts its own bucket instead of everyone's queue.
 2. **Queue budget** — when the scheduler queue already holds
@@ -152,17 +152,18 @@ class AdmissionController:
             refused; ``0`` disables the queue gate.
         tenant_quota_qps: per-tenant sustained admission rate;
             ``0`` disables quotas.
-        quota_burst: token-bucket capacity (instantaneous burst allowance)
-            when quotas are active.
         tarpit_seconds: retry delay applied per refusal in tarpit mode.
     """
+
+    #: Token-bucket capacity (instantaneous burst allowance) of each
+    #: tenant's quota when quotas are active.
+    quota_burst = 16.0
 
     def __init__(
         self,
         mode: str = "shed",
         queue_budget: int = 64,
         tenant_quota_qps: float = 0.0,
-        quota_burst: float = 16.0,
         tarpit_seconds: float = 0.02,
     ) -> None:
         if mode not in ADMISSION_MODES:
@@ -173,14 +174,11 @@ class AdmissionController:
             raise ValueError(f"queue_budget must be >= 0, got {queue_budget}")
         if tenant_quota_qps < 0:
             raise ValueError("tenant_quota_qps must be >= 0")
-        if quota_burst < 1:
-            raise ValueError("quota_burst must be >= 1")
         if tarpit_seconds <= 0:
             raise ValueError("tarpit_seconds must be positive")
         self.mode = mode
         self.queue_budget = queue_budget
         self.tenant_quota_qps = tenant_quota_qps
-        self.quota_burst = quota_burst
         self.tarpit_seconds = tarpit_seconds
         self.reset()
 

@@ -105,17 +105,13 @@ class TenantMix:
             object.__setattr__(self, "_size_cum", None)
 
     @classmethod
-    def uniform(
-        cls,
-        num_tenants: int = 1,
-        graph_sizes: tuple[int, ...] = (256, 1024, 4096),
-    ) -> "TenantMix":
-        """Equal-weight tenants named ``tenant-0 .. tenant-{n-1}``."""
+    def uniform(cls, num_tenants: int = 1) -> "TenantMix":
+        """Equal-weight tenants named ``tenant-0 .. tenant-{n-1}``, with
+        the default graph sizes."""
         if num_tenants < 1:
             raise ValueError("need at least one tenant")
         return cls(
-            tenants=tuple((f"tenant-{i}", 1.0) for i in range(num_tenants)),
-            graph_sizes=graph_sizes,
+            tenants=tuple((f"tenant-{i}", 1.0) for i in range(num_tenants))
         )
 
     @property
@@ -245,35 +241,31 @@ class MMPPArrivals(ArrivalProcess):
     """Two-state Markov-modulated Poisson process (bursty traffic).
 
     The process alternates a quiet state and a burst state with
-    exponential sojourn times; the burst rate is ``burst_ratio`` times the
-    quiet rate, with both chosen so the long-run average equals the
+    exponential sojourn times; the burst rate is :attr:`burst_ratio` times
+    the quiet rate, with both chosen so the long-run average equals the
     nominal ``rate_qps``::
 
         avg = (r_lo * T_lo + r_hi * T_hi) / (T_lo + T_hi)   with r_hi = k * r_lo
     """
+
+    #: Burst-state rate over quiet-state rate.
+    burst_ratio = 8.0
+
+    #: Mean sojourn in the quiet and the burst state (seconds).
+    mean_quiet_seconds = 1.0
+    mean_burst_seconds = 0.25
 
     def __init__(
         self,
         rate_qps: float,
         mix: TenantMix | None = None,
         seed: int = 0,
-        burst_ratio: float = 8.0,
-        mean_quiet_seconds: float = 1.0,
-        mean_burst_seconds: float = 0.25,
     ) -> None:
         super().__init__(rate_qps, mix, seed)
-        if burst_ratio < 1:
-            raise ValueError(f"burst_ratio must be >= 1, got {burst_ratio}")
-        if mean_quiet_seconds <= 0 or mean_burst_seconds <= 0:
-            raise ValueError("state sojourn means must be positive")
-        self.burst_ratio = burst_ratio
-        self.mean_quiet_seconds = mean_quiet_seconds
-        self.mean_burst_seconds = mean_burst_seconds
-        total = mean_quiet_seconds + mean_burst_seconds
-        self.quiet_rate = rate_qps * total / (
-            mean_quiet_seconds + burst_ratio * mean_burst_seconds
-        )
-        self.burst_rate = burst_ratio * self.quiet_rate
+        quiet, burst = self.mean_quiet_seconds, self.mean_burst_seconds
+        total = quiet + burst
+        self.quiet_rate = rate_qps * total / (quiet + self.burst_ratio * burst)
+        self.burst_rate = self.burst_ratio * self.quiet_rate
 
     def _arrival_times(
         self, rng: StreamRng, horizon: float
@@ -308,21 +300,21 @@ class DiurnalArrivals(ArrivalProcess):
     still see both the peak and the trough.
     """
 
+    #: Relative swing of the rate around its mean: the peak is 1.5x the
+    #: nominal rate and the trough 0.5x.
+    amplitude = 0.5
+
     def __init__(
         self,
         rate_qps: float,
         mix: TenantMix | None = None,
         seed: int = 0,
         period_seconds: float = 60.0,
-        amplitude: float = 0.5,
     ) -> None:
         super().__init__(rate_qps, mix, seed)
-        if not 0 <= amplitude < 1:
-            raise ValueError(f"amplitude must be in [0, 1), got {amplitude}")
         if period_seconds <= 0:
             raise ValueError("period must be positive")
         self.period_seconds = period_seconds
-        self.amplitude = amplitude
 
     def rate_at(self, t: float) -> float:
         """Instantaneous arrival intensity at time ``t``."""
@@ -344,11 +336,20 @@ class DiurnalArrivals(ArrivalProcess):
 
 
 class TraceArrivals(ArrivalProcess):
-    """Replay a recorded request stream (clipped to the horizon)."""
+    """Replay a recorded request stream (clipped to the horizon).
+
+    Request ids must be distinct: the engine keys per-request state
+    (hedged copies, retries, terminal outcomes) by id.
+    """
 
     def __init__(self, requests: Sequence[Request]) -> None:
         if not requests:
             raise ValueError("trace must contain at least one request")
+        seen: set[int] = set()
+        for r in requests:
+            if r.request_id in seen:
+                raise ValueError(f"duplicate request id {r.request_id} in trace")
+            seen.add(r.request_id)
         ordered = sorted(requests, key=lambda r: (r.arrival_time, r.request_id))
         span = max(r.arrival_time for r in ordered)
         # Nominal rate of the trace itself (requests per covered second).
@@ -425,9 +426,8 @@ def make_arrivals(
 ) -> ArrivalProcess:
     """Instantiate a registered arrival model by name.
 
-    Extra keyword arguments forward to the model's constructor (e.g.
-    ``period_seconds``/``amplitude`` for ``diurnal``, ``burst_ratio`` for
-    ``mmpp``).
+    Extra keyword arguments forward to the model's constructor; the one
+    such knob is ``period_seconds`` for ``diurnal``.
     """
     try:
         cls = ARRIVALS[kind]
@@ -436,16 +436,6 @@ def make_arrivals(
             f"unknown arrival model {kind!r}; choose from {sorted(ARRIVALS)}"
         ) from None
     return cls(rate_qps, mix=mix, seed=seed, **kwargs)
-
-
-def empirical_qps(requests: Sequence[Request], horizon_seconds: float | None = None) -> float:
-    """Observed request rate of a stream over its (or a given) window."""
-    if not requests:
-        return 0.0
-    window = horizon_seconds or max(r.arrival_time for r in requests)
-    if window <= 0:
-        return 0.0
-    return len(requests) / window
 
 
 def save_trace(requests: Sequence[Request], path: str | Path) -> Path:

@@ -23,11 +23,12 @@ Two policy families, one contract (:class:`AutoscalerPolicy`):
   depth per ready replica: proportional + integral + derivative terms on
   the setpoint error become a signed fleet-size adjustment.
 
-Both enforce ``min_instances``/``max_instances`` clamps and separate
-scale-out / scale-in cooldowns (measured from the last applied scaling
-action in either direction, the standard anti-flapping rule).
+Both enforce ``min_instances``/``max_instances`` clamps and a scale-in
+cooldown (measured from the last applied scaling action in either
+direction, the standard anti-flapping rule); scale-out is never held
+back.
 
-Policies are stateful (cooldown clocks, PID accumulators) and owned by
+Policies are stateful (the cooldown clock, PID accumulators) and owned by
 one engine run at a time; :meth:`AutoscalerPolicy.reset` re-arms them, and
 the engine calls it at the start of every run so repeated runs of one
 engine stay deterministic.
@@ -120,28 +121,27 @@ class AutoscaleStats:
 
 
 class AutoscalerPolicy:
-    """Base class: desired-size controller with clamps and cooldowns.
+    """Base class: desired-size controller with clamps and a cooldown.
 
     Subclasses implement :meth:`desired`; this base turns their raw
     answer into an applied target by clamping to
-    ``[min_instances, max_instances]`` and suppressing changes inside the
-    direction's cooldown window.  Subclass constructors forward these
-    clamp, cadence and cooldown knobs here as keyword arguments, so
-    their defaults live in this one signature.
+    ``[min_instances, max_instances]`` and suppressing a scale-in inside
+    :attr:`scale_in_cooldown_seconds` of the last applied change.
+    Subclass constructors forward the two clamps here as keyword
+    arguments, so their defaults live in this one signature.
     """
 
     #: Registry name (overridden by registered subclasses; shows up in
     #: reports as ``fleet[<kind>]``).
     kind = "custom"
 
-    def __init__(
-        self,
-        min_instances: int = 1,
-        max_instances: int = 16,
-        interval_seconds: float = 0.02,
-        scale_out_cooldown_seconds: float = 0.0,
-        scale_in_cooldown_seconds: float = 0.05,
-    ) -> None:
+    #: Simulated seconds between two evaluation ticks.
+    interval_seconds = 0.02
+
+    #: A scale-in waits this long after the last applied change.
+    scale_in_cooldown_seconds = 0.05
+
+    def __init__(self, min_instances: int = 1, max_instances: int = 16) -> None:
         if min_instances < 1:
             raise ValueError(f"min_instances must be >= 1, got {min_instances}")
         if max_instances < min_instances:
@@ -149,26 +149,19 @@ class AutoscalerPolicy:
                 f"max_instances ({max_instances}) must be >= "
                 f"min_instances ({min_instances})"
             )
-        if interval_seconds <= 0:
-            raise ValueError("evaluation interval must be positive")
-        if scale_out_cooldown_seconds < 0 or scale_in_cooldown_seconds < 0:
-            raise ValueError("cooldowns must be non-negative")
         self.min_instances = min_instances
         self.max_instances = max_instances
-        self.interval_seconds = interval_seconds
-        self.scale_out_cooldown_seconds = scale_out_cooldown_seconds
-        self.scale_in_cooldown_seconds = scale_in_cooldown_seconds
         self.reset()
 
     def reset(self) -> None:
-        """Re-arm the policy for a fresh run (cooldown clocks cleared)."""
+        """Re-arm the policy for a fresh run (cooldown clock cleared)."""
         self._last_change = -math.inf
 
     # ------------------------------------------------------------------
     # Subclass contract
     # ------------------------------------------------------------------
     def desired(self, snapshot: FleetSnapshot) -> int:
-        """Raw desired fleet size before clamps and cooldowns."""
+        """Raw desired fleet size before clamps and the cooldown."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -178,19 +171,18 @@ class AutoscalerPolicy:
         """The fleet size the engine should apply at this tick.
 
         Returns ``snapshot.provisioned`` (no change) when the raw desire
-        is inside the clamp band already satisfied, or when the relevant
-        cooldown since the last applied change has not elapsed.
+        is inside the clamp band already satisfied, or when it is a
+        scale-in and the cooldown since the last applied change has not
+        elapsed.
         """
         target = max(self.min_instances, min(self.max_instances, self.desired(snapshot)))
         current = snapshot.provisioned
         if target == current:
             return current
-        cooldown = (
-            self.scale_out_cooldown_seconds
-            if target > current
-            else self.scale_in_cooldown_seconds
-        )
-        if snapshot.now - self._last_change < cooldown:
+        if (
+            target < current
+            and snapshot.now - self._last_change < self.scale_in_cooldown_seconds
+        ):
             return current
         self._last_change = snapshot.now
         return target
@@ -215,18 +207,15 @@ class TargetUtilizationAutoscaler(AutoscalerPolicy):
 
     kind = "target-util"
 
-    def __init__(
-        self, target: float = 0.7, queue_headroom: int = 4, **limits
-    ) -> None:
+    #: Queued requests one ready replica is trusted to absorb before the
+    #: backlog term demands another instance.
+    queue_headroom = 4
+
+    def __init__(self, target: float = 0.7, **limits) -> None:
         if not 0 < target <= 1:
             raise ValueError(f"utilization target must be in (0, 1], got {target}")
-        if queue_headroom < 1:
-            raise ValueError("queue_headroom must be >= 1")
         super().__init__(**limits)
         self.target = target
-        #: Queued requests one ready replica is trusted to absorb before
-        #: the backlog term demands another instance.
-        self.queue_headroom = queue_headroom
 
     def desired(self, snapshot: FleetSnapshot) -> int:
         ready = max(snapshot.ready, 1)
@@ -268,27 +257,19 @@ class QueueDepthPIDAutoscaler(AutoscalerPolicy):
 
     kind = "queue-pid"
 
-    def __init__(
-        self,
-        target: float = 2.0,
-        kp: float = 0.5,
-        ki: float = 0.1,
-        kd: float = 0.05,
-        integral_limit: float = 50.0,
-        **limits,
-    ) -> None:
+    #: Proportional, integral and derivative gains.
+    kp = 0.5
+    ki = 0.1
+    kd = 0.05
+
+    #: Anti-windup clamp on the integral term.
+    integral_limit = 50.0
+
+    def __init__(self, target: float = 2.0, **limits) -> None:
         if target < 0:
             raise ValueError(f"queue setpoint must be >= 0, got {target}")
-        if kp < 0 or ki < 0 or kd < 0:
-            raise ValueError("PID gains must be non-negative")
-        if integral_limit <= 0:
-            raise ValueError("integral_limit must be positive")
         super().__init__(**limits)
         self.target = target
-        self.kp = kp
-        self.ki = ki
-        self.kd = kd
-        self.integral_limit = integral_limit
 
     def reset(self) -> None:
         super().reset()
@@ -333,8 +314,8 @@ AUTOSCALERS: dict[str, type[AutoscalerPolicy]] = {
 def make_autoscaler(kind: str, **kwargs) -> AutoscalerPolicy:
     """Instantiate a registered autoscaler policy by name.
 
-    Extra keyword arguments forward to the policy's constructor (e.g.
-    ``target``, ``min_instances``, ``scale_in_cooldown_seconds``).
+    Keyword arguments forward to the policy's constructor: ``target``,
+    ``min_instances`` and ``max_instances``.
     """
     try:
         cls = AUTOSCALERS[kind]
@@ -346,19 +327,18 @@ def make_autoscaler(kind: str, **kwargs) -> AutoscalerPolicy:
 
 
 def allocate_fleet(
-    current: Sequence[int],
     total: int,
     types: Sequence["InstanceType"],
-    weights: Sequence[int] | None = None,
+    weights: Sequence[int],
 ) -> list[int]:
     """Split a total fleet size across instance types, cost-weighted.
 
     The base split is largest-remainder apportionment proportional to
-    ``weights`` (the *declared* composition — callers pass it so the mix
-    does not drift as the autoscaler moves the total up and down; it
-    defaults to ``current``).  The integer remainder — which is exactly
-    where the marginal scale-out instance lands and where the marginal
-    scale-in comes from — goes to the cheapest capacity first, ordered by
+    ``weights`` (the *declared* composition, so the mix does not drift
+    as the autoscaler moves the total up and down).  The integer
+    remainder — which is exactly where the marginal scale-out instance
+    lands and where the marginal scale-in comes from — goes to the
+    cheapest capacity first, ordered by
     :attr:`~repro.serve.fleet.InstanceType.cost_per_capacity` (ties to
     declaration order).  Apportioning the target rather than the delta
     makes the split a pure function of ``(total, weights)``: the same
@@ -369,18 +349,13 @@ def allocate_fleet(
     """
     if total < 0:
         raise ValueError(f"total must be >= 0, got {total}")
-    if len(current) != len(types):
-        raise ValueError("current and types must align")
     if len(types) == 1:
         return [total]
-    weights = list(weights) if weights is not None else list(current)
     if len(weights) != len(types):
         raise ValueError("weights and types must align")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    if sum(weights) == 0:
-        weights = [1] * len(types)
     scale = sum(weights)
+    if scale == 0 or any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative with a positive sum")
     counts = [total * w // scale for w in weights]
     remainder = total - sum(counts)
     cheap_first = sorted(

@@ -427,7 +427,7 @@ class ServingEngine:
             enter a scheduler queue.
         warmup_seconds: provisioning delay for scaled-out instances (they
             bill immediately, serve only once warm; the initial fleet
-            starts warm).  Instance types may override it per type.
+            starts warm).  Every instance type uses this one delay.
         recorder: optional :class:`~repro.obs.trace.TraceRecorder`
             receiving per-request lifecycle spans.  A recorder whose
             ``enabled`` is false (the :class:`~repro.obs.trace

@@ -8,9 +8,10 @@ longer to provision; a small stack is slow and cheap.  Three pieces turn
 that into a model:
 
 * :class:`InstanceType` — the immutable spec of one instance flavor:
-  stacked tier count, batch ceiling, service-time scale (relative to the
-  calibrated accelerator service model), warm-up delay, and $-cost per
-  billed second.  :data:`INSTANCE_TYPES` registers the standard flavors
+  batch ceiling, service-time scale (relative to the calibrated
+  accelerator service model), and $-cost per billed second.  Every type
+  provisions with the engine's one warm-up delay.
+  :data:`INSTANCE_TYPES` registers the standard flavors
   (``small`` / ``default`` / ``large``).
 * :class:`FleetSpec` — a declared composition such as
   ``small:2,large:1``, parsed from and rendered back to the CLI string
@@ -38,8 +39,7 @@ composition the capacity planner would pick statically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -48,39 +48,27 @@ class InstanceType:
 
     Attributes:
         name: registry name (``small`` / ``default`` / ``large`` / ...).
-        tiers: stacked accelerator tiers — documentation of *why* the
-            type is fast or slow; the timing effect is carried by
-            ``service_scale``.
         max_batch: batch-size ceiling of this hardware (``0`` means no
             ceiling beyond the scheduler's own ``max_batch``).
         service_scale: multiplier on the calibrated batch service time
             (``1.0`` for the default type; ``< 1`` is faster).
-        warmup_seconds: provisioning delay before a scaled-out instance
-            of this type can serve; ``None`` inherits the engine-level
-            warm-up knob.
         cost_per_second: $-cost of one billed instance-second.
     """
 
     name: str
-    tiers: int = 3
     max_batch: int = 0
     service_scale: float = 1.0
-    warmup_seconds: float | None = None
     cost_per_second: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("instance type needs a name")
-        if self.tiers < 1:
-            raise ValueError(f"tiers must be >= 1, got {self.tiers}")
         if self.max_batch < 0:
             raise ValueError(f"max_batch must be >= 0, got {self.max_batch}")
         if self.service_scale <= 0:
             raise ValueError(
                 f"service_scale must be positive, got {self.service_scale}"
             )
-        if self.warmup_seconds is not None and self.warmup_seconds < 0:
-            raise ValueError("warmup_seconds must be non-negative")
         if self.cost_per_second <= 0:
             raise ValueError(
                 f"cost_per_second must be positive, got {self.cost_per_second}"
@@ -98,26 +86,23 @@ class InstanceType:
 
 
 #: The standard instance flavors.  The ``default`` type reproduces the
-#: pre-fleet engine exactly (scale 1, $1/s, no batch ceiling, engine
-#: warm-up).  ``small`` is slow but cost-efficient per unit of work;
-#: ``large`` is fast with a high batch ceiling but cost-inefficient —
-#: worth paying for only where tail latency demands it.
+#: pre-fleet engine exactly (scale 1, $1/s, no batch ceiling).
+#: ``small`` (a 2-tier stack) is slow but cost-efficient per unit of
+#: work; ``large`` (a 6-tier stack) is fast with a high batch ceiling but
+#: cost-inefficient — worth paying for only where tail latency demands
+#: it.
 INSTANCE_TYPES: dict[str, InstanceType] = {
     "small": InstanceType(
         name="small",
-        tiers=2,
         max_batch=4,
         service_scale=1.5,
-        warmup_seconds=None,
         cost_per_second=0.5,
     ),
     "default": InstanceType(name="default"),
     "large": InstanceType(
         name="large",
-        tiers=6,
         max_batch=16,
         service_scale=0.5,
-        warmup_seconds=None,
         cost_per_second=2.5,
     ),
 }
@@ -235,30 +220,17 @@ class ReplicaPool:
     is already warm.  All choices are by instance id, so the pool is
     deterministic.
 
-    ``min_size`` exists for the typed fleet: a slice of a heterogeneous
-    pool may legitimately drain to zero instances as long as the *fleet*
-    keeps at least one; the pre-fleet single-pool contract (at least one
-    instance, always) is the default.
+    Each pool is one slice of a :class:`TypedReplicaPool`, and a slice
+    may drain to zero instances: the typed fleet, not the slice, keeps
+    at least one instance overall.
     """
 
-    def __init__(
-        self,
-        instances: int,
-        warmup_seconds: float = 0.0,
-        min_size: int = 1,
-    ) -> None:
-        if min_size < 0:
-            raise ValueError("min_size must be non-negative")
-        if instances < min_size:
-            raise ValueError(
-                f"need at least one instance, got {instances}"
-                if min_size == 1
-                else f"need at least {min_size} instance(s), got {instances}"
-            )
+    def __init__(self, instances: int, warmup_seconds: float = 0.0) -> None:
+        if instances < 0:
+            raise ValueError(f"instance count must be >= 0, got {instances}")
         if warmup_seconds < 0:
             raise ValueError("warm-up must be non-negative")
         self.warmup_seconds = warmup_seconds
-        self.min_size = min_size
         self._free: list[int] = list(range(instances))
         heapq.heapify(self._free)
         self._busy: set[int] = set()
@@ -392,12 +364,8 @@ class ReplicaPool:
         instance so the engine can schedule its warm-up completion
         (``ready_time == now`` when there is no warm-up delay).
         """
-        if target < self.min_size:
-            raise ValueError(
-                f"cannot scale below one instance, got {target}"
-                if self.min_size == 1
-                else f"cannot scale below {self.min_size}, got {target}"
-            )
+        if target < 0:
+            raise ValueError(f"cannot scale below zero instances, got {target}")
         started: list[tuple[int, float]] = []
         rescued: list[int] = []
         # Grow: rescue draining instances first — they are already warm.
@@ -504,7 +472,8 @@ class TypedReplicaPool:
     ``(slice index, local id)`` pair — and reads aggregate counts
     (``provisioned`` / ``busy_count`` / ...) exactly as it read the
     single pool before, so a one-slice ``default`` fleet reproduces the
-    pre-fleet engine bit for bit.
+    pre-fleet engine bit for bit.  Every slice provisions with the one
+    ``default_warmup_seconds`` delay.
 
     Per-type billing (instance-seconds and $-cost) is accrued lazily on
     occupancy changes rather than per event: the hot event loop keeps
@@ -521,24 +490,13 @@ class TypedReplicaPool:
     """
 
     def __init__(
-        self,
-        spec: FleetSpec,
-        default_warmup_seconds: float = 0.0,
+        self, spec: FleetSpec, default_warmup_seconds: float = 0.0
     ) -> None:
-        if default_warmup_seconds < 0:
-            raise ValueError("warm-up must be non-negative")
         self.spec = spec
-        self.default_warmup_seconds = default_warmup_seconds
         self.slices: list[_Slice] = []
         for index, (name, count) in enumerate(spec.slices):
-            itype = get_instance_type(name)
-            warmup = (
-                itype.warmup_seconds
-                if itype.warmup_seconds is not None
-                else default_warmup_seconds
-            )
-            pool = ReplicaPool(count, warmup_seconds=warmup, min_size=0)
-            self.slices.append(_Slice(itype, pool, index))
+            pool = ReplicaPool(count, warmup_seconds=default_warmup_seconds)
+            self.slices.append(_Slice(get_instance_type(name), pool, index))
         self.types: tuple[InstanceType, ...] = tuple(s.itype for s in self.slices)
         #: Aggregate occupancy, maintained incrementally: the engine's
         #: event loop reads both once per event, so they are plain
@@ -679,10 +637,7 @@ class TypedReplicaPool:
             raise ValueError(f"cannot scale below one instance, got {target}")
         current = [s.pool.target_size for s in self.slices]
         desired = allocate_fleet(
-            current,
-            target,
-            self.types,
-            weights=[count for _, count in self.spec.slices],
+            target, self.types, [count for _, count in self.spec.slices]
         )
         started: list[tuple[tuple[int, int], float]] = []
         detail: list[tuple[str, int, int]] = []
@@ -719,20 +674,14 @@ class TypedReplicaPool:
             for s in self.slices
         )
 
-    def usage(
-        self, now: float | None = None, initial: Sequence[int] | None = None
-    ) -> tuple[TypeUsage, ...]:
-        """Per-type usage snapshot through ``now``.
+    def usage(self, now: float | None = None) -> tuple[TypeUsage, ...]:
+        """Per-type usage snapshot through ``now``, each slice's
+        ``initial`` being its declared count.
 
         ``None`` bills through the billing mark (the last departure), as
         the engine's report does: a slice that accrued past the mark
         answers with the reading it kept there.
         """
-        initial = (
-            initial
-            if initial is not None
-            else [count for _, count in self.spec.slices]
-        )
         usage = []
         for s in self.slices:
             if now is None and s.last_accrued > self.billing_mark:
@@ -744,7 +693,7 @@ class TypedReplicaPool:
                 )
             usage.append(TypeUsage(
                 name=s.itype.name,
-                initial=initial[s.index],
+                initial=self.spec.slices[s.index][1],
                 peak=s.peak,
                 final=s.pool.target_size,
                 instance_seconds=instance_seconds,
@@ -755,21 +704,3 @@ class TypedReplicaPool:
             ))
         return tuple(usage)
 
-
-def fleet_with_total(spec: FleetSpec, total: int) -> FleetSpec:
-    """The composition ``spec`` rescaled to ``total`` instances.
-
-    Grows and shrinks follow the same cost-weighted order as the live
-    pool, so a statically planned fleet and an autoscaled one converge
-    on the same composition for the same total.
-    """
-    from repro.serve.autoscale import allocate_fleet
-
-    declared = [count for _, count in spec.slices]
-    counts = allocate_fleet(declared, total, spec.types(), weights=declared)
-    return replace(
-        spec,
-        slices=tuple(
-            (name, count) for (name, _), count in zip(spec.slices, counts)
-        ),
-    )

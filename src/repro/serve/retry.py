@@ -14,8 +14,8 @@ module decides what happens next.  Two orthogonal mechanisms:
     retry timing never perturbs the fault or arrival streams and a
     retried run stays a deterministic function of the scenario.
   - ``deadline`` — the same backoff, but a retry that could not land
-    before ``deadline_seconds`` after the request's original arrival
-    gives up instead of queueing doomed work.
+    before ``deadline_seconds`` (0.25 s) after the request's original
+    arrival gives up instead of queueing doomed work.
 
 * **Hedging** — duplicate a still-unfinished request to a second queue
   after a fixed delay (the engine's ``hedge_seconds``, typically set
@@ -34,6 +34,7 @@ healthy target when its original one is down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.serve.arrivals import Request
 
@@ -66,17 +67,19 @@ class RetryPolicy:
         mode: ``"none"`` / ``"backoff"`` / ``"deadline"``.
         max_attempts: total service attempts allowed per request
             (the first dispatch counts; ``3`` means up to two retries).
-        base_seconds: first retry delay; attempt ``k`` waits
-            ``base * 2^(k-1)`` before jitter.
-        deadline_seconds: per-request give-up budget measured from the
-            original arrival (``deadline`` mode only).
         seed: scenario seed feeding the deterministic jitter hash.
     """
 
+    #: First retry delay; attempt ``k`` waits ``base * 2^(k-1)`` before
+    #: jitter.
+    base_seconds: ClassVar[float] = 0.005
+
+    #: Per-request give-up budget measured from the original arrival
+    #: (``deadline`` mode only).
+    deadline_seconds: ClassVar[float] = 0.25
+
     mode: str = "none"
     max_attempts: int = 3
-    base_seconds: float = 0.005
-    deadline_seconds: float = 0.25
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -89,10 +92,6 @@ class RetryPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.base_seconds <= 0:
-            raise ValueError("base_seconds must be positive")
-        if self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
 
     @property
     def enabled(self) -> bool:

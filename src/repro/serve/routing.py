@@ -117,7 +117,7 @@ class SizeAffinityRouting(_PerTypeRouting):
     The *fast* type is the one with the lowest ``service_scale`` (ties
     break toward the higher batch ceiling, then declaration order) — the
     hardware worth paying for when a request's service time dominates its
-    latency.  Requests with ``graph_size >= large_threshold`` nodes route
+    latency.  Requests with at least :attr:`large_threshold` nodes route
     there; everything else joins the shallowest of the remaining type
     queues (ties to declaration order), so the cheap capacity stays
     evenly loaded.
@@ -127,16 +127,11 @@ class SizeAffinityRouting(_PerTypeRouting):
 
     name = "size_affinity"
 
-    def __init__(
-        self,
-        types: Sequence[InstanceType],
-        seed: int = 0,
-        large_threshold: int = 2048,
-    ) -> None:
+    #: Graph size (nodes) from which a request counts as large.
+    large_threshold = 2048
+
+    def __init__(self, types: Sequence[InstanceType], seed: int = 0) -> None:
         super().__init__(types, seed)
-        if large_threshold < 1:
-            raise ValueError("large_threshold must be >= 1")
-        self.large_threshold = large_threshold
         ranked = sorted(
             range(len(self.types)),
             key=lambda i: (
@@ -229,13 +224,9 @@ ROUTING_POLICIES: dict[str, type[RoutingPolicy]] = {
 
 
 def make_routing(
-    name: str, types: Sequence[InstanceType], seed: int = 0, **kwargs
+    name: str, types: Sequence[InstanceType], seed: int = 0
 ) -> RoutingPolicy:
-    """Instantiate a registered routing policy by name.
-
-    Extra keyword arguments forward to the policy's constructor (e.g.
-    ``large_threshold`` for ``size_affinity``).
-    """
+    """Instantiate a registered routing policy by name over ``types``."""
     try:
         cls = ROUTING_POLICIES[name]
     except KeyError:
@@ -243,4 +234,4 @@ def make_routing(
             f"unknown routing policy {name!r}; "
             f"choose from {sorted(ROUTING_POLICIES)}"
         ) from None
-    return cls(types, seed=seed, **kwargs)
+    return cls(types, seed=seed)

@@ -111,12 +111,15 @@ class ServingScenario:
             queue after this long (``0`` disables hedging).
         label: display name; auto-derived when empty.
 
-    Every other knob takes its collaborator's own default: the
-    autoscaler's evaluation cadence and cooldowns
+    Every other value is a constant of its collaborator: the
+    autoscaler's evaluation cadence and scale-in cooldown
     (:class:`~repro.serve.autoscale.AutoscalerPolicy`), the quota burst
     (:class:`~repro.serve.admission.AdmissionController`), the retry
     base delay and deadline (:class:`~repro.serve.retry.RetryPolicy`),
-    and the engine's burn-rate budget and window.
+    the MMPP and diurnal shapes (:mod:`repro.serve.arrivals`), the
+    size-affinity threshold (:class:`~repro.serve.routing
+    .SizeAffinityRouting`), and the engine's burn-rate budget and
+    window.
     """
 
     dataset: str = "ppi"

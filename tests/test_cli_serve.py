@@ -231,3 +231,17 @@ class TestSinglePoint:
         )
         assert "trace" in out
         assert "p99" in out
+
+    def test_trace_with_repeated_ids_is_a_clean_error(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        save_trace(
+            [
+                Request(tenant="t0", graph_size=256, arrival_time=0.01 * i,
+                        request_id=i % 5)
+                for i in range(1, 30)
+            ],
+            trace,
+        )
+        with pytest.raises(SystemExit, match="cannot parse trace.*duplicate"):
+            main(["serve", "--trace-file", str(trace), "--hedge-ms", "2",
+                  "--no-cache"])

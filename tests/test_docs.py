@@ -3,10 +3,11 @@
 Two layers so the guards degrade gracefully:
 
 * Environment-independent checks (always run): every ``repro.*`` module
-  imports cleanly and carries a module docstring, every module appears in
-  exactly one ``automodule`` directive under ``docs/api/``, and the
-  hand-written pages parse as reStructuredText (docutils, with the
-  Sphinx-specific directives stubbed out).
+  imports cleanly and carries a module docstring, every package's
+  ``__all__`` names each export exactly once and each name resolves,
+  every module appears in exactly one ``automodule`` directive under
+  ``docs/api/``, and the hand-written pages parse as reStructuredText
+  (docutils, with the Sphinx-specific directives stubbed out).
 * The real ``sphinx-build -W`` (runs when sphinx is installed — CI's
   docs job always has it): the whole site must build with warnings as
   errors.
@@ -50,6 +51,36 @@ class TestDocstringCoverage:
             if not (module.__doc__ or "").strip():
                 missing.append(name)
         assert not missing, f"modules without docstrings: {missing}"
+
+
+def repro_packages() -> list[str]:
+    """Every package under ``src/repro`` (``repro`` itself first)."""
+    return [
+        ".".join(init.parent.relative_to(SRC).parts)
+        for init in sorted((SRC / "repro").rglob("__init__.py"))
+    ]
+
+
+class TestExports:
+    def test_every_exported_name_resolves_once(self):
+        problems = []
+        for name in repro_packages():
+            module = importlib.import_module(name)
+            exported = getattr(module, "__all__", None)
+            if exported is None:
+                problems.append(f"{name}: no __all__")
+                continue
+            problems.extend(
+                f"{name}.{attr}: exported but undefined"
+                for attr in exported
+                if not hasattr(module, attr)
+            )
+            problems.extend(
+                f"{name}.{attr}: exported {exported.count(attr)} times"
+                for attr in sorted(set(exported))
+                if exported.count(attr) > 1
+            )
+        assert not problems, problems
 
 
 class TestApiPagesCoverage:

@@ -16,6 +16,7 @@ from repro.obs import (
     MetricRegistry,
     Sampler,
     export_metrics_jsonl,
+    make_sketch,
 )
 
 
@@ -39,14 +40,14 @@ class TestCounterGauge:
 
 class TestHistogram:
     def test_observations_flow_to_the_sketch(self):
-        histogram = Histogram("latency", backend="exact")
+        histogram = Histogram("latency", make_sketch("exact"))
         for v in (1.0, 2.0, 3.0):
             histogram.observe(v)
         assert histogram.count == 3
         assert histogram.summary().max == 3.0
 
     def test_p2_backend_is_constant_memory(self):
-        histogram = Histogram("latency", backend="p2")
+        histogram = Histogram("latency", make_sketch("p2"))
         for v in range(1_000):
             histogram.observe(float(v))
         assert histogram.sketch.state_size < 100
@@ -57,7 +58,6 @@ class TestMetricRegistry:
         registry = MetricRegistry()
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("b") is registry.gauge("b")
-        assert registry.histogram("c") is registry.histogram("c")
 
     def test_kind_mismatch_is_a_bug(self):
         registry = MetricRegistry()
@@ -65,19 +65,15 @@ class TestMetricRegistry:
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("x")
         with pytest.raises(ValueError, match="already registered"):
-            registry.histogram("x")
+            registry.attach_histogram("x", make_sketch("exact"))
 
     def test_attach_histogram_rejects_duplicates(self):
-        from repro.obs import make_sketch
-
         registry = MetricRegistry()
         registry.attach_histogram("latency", make_sketch("exact"))
         with pytest.raises(ValueError, match="already registered"):
             registry.attach_histogram("latency", make_sketch("exact"))
 
     def test_attach_histogram_wraps_without_copying(self):
-        from repro.obs import make_sketch
-
         registry = MetricRegistry()
         sketch = make_sketch("exact")
         sketch.add(0.5)
@@ -89,7 +85,7 @@ class TestMetricRegistry:
         registry = MetricRegistry()
         registry.counter("first")
         registry.gauge("second")
-        registry.histogram("third")
+        registry.attach_histogram("third", make_sketch("p2"))
         assert [m.name for m in registry] == ["first", "second", "third"]
         assert len(registry) == 3
         assert "second" in registry and "missing" not in registry
@@ -98,7 +94,7 @@ class TestMetricRegistry:
         registry = MetricRegistry()
         registry.counter("served").inc(10)
         registry.gauge("peak").set(4)
-        registry.histogram("latency", backend="exact").observe(0.01)
+        registry.attach_histogram("latency", make_sketch("exact")).observe(0.01)
         rows = registry.snapshot()
         assert [row["kind"] for row in rows] == ["counter", "gauge", "histogram"]
         assert rows[0] == {"kind": "counter", "name": "served", "value": 10.0}
@@ -138,7 +134,7 @@ class TestExport:
     def test_jsonl_round_trip_samples_then_metrics(self, tmp_path):
         registry = MetricRegistry()
         registry.counter("served").inc(3)
-        registry.histogram("latency", backend="exact").observe(0.02)
+        registry.attach_histogram("latency", make_sketch("exact")).observe(0.02)
         sampler = Sampler(interval_seconds=0.5)
         sampler.record(1.0, {"queue_depth": 1})
         path = export_metrics_jsonl(tmp_path / "out" / "m.jsonl", registry, sampler)

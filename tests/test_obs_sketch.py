@@ -19,7 +19,6 @@ from repro.obs import (
     DEFAULT_QUANTILES,
     SKETCH_BACKENDS,
     ExactSketch,
-    P2Quantile,
     P2Sketch,
     make_sketch,
 )
@@ -32,41 +31,46 @@ def lognormal_stream(n, seed=7):
 
 
 class TestP2Quantile:
+    """The per-percentile P² estimates of a :class:`P2Sketch`."""
+
     def test_tracked_quantile_validated(self):
-        with pytest.raises(ValueError, match="quantile"):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError, match="quantile"):
-            P2Quantile(100.0)
+        sketch = P2Sketch()
+        assert sketch.quantiles == DEFAULT_QUANTILES == (50.0, 95.0, 99.0)
+        for q in (-5.0, 1.0, 150.0):
+            with pytest.raises(ValueError, match="not tracked"):
+                sketch.quantile(q)
 
     def test_empty_answers_zero(self):
-        assert P2Quantile(50.0).value == 0.0
+        sketch = P2Sketch()
+        assert [sketch.quantile(q) for q in DEFAULT_QUANTILES] == [0.0] * 3
 
     def test_small_streams_answer_exactly(self):
         # Up to five observations the startup buffer holds everything,
-        # so the estimate IS the exact percentile.
+        # so each estimate IS the exact percentile.
         values = [3.0, 1.0, 4.0, 1.5, 9.0]
         for n in range(1, 6):
-            estimator = P2Quantile(95.0)
+            sketch = P2Sketch()
             for v in values[:n]:
-                estimator.add(v)
-            assert estimator.value == percentile(values[:n], 95.0)
-            assert estimator.count == n
+                sketch.add(v)
+            for q in DEFAULT_QUANTILES:
+                assert sketch.quantile(q) == percentile(values[:n], q)
+            assert sketch.count == n
 
     def test_converges_on_a_long_stream(self):
         values = lognormal_stream(20_000)
-        for q in (50.0, 95.0, 99.0):
-            estimator = P2Quantile(q)
-            for v in values:
-                estimator.add(v)
+        sketch = P2Sketch()
+        for v in values:
+            sketch.add(v)
+        for q in DEFAULT_QUANTILES:
             exact = percentile(values, q)
-            assert estimator.value == pytest.approx(exact, rel=0.02)
+            assert sketch.quantile(q) == pytest.approx(exact, rel=0.02)
 
     def test_handles_a_sorted_stream(self):
         # Monotone input is the adversarial case for marker estimators.
-        estimator = P2Quantile(99.0)
+        sketch = P2Sketch()
         for v in range(10_000):
-            estimator.add(float(v))
-        assert estimator.value == pytest.approx(
+            sketch.add(float(v))
+        assert sketch.quantile(99.0) == pytest.approx(
             percentile(list(range(10_000)), 99.0), rel=0.05
         )
 
@@ -94,18 +98,10 @@ class TestP2Sketch:
         assert sketch.state_size == baseline == 15 * len(DEFAULT_QUANTILES) + 36
 
     def test_untracked_quantile_raises(self):
-        sketch = P2Sketch(quantiles=(50.0,))
+        sketch = P2Sketch()
         sketch.add(1.0)
         with pytest.raises(ValueError, match="not tracked"):
-            sketch.quantile(99.0)
-
-    def test_needs_at_least_one_quantile(self):
-        with pytest.raises(ValueError, match="at least one"):
-            P2Sketch(quantiles=())
-
-    def test_duplicate_quantiles_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            P2Sketch(quantiles=(50.0, 50.0))
+            sketch.quantile(90.0)
 
     def test_empty_summary_is_all_zero(self):
         summary = P2Sketch().summary()
@@ -204,27 +200,17 @@ def _library_state(markers):
     return _bits(heights), _bits(positions), _bits(desired)
 
 
-#: Tracked-percentile sets: one percentile alone, or five including the
-#: 50/95/99 a summary needs.
-_ONE = st.sampled_from([0.1, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9]).map(
-    lambda q: (q,)
-)
-_FIVE = st.lists(
-    st.sampled_from([0.5, 5.0, 10.0, 33.3, 66.7, 75.0, 90.0, 99.9]),
-    min_size=2, max_size=2, unique=True,
-).map(lambda extra: (50.0, 95.0, 99.0, *extra))
-
-
 class TestLoopOracle:
     """The fused P² step against the per-estimator loop it replaced.
 
     Streams are generated from a seed: lengths 0-3000, values drawn from
     a small pool (ties), from a range including negatives, or copied
     from a current marker height of the oracle.  After every observation
-    the marker heights, positions and desired positions of
-    :class:`P2Quantile` and of each :class:`P2Sketch` estimator must
-    equal the oracle's (exact bit patterns at the end of the stream), and
-    so must the final estimates and ``summary()``.
+    the marker heights, positions and desired positions of each
+    :class:`P2Sketch` estimator (one per percentile in
+    :data:`DEFAULT_QUANTILES`) must equal the oracle's (exact bit
+    patterns at the end of the stream), and so must the final estimates
+    and ``summary()``.
     """
 
     @settings(max_examples=250, deadline=None, derandomize=True)
@@ -234,17 +220,13 @@ class TestLoopOracle:
         pool=st.sampled_from([0, 2, 7, 40]),
         negative=st.booleans(),
         copy_rate=st.sampled_from([0.0, 0.05, 0.3]),
-        quantiles=st.one_of(_ONE, _FIVE),
     )
-    def test_matches_the_loop_oracle(
-        self, seed, length, pool, negative, copy_rate, quantiles
-    ):
+    def test_matches_the_loop_oracle(self, seed, length, pool, negative, copy_rate):
         rng = random.Random(seed)
         low = -50.0 if negative else 0.0
         values = [round(rng.uniform(low, 50.0), 1) for _ in range(pool)]
-        oracles = [LoopP2Quantile(q) for q in quantiles]
-        singles = [P2Quantile(q) for q in quantiles]
-        sketch = P2Sketch(quantiles)
+        oracles = [LoopP2Quantile(q) for q in DEFAULT_QUANTILES]
+        sketch = P2Sketch()
         total = 0.0
         for step in range(length):
             if step >= 5 and rng.random() < copy_rate:
@@ -255,36 +237,30 @@ class TestLoopOracle:
                 value = rng.uniform(low, 50.0)
             total += value
             sketch.add(value)
-            for oracle, single, markers in zip(
-                oracles, singles, sketch._markers
-            ):
+            for oracle, markers in zip(oracles, sketch._markers):
                 oracle.add(value)
-                single.add(value)
                 state = (oracle._heights, oracle._positions, oracle._desired)
-                assert single._markers[0][:3] == markers[:3] == state
-        for oracle, single, markers in zip(oracles, singles, sketch._markers):
-            assert _library_state(single._markers[0]) == _oracle_state(oracle)
+                assert markers[:3] == state
+        for oracle, markers in zip(oracles, sketch._markers):
             assert _library_state(markers) == _oracle_state(oracle)
-            assert single.count == oracle.count == length
-            assert _bits([single.value]) == _bits([oracle.value])
+            assert sketch.count == oracle.count == length
             assert _bits([sketch.quantile(oracle.q)]) == _bits([oracle.value])
-        if len(quantiles) == 5:
-            by_q = {o.q: o.value for o in oracles}
-            expected = (
-                LatencySummary(
-                    count=length,
-                    mean=total / length,
-                    p50=by_q[50.0],
-                    p95=by_q[95.0],
-                    p99=by_q[99.0],
-                    max=sketch.max,
-                )
-                if length
-                else LatencySummary(
-                    count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0
-                )
+        by_q = {o.q: o.value for o in oracles}
+        expected = (
+            LatencySummary(
+                count=length,
+                mean=total / length,
+                p50=by_q[50.0],
+                p95=by_q[95.0],
+                p99=by_q[99.0],
+                max=sketch.max,
             )
-            assert sketch.summary() == expected
+            if length
+            else LatencySummary(
+                count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0
+            )
+        )
+        assert sketch.summary() == expected
 
 
 def _sketch_state(sketch):
@@ -328,17 +304,14 @@ class _Exact:
         self.total += value
 
 
-#: Reads that flush: every :class:`P2Sketch` accessor (``summary`` needs
-#: 50/95/99 tracked) and every :class:`P2Quantile` one.
-_SKETCH_READS = ("count", "mean", "min", "max", "quantile", "_markers")
-_SINGLE_READS = ("count", "value", "_markers")
+#: Reads that flush: every :class:`P2Sketch` accessor.
+_SKETCH_READS = ("count", "mean", "min", "max", "quantile", "summary", "_markers")
 
 
-def _check_read(rng, sketch, single, oracles, exact):
-    """Read one random accessor of each object and compare it, then the
-    whole state, with the oracles bit for bit."""
-    reads = _SKETCH_READS + (("summary",) if len(oracles) == 5 else ())
-    name = rng.choice(reads)
+def _check_read(rng, sketch, oracles, exact):
+    """Read one random accessor and compare it, then the whole state,
+    with the oracles bit for bit."""
+    name = rng.choice(_SKETCH_READS)
     oracle = rng.choice(oracles)
     if name == "count":
         assert sketch.count == exact.count
@@ -367,14 +340,6 @@ def _check_read(rng, sketch, single, oracles, exact):
     assert not sketch._pending
     assert _sketch_state(sketch) == [_oracle_state(o) for o in oracles]
 
-    name = rng.choice(_SINGLE_READS)
-    if name == "count":
-        assert single.count == exact.count
-    elif name == "value":
-        assert _bits([single.value]) == _bits([oracles[0].value])
-    else:
-        assert _library_state(single._markers[0]) == _oracle_state(oracles[0])
-
 
 class TestBufferedFlush:
     """The pending buffer against the per-observation loop oracle.
@@ -395,29 +360,25 @@ class TestBufferedFlush:
         pool=st.sampled_from([0, 2, 7, 40]),
         negative=st.booleans(),
         copy_rate=st.sampled_from([0.0, 0.05, 0.3]),
-        quantiles=st.one_of(_ONE, _FIVE),
         max_gap=st.sampled_from([3, 12, 40, 100]),
     )
     def test_random_reads_match_the_loop_oracle(
-        self, seed, length, pool, negative, copy_rate, quantiles, max_gap
+        self, seed, length, pool, negative, copy_rate, max_gap
     ):
         rng = random.Random(seed)
-        oracles = [LoopP2Quantile(q) for q in quantiles]
-        sketch = P2Sketch(quantiles)
-        single = P2Quantile(quantiles[0])
+        oracles = [LoopP2Quantile(q) for q in DEFAULT_QUANTILES]
+        sketch = P2Sketch()
         exact = _Exact()
         next_read = rng.randint(1, max_gap)
         stream = _draw_stream(rng, length, pool, negative, copy_rate, oracles)
         for value in stream:
             sketch.add(value)
-            single.add(value)
             exact.add(value)
             if exact.count == next_read:
-                _check_read(rng, sketch, single, oracles, exact)
+                _check_read(rng, sketch, oracles, exact)
                 next_read += rng.randint(1, max_gap)
-        assert sketch.count == single.count == length
+        assert sketch.count == length
         assert _sketch_state(sketch) == [_oracle_state(o) for o in oracles]
-        assert _library_state(single._markers[0]) == _oracle_state(oracles[0])
         assert _bits([sketch.min, sketch.max]) == _bits([exact.min, exact.max])
         assert _bits([sketch.mean]) == _bits(
             [exact.total / length if length else 0.0]
@@ -431,19 +392,17 @@ class TestBufferedFlush:
             for size in range(1, _PENDING + 1):
                 oracles = [LoopP2Quantile(q) for q in DEFAULT_QUANTILES]
                 sketch = P2Sketch()
-                single = P2Quantile(DEFAULT_QUANTILES[0])
                 exact = _Exact()
                 stream = _draw_stream(rng, start + size + 40, 7, True, 0.3, oracles)
                 for step, value in enumerate(stream, 1):
                     sketch.add(value)
-                    single.add(value)
                     exact.add(value)
                     if step <= start or step == start + size:
                         assert len(sketch._pending) == (
                             1 if step <= start else size % _PENDING
                         )
-                        _check_read(rng, sketch, single, oracles, exact)
-                _check_read(rng, sketch, single, oracles, exact)
+                        _check_read(rng, sketch, oracles, exact)
+                _check_read(rng, sketch, oracles, exact)
 
     def test_signed_zero_ties_keep_the_first_seen(self):
         """min/max keep the first of equal values, as the per-observation

@@ -94,17 +94,20 @@ class TestController:
 
     def test_quota_checked_before_queue(self):
         controller = AdmissionController(
-            mode="shed", queue_budget=1, tenant_quota_qps=10.0, quota_burst=1
+            mode="shed", queue_budget=1, tenant_quota_qps=10.0
         )
-        assert controller.admit("t", now=0.0, queue_depth=0).admitted
+        for _ in range(int(controller.quota_burst)):
+            assert controller.admit("t", now=0.0, queue_depth=0).admitted
         decision = controller.admit("t", now=0.0, queue_depth=99)
         assert decision.reason == "quota"   # not "queue"
 
     def test_quota_buckets_are_per_tenant(self):
         controller = AdmissionController(
-            mode="shed", queue_budget=0, tenant_quota_qps=10.0, quota_burst=1
+            mode="shed", queue_budget=0, tenant_quota_qps=10.0
         )
-        assert controller.admit("a", now=0.0, queue_depth=0).admitted
+        assert controller.quota_burst == 16.0
+        for _ in range(16):
+            assert controller.admit("a", now=0.0, queue_depth=0).admitted
         assert not controller.admit("a", now=0.0, queue_depth=0).admitted
         assert controller.admit("b", now=0.0, queue_depth=0).admitted
 
@@ -171,8 +174,7 @@ class TestEngineShedding:
         report = engine(
             instances=4,
             admission=AdmissionController(
-                mode="shed", queue_budget=0, tenant_quota_qps=50.0,
-                quota_burst=8,
+                mode="shed", queue_budget=0, tenant_quota_qps=50.0
             ),
         ).run(requests=requests, horizon_seconds=2.0)
         shed = report.admission.per_tenant_shed

@@ -27,7 +27,6 @@ from repro.serve.arrivals import (
     StreamRng,
     TenantMix,
     TraceArrivals,
-    empirical_qps,
     load_trace,
     make_arrivals,
     save_trace,
@@ -65,7 +64,7 @@ class TestTenantMix:
     def test_draws_come_from_the_alphabet(self):
         from repro.utils.rng import rng_from_seed
 
-        mix = TenantMix.uniform(2, graph_sizes=(64, 256))
+        mix = TenantMix(tenants=(("a", 1.0), ("b", 1.0)), graph_sizes=(64, 256))
         rng = rng_from_seed(0)
         for _ in range(50):
             tenant, size = mix.draw(rng)
@@ -341,13 +340,13 @@ class TestEmpiricalRates:
     def test_poisson_rate_matches_nominal(self):
         rate = 200.0
         requests = PoissonArrivals(rate, seed=0).generate(30.0)
-        assert empirical_qps(requests, 30.0) == pytest.approx(rate, rel=0.10)
+        assert len(requests) / 30.0 == pytest.approx(rate, rel=0.10)
 
     def test_mmpp_time_average_matches_nominal(self):
         # Burst/quiet cycles are ~1.25 s; average over many cycles.
         rate = 200.0
         requests = MMPPArrivals(rate, seed=0).generate(120.0)
-        assert empirical_qps(requests, 120.0) == pytest.approx(rate, rel=0.15)
+        assert len(requests) / 120.0 == pytest.approx(rate, rel=0.15)
 
     def test_mmpp_is_burstier_than_poisson(self):
         import numpy as np
@@ -360,28 +359,26 @@ class TestEmpiricalRates:
 
         horizon = 60.0
         poisson = PoissonArrivals(200.0, seed=0).generate(horizon)
-        mmpp = MMPPArrivals(200.0, seed=0, burst_ratio=16.0).generate(horizon)
+        mmpp = MMPPArrivals(200.0, seed=0).generate(horizon)
         assert cov_of_counts(mmpp, horizon) > 1.5 * cov_of_counts(poisson, horizon)
 
     def test_diurnal_rate_matches_nominal_over_whole_periods(self):
         # The sine modulation integrates to zero over whole periods only.
         rate = 200.0
-        process = DiurnalArrivals(rate, seed=0, period_seconds=5.0, amplitude=0.8)
+        process = DiurnalArrivals(rate, seed=0, period_seconds=5.0)
         requests = process.generate(20.0)
-        assert empirical_qps(requests, 20.0) == pytest.approx(rate, rel=0.10)
+        assert len(requests) / 20.0 == pytest.approx(rate, rel=0.10)
 
     def test_diurnal_peak_vs_trough(self):
-        process = DiurnalArrivals(
-            200.0, seed=1, period_seconds=10.0, amplitude=0.9
-        )
+        process = DiurnalArrivals(200.0, seed=1, period_seconds=10.0)
         requests = process.generate(10.0)
-        # First half-period is the peak of the sine, second the trough.
+        # First half-period is the peak of the sine, second the trough:
+        # at amplitude 0.5 their expected counts are in the ratio
+        # (pi + 1) / (pi - 1), about 1.93.
+        assert DiurnalArrivals.amplitude == 0.5
         peak = sum(1 for r in requests if r.arrival_time < 5.0)
         trough = len(requests) - peak
-        assert peak > 2 * trough
-
-    def test_empirical_qps_empty(self):
-        assert empirical_qps([]) == 0.0
+        assert peak > 1.5 * trough
 
 
 class TestTraceReplay:
@@ -411,6 +408,26 @@ class TestTraceReplay:
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError, match="at least one request"):
             TraceArrivals([])
+
+    def test_repeated_request_ids_rejected(self, tmp_path):
+        # Requests built without ids all default to id 0; the engine keys
+        # hedged copies by id, so a replay of them would lose requests.
+        unnamed = [
+            Request(tenant="t", graph_size=10, arrival_time=0.01 * i)
+            for i in range(3)
+        ]
+        with pytest.raises(ValueError, match="duplicate request id 0"):
+            TraceArrivals(unnamed)
+        path = save_trace(
+            [
+                Request(tenant="t", graph_size=10, arrival_time=0.01 * i,
+                        request_id=i % 2)
+                for i in range(3)
+            ],
+            tmp_path / "repeated.csv",
+        )
+        with pytest.raises(ValueError, match="duplicate request id"):
+            load_trace(path)
 
 
 class TestClosedLoopPool:
@@ -451,8 +468,6 @@ class TestValidation:
             make_arrivals("uniform", 100.0)
 
     def test_make_arrivals_forwards_model_kwargs(self):
-        process = make_arrivals("mmpp", 100.0, burst_ratio=4.0)
-        assert process.burst_ratio == 4.0
         diurnal = make_arrivals("diurnal", 100.0, period_seconds=3.0)
         assert diurnal.period_seconds == 3.0
 
@@ -465,13 +480,17 @@ class TestValidation:
             PoissonArrivals(10.0).generate(0.0)
 
     def test_mmpp_parameters(self):
-        with pytest.raises(ValueError, match="burst_ratio"):
-            MMPPArrivals(10.0, burst_ratio=0.5)
-        with pytest.raises(ValueError, match="sojourn"):
-            MMPPArrivals(10.0, mean_quiet_seconds=0.0)
+        """The two state rates follow from the class constants and average
+        to the nominal rate over one quiet-plus-burst cycle."""
+        process = MMPPArrivals(10.0)
+        quiet, burst = process.mean_quiet_seconds, process.mean_burst_seconds
+        assert (process.burst_ratio, quiet, burst) == (8.0, 1.0, 0.25)
+        assert process.burst_rate == process.burst_ratio * process.quiet_rate
+        average = (process.quiet_rate * quiet + process.burst_rate * burst) / (
+            quiet + burst
+        )
+        assert average == pytest.approx(10.0)
 
     def test_diurnal_parameters(self):
-        with pytest.raises(ValueError, match="amplitude"):
-            DiurnalArrivals(10.0, amplitude=1.5)
         with pytest.raises(ValueError, match="period"):
             DiurnalArrivals(10.0, period_seconds=0.0)

@@ -103,12 +103,15 @@ class TestReplicaPool:
         assert pool.provisioned == 2
 
     def test_validation(self):
+        # A pool is one fleet slice and may hold zero instances.
+        assert ReplicaPool(0).provisioned == 0
+        assert ReplicaPool(1).scale_to(0, now=0.0) == []
         with pytest.raises(ValueError):
-            ReplicaPool(0)
+            ReplicaPool(-1)
         with pytest.raises(ValueError):
             ReplicaPool(1, warmup_seconds=-1.0)
         with pytest.raises(ValueError):
-            ReplicaPool(1).scale_to(0, now=0.0)
+            ReplicaPool(1).scale_to(-1, now=0.0)
 
 
 class TestProvisionedCount:
@@ -130,7 +133,7 @@ class TestProvisionedCount:
         ),
     )
     def test_matches_the_instances_held(self, start, warmup, ops):
-        pool = ReplicaPool(start, warmup_seconds=warmup, min_size=0)
+        pool = ReplicaPool(start, warmup_seconds=warmup)
         busy, warming = [], []
         for now, (op, arg) in enumerate(ops):
             if op == "acquire" and pool.has_free():
@@ -180,33 +183,38 @@ class TestPolicies:
         assert want == 8    # ceil(4 * 1.0 / 0.5)
 
     def test_target_util_queue_override(self):
-        policy = TargetUtilizationAutoscaler(
-            target=0.9, max_instances=16, queue_headroom=4
-        )
+        policy = TargetUtilizationAutoscaler(target=0.9, max_instances=16)
+        assert policy.queue_headroom == 4
         want = policy.decide(snapshot(provisioned=2, ready=2, busy=2,
                                       utilization=0.5, queue_depth=16))
         assert want == 6    # ready + ceil(16 / 4)
 
     def test_target_util_warming_counts_toward_backlog(self):
-        policy = TargetUtilizationAutoscaler(
-            target=0.9, max_instances=16, queue_headroom=4
-        )
+        policy = TargetUtilizationAutoscaler(target=0.9, max_instances=16)
         want = policy.decide(snapshot(provisioned=6, ready=2, busy=2,
                                       warming=4, utilization=0.5,
                                       queue_depth=16))
         assert want == 6    # the 4 warming instances already cover it
 
     def test_scale_in_cooldown_suppresses_flapping(self):
-        policy = TargetUtilizationAutoscaler(
-            target=0.5, max_instances=8, scale_in_cooldown_seconds=1.0
-        )
+        policy = TargetUtilizationAutoscaler(target=0.5, max_instances=8)
+        cooldown = policy.scale_in_cooldown_seconds
+        assert cooldown == 0.05
         assert policy.decide(snapshot(now=0.5, provisioned=2, ready=2, busy=2,
                                       utilization=1.0)) == 4
         # Immediately after the scale-out, an idle reading may not shrink.
-        assert policy.decide(snapshot(now=0.6, provisioned=4, ready=4,
-                                      utilization=0.0)) == 4
-        assert policy.decide(snapshot(now=1.6, provisioned=4, ready=4,
-                                      utilization=0.0)) == 1
+        assert policy.decide(snapshot(now=0.5 + cooldown / 2, provisioned=4,
+                                      ready=4, utilization=0.0)) == 4
+        assert policy.decide(snapshot(now=0.5 + 2 * cooldown, provisioned=4,
+                                      ready=4, utilization=0.0)) == 1
+
+    def test_scale_out_is_never_held_back(self):
+        policy = TargetUtilizationAutoscaler(target=0.5, max_instances=16)
+        assert policy.decide(snapshot(now=0.5, provisioned=2, ready=2, busy=2,
+                                      utilization=1.0)) == 4
+        # A second scale-out at the same instant still applies.
+        assert policy.decide(snapshot(now=0.5, provisioned=4, ready=4, busy=4,
+                                      utilization=1.0)) == 8
 
     def test_pid_is_deterministic_and_resettable(self):
         def run(policy):
@@ -218,8 +226,7 @@ class TestPolicies:
                 )))
             return out
 
-        policy = QueueDepthPIDAutoscaler(target=2.0, max_instances=16,
-                                         scale_in_cooldown_seconds=0.0)
+        policy = QueueDepthPIDAutoscaler(target=2.0, max_instances=16)
         first = run(policy)
         policy.reset()
         assert run(policy) == first
@@ -233,9 +240,7 @@ class TestPolicies:
         with pytest.raises(ValueError):
             TargetUtilizationAutoscaler(min_instances=4, max_instances=2)
         with pytest.raises(ValueError):
-            QueueDepthPIDAutoscaler(kp=-1.0)
-        with pytest.raises(ValueError):
-            QueueDepthPIDAutoscaler(integral_limit=0.0)
+            QueueDepthPIDAutoscaler(target=-1.0)
 
 
 class TestEngineAutoscaling:

@@ -123,14 +123,16 @@ class TestRetryPolicy:
         assert policy.next_delay(self._request(), 1, 0.0) is None
 
     def test_backoff_doubles_and_respects_max_attempts(self):
-        policy = RetryPolicy(mode="backoff", max_attempts=3, base_seconds=0.01)
+        policy = RetryPolicy(mode="backoff", max_attempts=3)
+        base = policy.base_seconds
+        assert base == 0.005
         request = self._request()
         d1 = policy.next_delay(request, 1, 0.0)
         d2 = policy.next_delay(request, 2, 0.0)
         assert d1 is not None and d2 is not None
         # Jitter scales each delay into [0.5, 1.0) of its nominal value.
-        assert 0.005 <= d1 < 0.01
-        assert 0.01 <= d2 < 0.02
+        assert 0.5 * base <= d1 < base
+        assert base <= d2 < 2 * base
         assert policy.next_delay(request, 3, 0.0) is None
 
     def test_jitter_is_deterministic_and_request_dependent(self):
@@ -142,21 +144,21 @@ class TestRetryPolicy:
         assert a != c
 
     def test_deadline_mode_gives_up_on_doomed_retries(self):
-        policy = RetryPolicy(
-            mode="deadline", max_attempts=10, base_seconds=0.01,
-            deadline_seconds=0.1,
-        )
+        policy = RetryPolicy(mode="deadline", max_attempts=10)
+        assert policy.deadline_seconds == 0.25
         request = self._request(arrival=0.0)
         assert policy.next_delay(request, 1, 0.05) is not None
-        assert policy.next_delay(request, 1, 0.099) is None
+        # The shortest first delay is half the base: 0.2475 + 0.0025.
+        assert policy.next_delay(request, 1, 0.2475) is None
+        # Backoff mode has no deadline.
+        backoff = RetryPolicy(mode="backoff", max_attempts=10)
+        assert backoff.next_delay(request, 1, 0.2475) is not None
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown retry mode"):
             RetryPolicy(mode="always")
         with pytest.raises(ValueError, match="max_attempts"):
             RetryPolicy(mode="backoff", max_attempts=0)
-        with pytest.raises(ValueError, match="base_seconds"):
-            RetryPolicy(mode="backoff", base_seconds=0.0)
 
 
 # ---------------------------------------------------------------------------

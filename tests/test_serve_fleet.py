@@ -8,7 +8,6 @@ from repro.serve.fleet import (
     FleetSpec,
     InstanceType,
     TypedReplicaPool,
-    fleet_with_total,
     get_instance_type,
 )
 
@@ -36,15 +35,11 @@ class TestInstanceType:
         with pytest.raises(ValueError):
             InstanceType(name="")
         with pytest.raises(ValueError):
-            InstanceType(name="x", tiers=0)
-        with pytest.raises(ValueError):
             InstanceType(name="x", service_scale=0.0)
         with pytest.raises(ValueError):
             InstanceType(name="x", cost_per_second=0.0)
         with pytest.raises(ValueError):
             InstanceType(name="x", max_batch=-1)
-        with pytest.raises(ValueError):
-            InstanceType(name="x", warmup_seconds=-0.1)
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown instance type"):
@@ -96,29 +91,39 @@ class TestAllocateFleet:
     )
 
     def test_identity_when_total_matches(self):
-        assert allocate_fleet([2, 1, 1], 4, self.TYPES) == [2, 1, 1]
+        assert allocate_fleet(4, self.TYPES, [2, 1, 1]) == [2, 1, 1]
 
     def test_total_always_honored(self):
         for total in range(1, 12):
-            counts = allocate_fleet([2, 1, 1], total, self.TYPES)
+            counts = allocate_fleet(total, self.TYPES, [2, 1, 1])
             assert sum(counts) == total
             assert all(c >= 0 for c in counts)
 
     def test_grow_is_proportional_with_cheap_remainder(self):
         # Doubling a 2:1:1 fleet keeps the composition exact.
-        assert allocate_fleet([2, 1, 1], 8, self.TYPES) == [4, 2, 2]
+        assert allocate_fleet(8, self.TYPES, [2, 1, 1]) == [4, 2, 2]
         # An odd remainder lands on the most cost-efficient slice (small).
-        assert allocate_fleet([2, 1, 1], 5, self.TYPES) == [3, 1, 1]
+        assert allocate_fleet(5, self.TYPES, [2, 1, 1]) == [3, 1, 1]
 
     def test_zero_weight_slices_never_receive_instances(self):
         types = (INSTANCE_TYPES["small"], INSTANCE_TYPES["large"])
-        counts = allocate_fleet([0, 2], 5, types, weights=[0, 2])
+        counts = allocate_fleet(5, types, [0, 2])
         assert counts[0] == 0
         assert sum(counts) == 5
 
     def test_deterministic(self):
-        a = allocate_fleet([1, 2, 1], 7, self.TYPES)
-        assert a == allocate_fleet([1, 2, 1], 7, self.TYPES)
+        a = allocate_fleet(7, self.TYPES, [1, 2, 1])
+        assert a == allocate_fleet(7, self.TYPES, [1, 2, 1])
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="positive sum"):
+            allocate_fleet(3, self.TYPES, [0, 0, 0])
+        with pytest.raises(ValueError, match="positive sum"):
+            allocate_fleet(3, self.TYPES, [2, -1, 1])
+        with pytest.raises(ValueError, match="align"):
+            allocate_fleet(3, self.TYPES, [1, 1])
+        with pytest.raises(ValueError, match="total"):
+            allocate_fleet(-1, self.TYPES, [1, 1, 1])
 
 
 class TestTypedReplicaPool:
@@ -184,29 +189,29 @@ class TestTypedReplicaPool:
         with pytest.raises(ValueError):
             fleet.scale_to(0, now=0.0)
 
-    def test_per_type_warmup_overrides_engine_default(self):
+    def test_every_type_uses_the_engine_warmup(self):
         spec = FleetSpec.parse("default:1,large:1")
         fleet = TypedReplicaPool(spec, default_warmup_seconds=0.5)
-        # Both types inherit the engine default (None in the registry).
         for s in fleet.slices:
             assert s.pool.warmup_seconds == 0.5
 
 
 class TestFleetWithTotal:
+    """A declared composition rescaled to a new total: ``allocate_fleet``
+    over the spec's counts, which the live pool follows."""
+
     def test_rescale_preserves_composition(self):
         spec = FleetSpec.parse("small:2,large:1")
-        grown = fleet_with_total(spec, 6)
-        assert grown.total() == 6
-        assert grown.counts() == {"small": 4, "large": 2}
-        shrunk = fleet_with_total(spec, 1)
-        assert shrunk.total() == 1
+        declared = list(spec.counts().values())
+        assert allocate_fleet(6, spec.types(), declared) == [4, 2]
+        assert sum(allocate_fleet(1, spec.types(), declared)) == 1
 
     def test_matches_live_pool_allocation(self):
-        # A statically rescaled spec and a scaled live pool agree.
+        # Every total the live pool is scaled to splits as allocate_fleet
+        # splits it over the declared counts, whatever the path to it.
         spec = FleetSpec.parse("small:2,large:1")
         fleet = TypedReplicaPool(spec)
-        fleet.scale_to(6, now=0.0)
-        live = {
-            s.itype.name: s.pool.target_size for s in fleet.slices
-        }
-        assert live == fleet_with_total(spec, 6).counts()
+        for total in (6, 1, 4, 9, 3):
+            fleet.scale_to(total, now=0.0)
+            live = [s.pool.target_size for s in fleet.slices]
+            assert live == allocate_fleet(total, spec.types(), [2, 1])

@@ -31,11 +31,11 @@ class TestRegistry:
         }
 
     def test_make_routing_dispatch_and_kwargs(self):
-        policy = make_routing(
-            "size_affinity", SMALL_LARGE, large_threshold=512
-        )
+        policy = make_routing("size_affinity", SMALL_LARGE)
         assert isinstance(policy, SizeAffinityRouting)
-        assert policy.large_threshold == 512
+        # The size threshold is a class constant, not a constructor knob.
+        with pytest.raises(TypeError):
+            make_routing("size_affinity", SMALL_LARGE, large_threshold=512)
         with pytest.raises(ValueError, match="unknown routing"):
             make_routing("random", SMALL_LARGE)
 
@@ -65,7 +65,9 @@ class TestSizeAffinity:
         # Affinity, not balancing: even a deep fast queue gets the
         # large graphs — their service time dominates their latency.
         assert policy.route(req(4096), deep_fast) == "large"
+        assert policy.large_threshold == 2048
         assert policy.route(req(2048), deep_fast) == "large"
+        assert policy.route(req(2047), deep_fast) == "small"
 
     def test_small_graphs_join_the_shallowest_slow_queue(self):
         policy = SizeAffinityRouting(ALL_TYPES)
