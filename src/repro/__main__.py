@@ -326,11 +326,23 @@ def cmd_serve(args: argparse.Namespace) -> None:
             f"retry {scenario.retry} (<= {scenario.retry_max_attempts} "
             f"attempts), hedge {scenario.hedge_seconds * 1e3:g}ms"
         )
+    label = scenario.display_label
+    source = (
+        f"{scenario.arrival} arrivals at {scenario.qps:g} qps for "
+        f"{scenario.duration_seconds:g}s, {scenario.num_tenants} tenant(s)"
+    )
     if trace is not None:
         extras.append(f"trace {args.trace_file} ({len(trace.requests)} requests)")
-    print(f"serving scenario {scenario.display_label}: "
-          f"{scenario.arrival} arrivals at {scenario.qps:g} qps for "
-          f"{scenario.duration_seconds:g}s, {scenario.num_tenants} tenant(s), "
+        # The trace, not the scenario's arrival model, sets the stream.
+        tenants = len({request.tenant for request in trace.requests})
+        knobs = replace(scenario, num_tenants=tenants).auto_label()
+        label = "trace-" + knobs.split("-", 1)[1]
+        source = (
+            f"trace arrivals at {scenario.qps:g} qps over a "
+            f"{trace.requests[-1].arrival_time:.3f}s span, replayed for "
+            f"{scenario.duration_seconds:g}s, {tenants} tenant(s)"
+        )
+    print(f"serving scenario {label}: {source}, "
           f"batch<= {scenario.max_batch}, wait<= "
           f"{scenario.max_wait_seconds * 1e3:g}ms, policy {scenario.policy}, "
           f"{scenario.instances} instance(s)"

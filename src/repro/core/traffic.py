@@ -35,8 +35,17 @@ coalesced, as a DMA engine would.
 :class:`~repro.noc.packet.MessageTable`, the columns the static schedule
 reads.  Each leg is built in numpy as rows of (source, destination
 entries, bits): the block-holding routers of every block group, or the
-chunk owners of its row range.  One coalescing pass then drops each
-row's own source from its destinations, drops empty and zero-bit rows,
+chunk owners of its row range.  Block-holding routers come from
+presence tables, one per (axis, modulus) a call needs: a block's router
+depends only on its coordinates modulo the stage's grid, so cell
+``(g, res)`` records whether occupied group ``g`` (a block-row or
+block-column) has a block whose other coordinate is ``res`` modulo
+``a`` or ``b``.  One ``np.bincount`` over the nonzero blocks builds a
+table, and every leg with that axis and modulus maps its set cells
+through its own stage's routers, so the nonzero blocks are read once
+per table rather than once per leg.  The tables live for one
+:meth:`~GNNTrafficModel.messages` call.  One coalescing pass then drops
+each row's own source from its destinations, drops empty and zero-bit rows,
 and merges rows with the same (source, destination set, tag) with one
 ``np.lexsort``.  Messages are numbered canonically: ``msg_id`` is the
 rank by ``(src, dests, tag)`` with destinations sorted, compared as
@@ -48,7 +57,9 @@ and contents.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -79,13 +90,6 @@ class _EPlacement:
     def grid(self) -> tuple[int, int]:
         return _grid_shape(len(self.routers))
 
-    def block_routers(self, brs: np.ndarray, bcs: np.ndarray) -> np.ndarray:
-        """Routers holding blocks ``(brs[k], bcs[k])``."""
-        a, b = self.grid
-        if self.transposed:
-            brs, bcs = bcs, brs
-        return np.asarray(self.routers)[(brs % a) * b + (bcs % b)]
-
 
 @dataclass(frozen=True)
 class _BlockIndex:
@@ -95,6 +99,30 @@ class _BlockIndex:
     occupied_cols: np.ndarray
     brs: np.ndarray  # block-row of every nonzero block
     bcs: np.ndarray  # block-col of every nonzero block
+    row_at: np.ndarray  # every block's block-row, as its index in occupied_rows
+    col_at: np.ndarray  # every block's block-col, as its index in occupied_cols
+
+
+def _residue_cells(
+    index: _BlockIndex, axis: str, modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The set cells ``(g, res)`` of one presence table, row-major.
+
+    Cell ``(g, res)`` is set when some nonzero block of occupied group
+    ``g`` (a block-row for ``axis="row"``, a block-column for ``"col"``)
+    has its other coordinate congruent to ``res`` modulo ``modulus``.
+    One ``np.bincount`` over the nonzero blocks builds the table.
+    """
+    if axis == "row":
+        at, other, groups = index.row_at, index.bcs, index.occupied_rows
+    else:
+        at, other, groups = index.col_at, index.brs, index.occupied_cols
+    hits = np.bincount(at * modulus + other % modulus, minlength=groups.size * modulus)
+    return np.divmod(np.flatnonzero(hits), modulus)
+
+
+#: A ``messages()`` call's presence tables, ``(axis, modulus) -> cells``.
+_Cells = Callable[[str, int], tuple[np.ndarray, np.ndarray]]
 
 
 #: One leg's rows before coalescing: ``(tag, src, bits, entry_row,
@@ -134,7 +162,10 @@ class GNNTrafficModel:
         self.data_bits = data_bits
         self.block_size = block_mapping.block_size
         brs, bcs = np.divmod(block_mapping.block_ids, block_mapping.num_block_cols)
-        self._index = _BlockIndex(np.unique(brs), np.unique(bcs), brs, bcs)
+        rows, cols = distinct(brs), distinct(bcs)
+        self._index = _BlockIndex(
+            rows, cols, brs, bcs, np.searchsorted(rows, brs), np.searchsorted(cols, bcs)
+        )
         self._num_ids = config.topology.num_routers
 
     # ------------------------------------------------------------------
@@ -162,21 +193,24 @@ class GNNTrafficModel:
         return np.asarray(routers)[groups % len(routers)]
 
     def _block_routers_by(
-        self, layer: int, transposed: bool, axis: str
+        self, cells: _Cells, layer: int, transposed: bool
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per occupied group, its distinct block-holding routers, as CSR.
 
-        ``axis="col"`` groups by block-column (aligned with
-        ``occupied_cols``), ``axis="row"`` by block-row; group ``k``'s
-        routers are ``routers[ptr[k]:ptr[k + 1]]``.
+        A forward stage groups by block-column (aligned with
+        ``occupied_cols``), a backward one by block-row; group ``k``'s
+        routers are ``routers[ptr[k]:ptr[k + 1]]``.  Either way the group
+        is the grid's minor coordinate, so group ``g``'s blocks sit at
+        grid positions ``(res, g mod b)`` for the residues ``res`` of its
+        other coordinate modulo ``a``.
         """
+        placement = self._placement(layer, transposed)
+        a, b = placement.grid
         idx = self._index
-        per_block = self._placement(layer, transposed).block_routers(idx.brs, idx.bcs)
-        by_col = axis == "col"
-        groups = idx.bcs if by_col else idx.brs
-        occupied = idx.occupied_cols if by_col else idx.occupied_rows
-        keys = distinct(np.searchsorted(occupied, groups) * self._num_ids + per_block)
-        owner, routers = np.divmod(keys, self._num_ids)
+        occupied = idx.occupied_rows if transposed else idx.occupied_cols
+        g, res = cells("row" if transposed else "col", a)
+        holders = np.asarray(placement.routers)[res * b + occupied[g] % b]
+        owner, routers = np.divmod(distinct(g * self._num_ids + holders), self._num_ids)
         return np.searchsorted(owner, np.arange(occupied.size + 1)), routers
 
     def _chunk_spans(
@@ -211,36 +245,44 @@ class GNNTrafficModel:
         (source, destination set, tag) are coalesced.  ``msg_id`` is the
         rank by ``(src, dests, tag)``, destinations sorted.
         """
+        # Legs read the block placement through presence tables built
+        # once per (axis, modulus) in this call, not once per leg.
+        cells = cache(partial(_residue_cells, self._index))
         legs: list[_Leg] = []
         num_layers = self.config.num_layers
         for i in range(1, num_layers + 1):
             din, dout = self.layer_dims[i - 1]
-            legs += [self._leg_into_e(i, dout), self._leg_partial_sums(i, dout)]
+            legs += [
+                self._leg_into_e(cells, i, dout),
+                self._leg_partial_sums(cells, i, dout),
+            ]
             if i < num_layers:  # the last E stage feeds the loss turnaround
                 legs.append(self._leg_e_out(i, dout))
             if self.training:
                 legs += [
-                    self._leg_e_to_be(i, dout, gradient=(i == num_layers)),
-                    self._leg_partial_sums(i, dout, backward=True),
+                    self._leg_e_to_be(cells, i, dout, gradient=(i == num_layers)),
+                    self._leg_partial_sums(cells, i, dout, backward=True),
                     self._leg_be_to_bv(i, dout),
                 ]
             if self.training and i > 1:
-                legs.append(self._leg_into_e(i, din, backward=True))
+                legs.append(self._leg_into_e(cells, i, din, backward=True))
         return _coalesce(legs, self._num_ids)
 
     # ------------------------------------------------------------------
     # Legs
     # ------------------------------------------------------------------
-    def _leg_into_e(self, layer: int, width: int, backward: bool = False) -> _Leg:
+    def _leg_into_e(
+        self, cells: _Cells, layer: int, width: int, backward: bool = False
+    ) -> _Leg:
         """Rows into an E-type stage: Vi->Ei, or BVi->BEi-1 for gradients."""
         idx = self._index
         if backward:
             src_routers = self.stage_map.routers(f"BV{layer}")
-            ptr, routers = self._block_routers_by(layer - 1, True, "row")
+            ptr, routers = self._block_routers_by(cells, layer - 1, True)
             groups, tag = idx.occupied_rows, f"BV{layer}->BE{layer - 1}"
         else:
             src_routers = self.stage_map.routers(f"V{layer}")
-            ptr, routers = self._block_routers_by(layer, False, "col")
+            ptr, routers = self._block_routers_by(cells, layer, False)
             groups, tag = idx.occupied_cols, f"V{layer}->E{layer}"
         bounds, los, his, firsts, stops = self._chunk_spans(src_routers, groups)
         # When an E stage's block set exceeds its crossbar budget, blocks
@@ -254,19 +296,27 @@ class GNNTrafficModel:
         bits = rows * max(width * self.data_bits, 0)
         return tag, np.asarray(src_routers)[chunk], bits, entry_row, routers[at]
 
-    def _leg_partial_sums(self, layer: int, dout: int, backward: bool = False) -> _Leg:
+    def _leg_partial_sums(
+        self, cells: _Cells, layer: int, dout: int, backward: bool = False
+    ) -> _Leg:
         """Within-stage reduction: partial block products to the row home.
 
         Every router holding a block of a group sends the group's rows
-        once to the group's home.
+        once to the group's home.  Block-rows (block-columns on a
+        backward stage) are the grid's major coordinate: group ``g``'s
+        blocks sit at ``(g mod a, res)`` for the residues ``res`` of its
+        other coordinate modulo ``b``.
         """
-        idx = self._index
         stage = f"BE{layer}" if backward else f"E{layer}"
+        placement = self._placement(layer, backward)
+        a, b = placement.grid
+        idx = self._index
+        occupied = idx.occupied_cols if backward else idx.occupied_rows
+        g, res = cells("col" if backward else "row", b)
+        groups = occupied[g]
+        holders = np.asarray(placement.routers)[(groups % a) * b + res]
         # Which routers hold a block of which group, each pair once.
-        pairs = distinct(
-            (idx.bcs if backward else idx.brs) * self._num_ids
-            + self._placement(layer, backward).block_routers(idx.brs, idx.bcs)
-        )
+        pairs = distinct(groups * self._num_ids + holders)
         groups, srcs = np.divmod(pairs, self._num_ids)
         los, his = self._group_rows(groups)
         bits = (his - los) * (dout * self.data_bits)
@@ -284,10 +334,12 @@ class GNNTrafficModel:
         src = self._homes(f"E{layer}", groups)
         return f"E{layer}->V{layer + 1}", src, bits, rows, dests
 
-    def _leg_e_to_be(self, layer: int, dout: int, gradient: bool) -> _Leg:
+    def _leg_e_to_be(
+        self, cells: _Cells, layer: int, dout: int, gradient: bool
+    ) -> _Leg:
         """Ei -> BEi: ReLU masks (plus the loss gradient at the last layer)."""
         groups = self._index.occupied_rows
-        ptr, routers = self._block_routers_by(layer, True, "row")
+        ptr, routers = self._block_routers_by(cells, layer, True)
         entry_row, at = csr_spans(ptr[:-1], ptr[1:])
         los, his = self._group_rows(groups)
         bits = (his - los) * (dout * (self.data_bits + 1 if gradient else 1))
@@ -359,4 +411,5 @@ def _coalesce(legs: list[_Leg], num_ids: int) -> MessageTable:
         tags=tuple(tags),
         msg_id=np.arange(rep.size),
     )
+
 

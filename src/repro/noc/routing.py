@@ -25,6 +25,22 @@ import numpy as np
 from repro.noc.topology import EJECT, INJECT, PORTS, Mesh3D, mesh_port
 
 
+def route_lengths(topo: Mesh3D, srcs: np.ndarray, dsts: np.ndarray) -> np.ndarray:
+    """Link count of each route ``srcs[k] -> dsts[k]``, ports included.
+
+    That is the route's hop count plus its injection and ejection ports:
+    the length of route ``k`` in :func:`link_paths`.
+    """
+    per_tier, width = topo.routers_per_tier, topo.width
+    src_z, src_rem = np.divmod(srcs, per_tier)
+    dst_z, dst_rem = np.divmod(dsts, per_tier)
+    src_y, src_x = np.divmod(src_rem, width)
+    dst_y, dst_x = np.divmod(dst_rem, width)
+    return (
+        np.abs(dst_x - src_x) + np.abs(dst_y - src_y) + np.abs(dst_z - src_z) + 2
+    )
+
+
 def link_paths(topo: Mesh3D, srcs, dsts) -> tuple[np.ndarray, np.ndarray]:
     """Dense link-id paths of the routes ``srcs[k] -> dsts[k]``, built at once.
 

@@ -19,15 +19,20 @@ serializes on the way out.
 Links are dense ids ``router * PORTS + port`` (:mod:`repro.noc.topology`),
 so per-link free cycles and flit counts are flat arrays.  Messages arrive
 as a :class:`~repro.noc.packet.MessageTable` (a list is converted once),
-are ordered by one ``np.lexsort`` and scheduled in blocks of
-:data:`ROUTE_BLOCK` rows read from its columns: :func:`~repro.noc.routing.link_paths`
-builds the block's link-id routes in numpy, and each packet tree is
-deduplicated there into links that each know their one parent link
-(dimension-order routes from one source are prefix-closed).  Only the
-greedy reservation loop, one visit per tree link, runs in Python.
-Flit-hops, utilization and network energy are sums of the flat loads by
-port class (:class:`~repro.noc.stats.LinkLoads`, shared with the flit
-simulator).
+are ordered by one ``np.lexsort`` and scheduled in blocks sized by route
+entries: a message's entries are the links of its routes, one per
+destination (:func:`~repro.noc.routing.route_lengths`), and a block holds
+as many messages as fit in :data:`ROUTE_ENTRIES`, or one longer message.
+One ``cumsum`` and one ``searchsorted`` cut every block, so a small mesh
+takes a few wide blocks and the route arrays stay bounded on a large one.
+:func:`~repro.noc.routing.link_paths` builds a block's link-id routes in
+numpy, and one stable sort deduplicates each packet tree there into links
+that each know their one parent link (dimension-order routes from one
+source are prefix-closed).  Only the greedy reservation loop, one visit
+per tree link, runs in Python; block edges do not change it, since the
+loop carries its per-link free cycles across blocks.  Flit-hops,
+utilization and network energy are sums of the flat loads by port class
+(:class:`~repro.noc.stats.LinkLoads`, shared with the flit simulator).
 """
 
 from __future__ import annotations
@@ -37,14 +42,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.noc.packet import Message, MessageTable, csr_spans, padded_rows
-from repro.noc.routing import link_paths
+from repro.noc.routing import link_paths, route_lengths
 from repro.noc.stats import LinkLoads
 from repro.noc.topology import PORTS, Mesh3D
 from repro.utils.units import GHZ, PICO
 
-#: Messages whose routes are built together.  Bounds the route arrays: all
-#: routes at once take tens of MB on the largest meshes.
-ROUTE_BLOCK = 128
+#: Route entries (links summed over all of a block's routes) built
+#: together.  Bounds the route arrays: all routes at once take tens of MB
+#: on the largest meshes.
+ROUTE_ENTRIES = 4000
 
 
 @dataclass(frozen=True)
@@ -141,9 +147,21 @@ class StaticScheduler:
             table = MessageTable.from_messages(messages)
         padded = padded_rows(table.dest_ptr, table.dests)
         order = np.lexsort((table.msg_id, *padded.T[::-1], table.src, table.inject))
+        # Cut ``order`` into blocks of at most ROUTE_ENTRIES route entries
+        # (one message a block if it alone is longer): ``cum[k]`` entries
+        # precede position k, and a block from ``lo`` ends at ``cut[lo]``.
+        msg = np.repeat(np.arange(order.size), np.diff(table.dest_ptr))
+        entries = np.bincount(
+            msg, route_lengths(topo, table.src[msg], table.dests), order.size
+        ).astype(np.int64)
+        cum = np.concatenate(([0], np.cumsum(entries[order])))
+        cut = np.searchsorted(cum, cum[:-1] + ROUTE_ENTRIES, side="right") - 1
+        cut = np.maximum(cut, np.arange(1, order.size + 1)).tolist()
         lasts: list[int] = []
-        for lo in range(0, order.size, ROUTE_BLOCK):
-            trees = _Trees(topo, table, order[lo:lo + ROUTE_BLOCK], multicast, cfg)
+        lo = 0
+        while lo < order.size:
+            trees = _Trees(topo, table, order[lo:cut[lo]], multicast, cfg)
+            lo = cut[lo]
             slot_flits = np.repeat(trees.flits, np.diff(trees.bounds))
             # A link starts once it frees AND the head has crossed its
             # parent link; parents come before children.  ``starts`` opens
@@ -162,7 +180,7 @@ class StaticScheduler:
                 append(start)
             slot_starts = np.asarray(starts[len(trees.flits):])
             ends = np.maximum.reduceat(slot_starts, trees.bounds[:-1]) + hop
-            np.add.at(load, trees.lids, slot_flits)
+            load += np.bincount(trees.lids, slot_flits, load.size).astype(np.int64)
             # The tail arrives flits - 1 cycles after the deepest head.
             tails = ends + trees.flits - 1
             lasts.extend(np.maximum.reduceat(tails, trees.msg_trees).tolist())
@@ -213,17 +231,23 @@ class _Trees:
         self.inject = np.repeat(table.inject[rows], per_msg)
         route = np.repeat(np.arange(len(dsts)), np.diff(offsets))
         tree = msg[route] if multicast else route
-        # Each (tree, link) pair's first occurrence, in path order, is a slot.
+        # Each (tree, link) pair's first occurrence, in path order, is a
+        # slot.  A stable sort lists each pair's occurrences in path order.
         keys = tree * (topo.num_routers * PORTS) + ids
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        order = np.argsort(first)
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+        new = np.ones(order.size, dtype=bool)
+        np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+        is_first = np.zeros(order.size, dtype=bool)
+        is_first[order[new]] = True
+        heads = np.flatnonzero(is_first)
+        # Every position's slot: the rank of its pair's first occurrence.
         slot = np.empty(order.size, dtype=np.int64)
-        slot[order] = np.arange(order.size)
-        heads = first[order]
+        slot[order] = (np.cumsum(is_first) - 1)[order[new]][np.cumsum(new) - 1]
         self.lids = ids[heads]
         self.bounds = np.searchsorted(tree[heads], np.arange(self.flits.size + 1))
         self.parents = np.where(
             heads > offsets[route[heads]],
-            slot[inverse[heads - 1]] + self.flits.size,
+            slot[heads - 1] + self.flits.size,
             tree[heads],
         )

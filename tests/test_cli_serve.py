@@ -232,6 +232,32 @@ class TestSinglePoint:
         assert "trace" in out
         assert "p99" in out
 
+    @pytest.mark.parametrize("tenants", [("a", "b"), ("a",)])
+    def test_trace_header_describes_the_trace(self, tmp_path, capsys, tenants):
+        """The header names the trace, its tenants and span, not the
+        scenario's default arrival model and tenant count."""
+        trace = tmp_path / "trace.csv"
+        save_trace(
+            [
+                Request(tenant=tenants[i % len(tenants)], graph_size=256,
+                        arrival_time=0.01 * i, request_id=i)
+                for i in range(1, 30)
+            ],
+            trace,
+        )
+        out = run_cli(
+            ["--trace-file", str(trace), "--duration", "0.3",
+             "--instances", "1", "--no-cache"],
+            capsys,
+        )
+        header = out.splitlines()[0]
+        assert header.startswith("serving scenario trace-q")
+        assert ": trace arrivals at " in header
+        assert "over a 0.290s span, replayed for 0.3s" in header
+        assert f", {len(tenants)} tenant(s), " in header
+        assert "poisson" not in header
+        assert f"  trace {trace} (29 requests)" in out.splitlines()
+
     def test_trace_with_repeated_ids_is_a_clean_error(self, tmp_path):
         trace = tmp_path / "trace.csv"
         save_trace(

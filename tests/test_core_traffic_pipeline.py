@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import traffic_loops as oracle
+from repro.core import traffic
 from repro.core.config import ReGraphXConfig
 from repro.core.mapping import contiguous_mapping, random_mapping, stage_names
 from repro.core.pipeline import PipelineModel, PipelineTiming, StageCost
@@ -227,6 +228,72 @@ class TestVectorizedEngine:
         assert _message_tuples(model.messages().to_messages()) == _message_tuples(
             oracle.messages(model)
         )
+
+
+#: The ``nocscale`` campaign's meshes, width x width x tiers.  Their E
+#: stages hold 4 to 54 routers: square grids (2x2, 3x3, 4x4, 5x5, 6x6),
+#: non-square ones (2x4, 3x4, 4x6, 3x6, 6x9) and the prime 13 and 37,
+#: whose grid is one row.
+NOCSCALE_MESHES = [(w, t) for w in (6, 8, 10, 12) for t in (2, 3, 4)]
+
+
+@pytest.fixture(scope="module")
+def nocscale_workload(accelerator):
+    """The graph every ``nocscale`` scenario evaluates: ppi@0.05, seed 0."""
+    return accelerator.build_workload("ppi", scale=0.05, seed=0)
+
+
+def _nocscale_model(workload, width, tiers):
+    config = ReGraphXConfig(mesh_width=width, mesh_height=width, tiers=tiers)
+    return GNNTrafficModel(
+        config,
+        contiguous_mapping(config),
+        workload.block_mapping,
+        workload.num_nodes_per_input,
+        workload.layer_dims,
+    )
+
+
+class TestNocscaleMeshes:
+    """The presence-table extraction on the meshes ``nocscale`` sweeps."""
+
+    def test_stage_grids_cover_prime_and_non_square(self):
+        grids = {
+            _grid_shape(ReGraphXConfig(mesh_width=w, mesh_height=w, tiers=t)
+                        .e_routers_per_stage)
+            for w, t in NOCSCALE_MESHES
+        }
+        assert {(1, 13), (1, 37)} <= grids  # prime stage sizes
+        assert {(2, 4), (6, 9)} <= grids  # non-square grids
+
+    @pytest.mark.parametrize("width,tiers", NOCSCALE_MESHES)
+    def test_matches_loop_engine(self, nocscale_workload, width, tiers):
+        model = _nocscale_model(nocscale_workload, width, tiers)
+        assert _message_tuples(model.messages().to_messages()) == _message_tuples(
+            oracle.messages(model)
+        )
+
+    def test_one_presence_table_per_axis_and_modulus(
+        self, nocscale_workload, monkeypatch
+    ):
+        """Legs share their (axis, modulus) table within one call, and a
+        second call builds its own: the tables are not kept."""
+        built = []
+        real = traffic._residue_cells
+
+        def spy(index, axis, modulus):
+            built.append((axis, modulus))
+            return real(index, axis, modulus)
+
+        monkeypatch.setattr(traffic, "_residue_cells", spy)
+        model = _nocscale_model(nocscale_workload, 12, 4)  # grid 6x9
+        model.messages()
+        first = list(built)
+        assert sorted(first) == sorted(set(first))
+        # Forward reads use (col, a) and (row, b); backward (row, a), (col, b).
+        assert set(first) == {("col", 6), ("row", 9), ("row", 6), ("col", 9)}
+        model.messages()
+        assert built == first + first
 
 
 class TestPipelineModel:
