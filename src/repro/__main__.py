@@ -288,6 +288,10 @@ def cmd_serve(args: argparse.Namespace) -> None:
             raise SystemExit(
                 "serve: --trace-file already fixes the arrivals; drop --arrival"
             )
+        if args.tenants is not None:
+            raise SystemExit(
+                "serve: --trace-file already fixes the tenants; drop --tenants"
+            )
         from repro.serve import load_trace
 
         trace_path = Path(args.trace_file)

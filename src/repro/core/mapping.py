@@ -87,7 +87,11 @@ class StageMap:
         for stage, routers in self.assignment.items():
             if not routers:
                 raise ValueError(f"stage {stage} has no routers")
-            overlap = seen & set(routers)
+            members = set(routers)
+            if len(members) != len(routers):
+                repeated = next(r for r in routers if routers.count(r) > 1)
+                raise ValueError(f"stage {stage} lists router {repeated} twice")
+            overlap = seen & members
             if overlap:
                 raise ValueError(f"routers {overlap} assigned to multiple stages")
             seen.update(routers)

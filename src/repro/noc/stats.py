@@ -83,7 +83,7 @@ def summarize_latencies(values) -> LatencySummary:
         return summarize()
     if len(values) == 0:
         return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0)
-    ordered = sorted(float(v) for v in values)
+    ordered = sorted(map(float, values))
     return LatencySummary(
         count=len(ordered),
         mean=sum(ordered) / len(ordered),

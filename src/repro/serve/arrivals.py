@@ -30,29 +30,56 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.utils.rng import rng_from_seed
 
 
-@dataclass(frozen=True)
-class Request:
-    """One inference request: who sent it, how big, and when it arrived."""
-
+class _RequestFields(NamedTuple):
     tenant: str
     graph_size: int
     arrival_time: float
     request_id: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.tenant:
+
+class Request(_RequestFields):
+    """One inference request: who sent it, how big, and when it arrived.
+
+    An immutable tuple of ``(tenant, graph_size, arrival_time,
+    request_id)`` with named fields and no per-instance dictionary, so a
+    10^5-request stream costs one small tuple per request.  Calling
+    ``Request(...)`` (or ``_make`` / ``_replace``) validates the fields.
+    :meth:`ArrivalProcess.generate` builds its requests with the
+    unchecked ``tuple.__new__(Request, fields)`` instead: the
+    :class:`TenantMix` it draws from has already validated every tenant
+    name and graph size, and its arrival times are ``>= 0`` by
+    construction.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        tenant: str,
+        graph_size: int,
+        arrival_time: float,
+        request_id: int = 0,
+    ) -> "Request":
+        if not tenant:
             raise ValueError("request needs a tenant name")
-        if self.graph_size < 1:
-            raise ValueError(f"graph_size must be >= 1, got {self.graph_size}")
-        if self.arrival_time < 0:
-            raise ValueError(f"arrival_time must be >= 0, got {self.arrival_time}")
+        if graph_size < 1:
+            raise ValueError(f"graph_size must be >= 1, got {graph_size}")
+        if arrival_time < 0:
+            raise ValueError(f"arrival_time must be >= 0, got {arrival_time}")
+        return tuple.__new__(cls, (tenant, graph_size, arrival_time, request_id))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Request":
+        # The tuple default builds without checks; route it (and
+        # ``_replace``, which calls it) through the checked constructor.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -77,6 +104,8 @@ class TenantMix:
         if not self.tenants:
             raise ValueError("need at least one tenant")
         names = [name for name, _ in self.tenants]
+        if not all(names):
+            raise ValueError(f"tenant names must be non-empty, got {names}")
         if len(names) != len(set(names)):
             raise ValueError(f"duplicate tenant names in {names}")
         if any(w <= 0 for _, w in self.tenants):
@@ -205,16 +234,22 @@ class ArrivalProcess:
         self.seed = seed
 
     def generate(self, horizon_seconds: float) -> list[Request]:
-        """All requests arriving in ``[0, horizon_seconds)``, in time order."""
+        """All requests arriving in ``[0, horizon_seconds)``, in time order.
+
+        Requests are built unchecked (see :class:`Request`): the mix
+        validated its tenants and sizes when it was constructed, and
+        arrival times start at 0 and only grow.
+        """
         if horizon_seconds <= 0:
             raise ValueError(f"horizon must be positive, got {horizon_seconds}")
         rng = StreamRng(self.seed)
         draw = self.mix.draw
+        new = tuple.__new__
         out: list[Request] = []
         append = out.append
         for t in self._arrival_times(rng, horizon_seconds):
             tenant, size = draw(rng)
-            append(Request(tenant, size, t, len(out)))
+            append(new(Request, (tenant, size, t, len(out))))
         return out
 
     def _arrival_times(

@@ -573,13 +573,13 @@ class ServingEngine:
         # ``tiebreak`` first, exactly as if pushed, so the event order is
         # the one a single heap would give.  Kept reversed: the next
         # arrival is ``pending[-1]``.
-        pending = [
-            (request.arrival_time, _ARRIVE, next(tiebreak), request)
-            for request in sorted(
-                initial, key=attrgetter("arrival_time", "request_id")
-            )
-            if horizon_seconds is None or request.arrival_time < horizon_seconds
-        ]
+        stream = sorted(initial, key=attrgetter("arrival_time", "request_id"))
+        if horizon_seconds is not None:
+            stream = [r for r in stream if r.arrival_time < horizon_seconds]
+        # ``zip`` stops at the end of the times, before it draws from
+        # ``tiebreak``: one seq per kept request, in stream order.
+        times = map(attrgetter("arrival_time"), stream)
+        pending = list(zip(times, itertools.repeat(_ARRIVE), tiebreak, stream))
         pending.reverse()
         c.offered = len(pending)
         horizon = horizon_seconds or max(

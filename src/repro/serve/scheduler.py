@@ -22,12 +22,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping
 
 from repro.serve.arrivals import Request
 
 #: Batch-composition policies.
 POLICIES = ("fifo", "wfq")
+
+_GRAPH_SIZE = attrgetter("graph_size")
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class Batch:
     @property
     def graph_sizes(self) -> tuple[int, ...]:
         """Per-request graph sizes (the service model's input)."""
-        return tuple(r.graph_size for r in self.requests)
+        return tuple(map(_GRAPH_SIZE, self.requests))
 
     @property
     def tenants(self) -> tuple[str, ...]:

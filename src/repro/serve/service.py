@@ -126,11 +126,12 @@ class AcceleratorServiceModel(ServiceModel):
 
     def batch_service_seconds(self, graph_sizes: Sequence[int]) -> float:
         # Memoized by batch shape: order within a batch cannot change the
-        # pipeline occupancy, so the key is the sorted size multiset.
-        shape = tuple(sorted(_validated(graph_sizes)))
-        cached = self._memo.get(shape)
+        # pipeline occupancy, so the key is the sorted size multiset.  A
+        # hit needs no validation: every key was validated when stored.
+        cached = self._memo.get(tuple(sorted(graph_sizes)))
         if cached is not None:
             return cached
+        shape = tuple(sorted(_validated(graph_sizes)))
         self._calibrate()
         assert self._period is not None
         seconds = self._fill_seconds + self._period * sum(

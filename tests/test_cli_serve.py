@@ -271,3 +271,21 @@ class TestSinglePoint:
         with pytest.raises(SystemExit, match="cannot parse trace.*duplicate"):
             main(["serve", "--trace-file", str(trace), "--hedge-ms", "2",
                   "--no-cache"])
+
+    def test_trace_file_conflicts_with_tenants(self, tmp_path):
+        """A trace names its own tenants: ``--tenants`` would be ignored."""
+        trace = tmp_path / "trace.csv"
+        save_trace(
+            [
+                Request(tenant="t0", graph_size=256, arrival_time=0.01 * i,
+                        request_id=i)
+                for i in range(1, 30)
+            ],
+            trace,
+        )
+        with pytest.raises(
+            SystemExit,
+            match="serve: --trace-file already fixes the tenants; drop --tenants",
+        ):
+            main(["serve", "--trace-file", str(trace), "--tenants", "3",
+                  "--no-cache"])

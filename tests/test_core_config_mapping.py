@@ -118,6 +118,14 @@ class TestStageMap:
         with pytest.raises(ValueError, match="no routers"):
             StageMap({"A": ()})
 
+    def test_repeated_router_in_a_stage_rejected(self):
+        """Sixteen copies of one router would land the stage's whole
+        block grid on it."""
+        assignment = dict(contiguous_mapping(self.config).assignment)
+        assignment["E1"] = (0,) * len(assignment["E1"])
+        with pytest.raises(ValueError, match="stage E1 lists router 0 twice"):
+            StageMap(assignment)
+
     def test_unknown_stage_lookup(self):
         sm = contiguous_mapping(self.config)
         with pytest.raises(KeyError):

@@ -42,6 +42,47 @@ class TestRequest:
         with pytest.raises(ValueError, match="arrival_time"):
             Request(tenant="t", graph_size=10, arrival_time=-1.0)
 
+    def test_replace_validates(self):
+        request = Request("t", 10, 0.5, 3)
+        assert request._replace(graph_size=20) == Request("t", 20, 0.5, 3)
+        with pytest.raises(ValueError, match="graph_size"):
+            request._replace(graph_size=0)
+
+    def test_repr_and_fields(self):
+        request = Request("t", 10, 0.5)
+        assert repr(request) == (
+            "Request(tenant='t', graph_size=10, arrival_time=0.5, request_id=0)"
+        )
+        assert (request.tenant, request.graph_size) == ("t", 10)
+        assert (request.arrival_time, request.request_id) == (0.5, 0)
+
+    def test_fields_are_read_only(self):
+        request = Request("t", 10, 0.5)
+        with pytest.raises(AttributeError):
+            request.graph_size = 20
+        with pytest.raises(AttributeError):
+            request.priority = 1  # no instance dictionary either
+
+    @pytest.mark.parametrize("kind", sorted(ARRIVALS) + ["trace", "closed"])
+    def test_every_source_builds_requests(self, kind, tmp_path):
+        """Equality with a plain tuple cannot tell a ``Request`` apart, so
+        every stream is checked by type."""
+        mix = TenantMix.uniform(2)
+        if kind == "closed":
+            pool = ClosedLoopPool(num_clients=3, think_seconds=0.01, mix=mix, seed=1)
+            requests = pool.initial_requests() + [pool.next_request(0.1)]
+        else:
+            process = make_arrivals(
+                "poisson" if kind == "trace" else kind, 300.0, mix=mix, seed=1
+            )
+            requests = process.generate(0.5)
+            if kind == "trace":
+                requests = load_trace(
+                    save_trace(requests, tmp_path / "trace.csv")
+                ).generate(0.5)
+        assert len(requests) > 3
+        assert all(type(r) is Request for r in requests)
+
 
 class TestTenantMix:
     def test_uniform_names_and_weights(self):
@@ -52,6 +93,8 @@ class TestTenantMix:
     def test_validation(self):
         with pytest.raises(ValueError, match="at least one tenant"):
             TenantMix(tenants=())
+        with pytest.raises(ValueError, match="non-empty"):
+            TenantMix(tenants=(("", 1.0),))
         with pytest.raises(ValueError, match="duplicate"):
             TenantMix(tenants=(("a", 1.0), ("a", 2.0)))
         with pytest.raises(ValueError, match="positive"):

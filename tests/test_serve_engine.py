@@ -1,7 +1,12 @@
 """Tests for the discrete-event serving engine and its SLO analytics."""
 
+import hashlib
+import random
+from dataclasses import asdict
+
 import pytest
 
+from repro.obs import MemoryTraceRecorder
 from repro.serve.arrivals import ClosedLoopPool, PoissonArrivals, Request, TenantMix
 from repro.serve.engine import ServingEngine, ServingReport
 from repro.serve.scheduler import BatchingScheduler
@@ -96,6 +101,30 @@ class TestOpenLoop:
         report = engine().run(requests=requests, horizon_seconds=1.0)
         assert report.offered == 1
         assert report.completed == 1
+
+    def test_input_order_of_tied_arrivals_does_not_matter(self):
+        """Arrivals on a 10 ms grid tie in batches of about eight; a
+        shuffled copy must replay exactly as the sorted stream (ties go
+        by request id), down to every span, with a horizon that drops the
+        tail."""
+        tied = [
+            Request(r.tenant, r.graph_size, round(r.arrival_time, 2), r.request_id)
+            for r in workload(qps=800.0, horizon=1.0, tenants=3)
+        ]
+        shuffled = list(tied)
+        random.Random(0).shuffle(shuffled)
+
+        def digest(requests):
+            recorder = MemoryTraceRecorder(sample="all")
+            served = engine()
+            served.recorder = recorder
+            report = served.run(requests=requests, horizon_seconds=0.9)
+            assert report.offered < len(requests)
+            payload = repr((asdict(report), report.render(), recorder.spans()))
+            return hashlib.blake2b(payload.encode(), digest_size=16).hexdigest()
+
+        assert shuffled != tied
+        assert digest(shuffled) == digest(tied)
 
     def test_empty_workload(self):
         report = engine().run(requests=[], horizon_seconds=1.0)
@@ -198,6 +227,13 @@ class TestAcceleratorServiceModel:
             model.batch_service_seconds(())
         with pytest.raises(ValueError, match="positive"):
             model.batch_service_seconds((0,))
+        # A memo hit skips the checks: only sizes equal to a validated
+        # key may hit, and a bad batch still misses once shapes are stored.
+        seconds = model.batch_service_seconds((100, 200))
+        assert model.batch_service_seconds([200.0, 100]) == seconds
+        with pytest.raises(ValueError, match="positive"):
+            model.batch_service_seconds((100, 0))
+        assert list(model._memo) == [(100, 200)]
 
 
 class TestCLISmoke:
