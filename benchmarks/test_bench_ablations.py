@@ -7,13 +7,24 @@ Not paper figures, but the arguments the paper makes in prose:
 * the NoC substrate itself under standard synthetic patterns.
 """
 
+from dataclasses import replace
+
+import numpy as np
+
 from benchmarks.conftest import run_once
 from repro.baselines.homogeneous import homogeneous_epe_demand
 from repro.baselines.planar import planar_mesh_for, planar_router_map
 from repro.core.accelerator import ReGraphX
 from repro.core.mapping import random_mapping
 from repro.graph.datasets import load_dataset
-from repro.noc import Mesh3D, Message, NoCConfig, StaticScheduler, uniform_random_traffic
+from repro.noc import (
+    Mesh3D,
+    Message,
+    MessageTable,
+    NoCConfig,
+    StaticScheduler,
+    uniform_random_traffic,
+)
 from repro.reram.sparse_mapping import block_tile_adjacency
 from repro.utils.units import format_seconds
 
@@ -42,22 +53,16 @@ def test_ablation_planar_vs_3d(benchmark):
     config = NoCConfig()
     sources = topo.tier_routers(1)
     sinks = topo.tier_routers(0)[:16]
-    messages = [
+    messages = MessageTable.from_messages([
         Message(src=s, dests=tuple(sinks), size_bits=8192, tag="gather", msg_id=i)
         for i, s in enumerate(sources)
-    ]
+    ])
     flat = planar_mesh_for(topo)
     mapping = planar_router_map(topo)
-    flat_messages = [
-        Message(
-            src=mapping[m.src],
-            dests=tuple(mapping[d] for d in m.dests),
-            size_bits=m.size_bits,
-            tag=m.tag,
-            msg_id=m.msg_id,
-        )
-        for m in messages
-    ]
+    lookup = np.array([mapping[router] for router in range(topo.num_routers)])
+    flat_messages = replace(
+        messages, src=lookup[messages.src], dests=lookup[messages.dests]
+    )
 
     def run():
         r3d = StaticScheduler(topo, config).simulate(messages, multicast=False)

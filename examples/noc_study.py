@@ -9,10 +9,14 @@ shared set of E-PEs.  Compares four design points:
 Run:  python examples/noc_study.py
 """
 
+from dataclasses import replace
+
+import numpy as np
+
 from repro.baselines.planar import planar_mesh_for, planar_router_map
 from repro.noc import (
     Mesh3D,
-    Message,
+    MessageTable,
     NoCConfig,
     StaticScheduler,
     many_to_one_to_many_traffic,
@@ -20,19 +24,10 @@ from repro.noc import (
 from repro.utils.units import format_seconds
 
 
-def remap_messages(messages: list[Message], mapping: dict[int, int]) -> list[Message]:
+def remap_messages(messages: MessageTable, mapping: dict[int, int]) -> MessageTable:
     """Translate a 3D trace onto the flattened planar mesh."""
-    return [
-        Message(
-            src=mapping[m.src],
-            dests=tuple(mapping[d] for d in m.dests),
-            size_bits=m.size_bits,
-            inject_cycle=m.inject_cycle,
-            tag=m.tag,
-            msg_id=m.msg_id,
-        )
-        for m in messages
-    ]
+    lookup = np.array([mapping[router] for router in range(len(mapping))])
+    return replace(messages, src=lookup[messages.src], dests=lookup[messages.dests])
 
 
 def main() -> None:
@@ -47,7 +42,7 @@ def main() -> None:
         topo3d, sources, sinks, size_bits=16 * 1024
     )
     print(f"traffic: {len(messages)} messages, "
-          f"{sum(m.size_bits for m in messages) / 8e3:.0f} KB total")
+          f"{messages.bits.sum() / 8e3:.0f} KB total")
 
     flat = planar_mesh_for(topo3d)
     mapping = planar_router_map(topo3d)

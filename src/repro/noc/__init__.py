@@ -5,19 +5,21 @@ two complementary performance models.
   scheduled, conflict-free, deterministic (Sec. V.A).  The scheduler
   pipelines wormhole packets over shared links along X-Y-Z trees, tile
   injection and ejection ports included, and reports makespan,
-  per-message latency, link loads, and energy.  It reads message sets as
-  :class:`repro.noc.packet.MessageTable` columns, the form the GNN
-  traffic model produces.
+  per-message latency, link loads, and energy.
 * :mod:`repro.noc.simulator` — a flit-level wormhole simulator used to
   validate the static scheduler.  It runs on the event-driven engine
   (:mod:`repro.noc.events`, cost scales with flit-hops); the cycle-stepped
   loop it is differentially tested against lives in ``tests/oracles/``.
 
-Both models speak one link spelling, the dense id ``router * PORTS + port``
-(:mod:`repro.noc.topology`): they read their routes from one builder,
-:func:`repro.noc.routing.link_paths`, and their results carry the same
-flat per-link loads with one accounting, :class:`repro.noc.stats.LinkLoads`
-(flit-hops by link class, max link load, utilization, energy).
+Both models take one message form, a
+:class:`repro.noc.packet.MessageTable` (what the GNN traffic model and
+the synthetic generators build), and serve its rows in one priority
+order with one flit count.  They also speak one link spelling, the
+dense id ``router * PORTS + port`` (:mod:`repro.noc.topology`): they
+read their routes from one builder, :func:`repro.noc.routing.link_paths`,
+and their results carry the same flat per-link loads with one
+accounting, :class:`repro.noc.stats.LinkLoads` (flit-hops by link class,
+max link load, utilization, energy).
 """
 
 from repro.noc.analysis import (

@@ -80,21 +80,17 @@ def latency_throughput_sweep(
     points: list[SweepPoint] = []
     for rate in rates:
         count = max(1, int(rate * topo.num_routers * window_cycles / 100))
-        messages = uniform_random_traffic(
+        table = uniform_random_traffic(
             topo, count, size_bits, seed=seed, inject_window=window_cycles - 1
         )
         if backend == "static":
-            result = scheduler.simulate(messages, multicast=False)
-            latencies = [
-                result.message_finish[m.msg_id] - m.inject_cycle for m in messages
-            ]
+            result = scheduler.simulate(table, multicast=False)
+            finish = result.message_finish
         else:
-            result = FlitSimulator(topo, config).simulate(messages)
-            latencies = [
-                result.message_finish[(m.msg_id, m.dests[0])] - m.inject_cycle
-                for m in messages
-            ]
-        summary = summarize_latencies(latencies)
+            result = FlitSimulator(topo, config).simulate(table)
+            finish = result.finish_by_message()
+        rows = zip(table.msg_id.tolist(), table.inject.tolist())
+        summary = summarize_latencies([finish[k] - inject for k, inject in rows])
         points.append(
             SweepPoint(
                 offered_rate=rate,

@@ -1,17 +1,20 @@
 """Messages and their flit decomposition.
 
-The NoC's unit of work: a :class:`Message` is one logical transfer from a
-source router to one or more destinations (several destinations make it a
-multicast), and the simulators move it as a train of fixed-size flits —
-one head flit carrying the route plus as many body flits as the payload
-needs.
+The NoC's unit of work is one logical transfer from a source router to
+one or more destinations (several destinations make it a multicast),
+which the simulators move as a train of fixed-size flits: one head flit
+carrying the route plus as many body flits as the payload needs
+(:func:`flit_count`).
 
 A :class:`MessageTable` holds a whole message set as columns (one row per
-message, destinations in CSR form).  It is the boundary between traffic
-extraction and the static schedule: the GNN traffic model builds one and
-:class:`~repro.noc.schedule.StaticScheduler` reads its columns directly.
-``from_messages``/``to_messages`` convert to and from :class:`Message`
-lists, which the flit-level simulator and hand-written traffic use.
+message, destinations in CSR form), and it is the only form both NoC
+models accept: :class:`~repro.noc.schedule.StaticScheduler` and
+:class:`~repro.noc.simulator.FlitSimulator` read its columns, serve its
+rows in one shared :meth:`~MessageTable.priority_order` and count flits
+with one formula.  The table checks its columns once, on construction.
+The GNN traffic model and the synthetic generators build tables
+directly; a :class:`Message` is the hand-written row form, and
+``from_messages``/``to_messages`` convert lists of them.
 """
 
 from __future__ import annotations
@@ -62,10 +65,16 @@ class Message:
         return len(self.dests) > 1
 
     def num_flits(self, flit_bits: int) -> int:
-        """Flits for this payload: one head flit plus the body."""
-        if flit_bits < 1:
-            raise ValueError(f"flit width must be positive, got {flit_bits}")
-        return 1 + -(-self.size_bits // flit_bits)
+        """Flits for this payload (:func:`flit_count`)."""
+        return flit_count(self.size_bits, flit_bits)
+
+
+def flit_count(bits: int | np.ndarray, flit_bits: int) -> int | np.ndarray:
+    """Flits for ``bits`` of payload (an int or an array of them): one
+    head flit plus ``ceil(bits / flit_bits)`` body flits."""
+    if flit_bits < 1:
+        raise ValueError(f"flit width must be positive, got {flit_bits}")
+    return 1 + -(-bits // flit_bits)
 
 
 def csr_spans(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +107,10 @@ class MessageTable:
     ``tags[tag[k]]`` and reported as ``msg_id[k]``; the fields mean what
     :class:`Message`'s do.  Destinations keep the caller's order (the
     traffic model's rows are sorted).  The columns are validated once, on
-    construction, with :class:`Message`'s checks and messages; message ids
-    must also be distinct, since results report finish cycles by id.
+    construction: one entry per row (``dest_ptr`` one more, running from 0
+    to ``len(dests)``), tag codes that index ``tags``, :class:`Message`'s
+    checks with its messages, and distinct message ids, since results
+    report finish cycles by id.
     """
 
     src: np.ndarray
@@ -112,9 +123,24 @@ class MessageTable:
     msg_id: np.ndarray
 
     def __post_init__(self) -> None:
+        n = np.size(self.src)
         for name in ("src", "dest_ptr", "dests", "bits", "inject", "tag", "msg_id"):
             column = np.asarray(getattr(self, name), dtype=np.int64)
+            want = {"dest_ptr": (n + 1,), "dests": (column.size,)}.get(name, (n,))
+            if column.shape != want:
+                raise ValueError(
+                    f"column {name} has shape {column.shape}, want {want} for the "
+                    f"{n} messages in src"
+                )
             object.__setattr__(self, name, column)
+        if self.dest_ptr[0] != 0 or self.dest_ptr[-1] != self.dests.size:
+            raise ValueError(
+                f"dest_ptr must run from 0 to len(dests) = {self.dests.size}, "
+                f"got {self.dest_ptr[0]} .. {self.dest_ptr[-1]}"
+            )
+        bad = self.tag[(self.tag < 0) | (self.tag >= len(self.tags))]
+        if bad.size:
+            raise ValueError(f"tag code {bad[0]} is outside [0, {len(self.tags)})")
         if np.any(np.diff(self.dest_ptr) < 1):
             raise ValueError("message needs at least one destination")
         rows = np.repeat(np.arange(len(self)), np.diff(self.dest_ptr))
@@ -138,6 +164,16 @@ class MessageTable:
 
     def __len__(self) -> int:
         return self.src.size
+
+    def priority_order(self) -> np.ndarray:
+        """Row indices in the order both NoC models serve the messages: by
+        injection cycle, source, destinations as a tuple, then message id.
+
+        Ids are distinct, so the order is total: permuting the rows does
+        not change which message goes when.
+        """
+        padded = padded_rows(self.dest_ptr, self.dests)
+        return np.lexsort((self.msg_id, *padded.T[::-1], self.src, self.inject))
 
     @classmethod
     def from_messages(cls, messages: list[Message]) -> MessageTable:

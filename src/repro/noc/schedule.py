@@ -18,8 +18,9 @@ serializes on the way out.
 
 Links are dense ids ``router * PORTS + port`` (:mod:`repro.noc.topology`),
 so per-link free cycles and flit counts are flat arrays.  Messages arrive
-as a :class:`~repro.noc.packet.MessageTable` (a list is converted once),
-are ordered by one ``np.lexsort`` and scheduled in blocks sized by route
+as a :class:`~repro.noc.packet.MessageTable`, are taken in the table's
+:meth:`~repro.noc.packet.MessageTable.priority_order` (the flit simulator
+arbitrates in the same order) and scheduled in blocks sized by route
 entries: a message's entries are the links of its routes, one per
 destination (:func:`~repro.noc.routing.route_lengths`), and a block holds
 as many messages as fit in :data:`ROUTE_ENTRIES`, or one longer message.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.noc.packet import Message, MessageTable, csr_spans, padded_rows
+from repro.noc.packet import MessageTable, csr_spans, flit_count
 from repro.noc.routing import link_paths, route_lengths
 from repro.noc.stats import LinkLoads
 from repro.noc.topology import PORTS, Mesh3D
@@ -120,33 +121,28 @@ class StaticScheduler:
         self.topo = topo
         self.config = config or NoCConfig()
 
-    def simulate(
-        self, messages: MessageTable | list[Message], multicast: bool = True
-    ) -> ScheduleResult:
-        """Schedule ``messages`` and return timing/energy statistics.
+    def simulate(self, table: MessageTable, multicast: bool = True) -> ScheduleResult:
+        """Schedule ``table`` and return timing/energy statistics.
 
         Each packet reserves its link tree around earlier reservations, a
         link starting ``hop_cycles`` after its parent (wormhole pipelining):
         conflict-free without in-network buffering, as in the paper.
-        Messages go in order of (injection cycle, source, destinations as
-        a tuple, message id).
+        Messages go in the table's priority order (injection cycle,
+        source, destinations as a tuple, message id).
 
         Args:
-            messages: the transfer set, as a table or a list (converted
-                once); multi-destination messages use a multicast tree when
-                ``multicast`` is True, otherwise they are expanded into one
-                unicast packet per destination.
+            table: the transfer set (wrap a :class:`~repro.noc.packet.Message`
+                list with ``MessageTable.from_messages``); multi-destination
+                messages use a multicast tree when ``multicast`` is True,
+                otherwise they are expanded into one unicast packet per
+                destination.
             multicast: select tree-multicast vs. unicast routing.
         """
         cfg, topo = self.config, self.topo
         hop = cfg.hop_cycles
         link_free = [0] * (topo.num_routers * PORTS)
         load = np.zeros(topo.num_routers * PORTS, dtype=np.int64)
-        table = messages
-        if not isinstance(table, MessageTable):
-            table = MessageTable.from_messages(messages)
-        padded = padded_rows(table.dest_ptr, table.dests)
-        order = np.lexsort((table.msg_id, *padded.T[::-1], table.src, table.inject))
+        order = table.priority_order()
         # Cut ``order`` into blocks of at most ROUTE_ENTRIES route entries
         # (one message a block if it alone is longer): ``cum[k]`` entries
         # precede position k, and a block from ``lo`` ends at ``cut[lo]``.
@@ -227,7 +223,7 @@ class _Trees:
         ids, offsets = link_paths(topo, srcs, dsts)
         per_msg = np.ones(rows.size, dtype=np.int64) if multicast else fanout
         self.msg_trees = np.cumsum(per_msg) - per_msg
-        self.flits = np.repeat(1 + -(-table.bits[rows] // cfg.flit_bits), per_msg)
+        self.flits = np.repeat(flit_count(table.bits[rows], cfg.flit_bits), per_msg)
         self.inject = np.repeat(table.inject[rows], per_msg)
         route = np.repeat(np.arange(len(dsts)), np.diff(offsets))
         tree = msg[route] if multicast else route

@@ -16,7 +16,12 @@ flits of a packet cross each link in order; a flit becomes eligible for
 the next link ``hop_cycles`` after it started crossing the previous one;
 and a link is owned by a single packet from head acquisition until its
 tail has crossed (wormhole ownership with unlimited router buffering,
-i.e. virtual cut-through).  Arbitration is deterministic by message id.
+i.e. virtual cut-through).  Messages arrive as a
+:class:`~repro.noc.packet.MessageTable`, the static scheduler's input,
+and its packets are built from the table's columns: arbitration follows
+the table's :meth:`~repro.noc.packet.MessageTable.priority_order` (the
+order the schedule reserves in) and flit trains have the schedule's
+:func:`~repro.noc.packet.flit_count`.
 
 :class:`repro.noc.events.EventEngine` runs the model: a priority queue of
 link grant/release events whose cost scales with flit-hops, not elapsed
@@ -33,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.noc.events import EventEngine, ExpandedPacket
-from repro.noc.packet import Message
+from repro.noc.packet import MessageTable, csr_spans, flit_count
 from repro.noc.routing import link_paths
 from repro.noc.schedule import NoCConfig
 from repro.noc.stats import LinkLoads
@@ -83,16 +88,16 @@ class FlitSimulator:
         self.config = config or NoCConfig()
 
     def simulate(
-        self, messages: list[Message], max_cycles: int = 1_000_000
+        self, table: MessageTable, max_cycles: int = 1_000_000
     ) -> SimulationResult:
-        """Run until every packet is delivered.
+        """Run ``table`` until every packet is delivered.
 
         Raises :class:`RuntimeError` if delivery does not complete within
         ``max_cycles`` simulated cycles (cycles ``0 .. max_cycles - 1``).
         """
         cfg, topo = self.config, self.topo
         loads = [0] * (topo.num_routers * PORTS)
-        finish = EventEngine(cfg).run(self._expand(messages), loads, max_cycles)
+        finish = EventEngine(cfg).run(self._expand(table), loads, max_cycles)
         return SimulationResult(
             makespan_cycles=max(finish.values(), default=0),
             message_finish=finish,
@@ -104,34 +109,27 @@ class FlitSimulator:
     # ------------------------------------------------------------------
     # Multicast expansion
     # ------------------------------------------------------------------
-    def _expand(self, messages: list[Message]) -> list[ExpandedPacket]:
+    def _expand(self, table: MessageTable) -> list[ExpandedPacket]:
         """Expand multicasts into unicast packets in priority order.
 
         The list index is the packet's arbitration priority (lower id wins
-        link grants), matching the static scheduler's processing order.
+        link grants): the table's rows in priority order, each row's
+        destinations in the caller's order.
         """
-        cfg = self.config
-        # Results are keyed by (msg_id, dest) and folded by msg_id, so two
-        # messages sharing an id would merge their finish cycles.
-        seen: set[int] = set()
-        for msg in messages:
-            if msg.msg_id in seen:
-                raise ValueError(f"duplicate message id {msg.msg_id}")
-            seen.add(msg.msg_id)
-        ordered = sorted(
-            messages, key=lambda m: (m.inject_cycle, m.src, m.dests, m.msg_id)
-        )
-        pairs = [(msg, dst) for msg in ordered for dst in msg.dests]
-        ids, offsets = link_paths(
-            self.topo, [msg.src for msg, _ in pairs], [dst for _, dst in pairs]
-        )
+        order = table.priority_order()
+        msg, at = csr_spans(table.dest_ptr[order], table.dest_ptr[order + 1])
+        rows, dsts = order[msg], table.dests[at]
+        ids, offsets = link_paths(self.topo, table.src[rows], dsts)
         ids, offsets = ids.tolist(), offsets.tolist()
+        columns = (
+            table.msg_id[rows],
+            dsts,
+            table.inject[rows],
+            flit_count(table.bits[rows], self.config.flit_bits),
+        )
         return [
-            ExpandedPacket(
-                key=(msg.msg_id, dst),
-                inject_cycle=msg.inject_cycle,
-                route=tuple(ids[offsets[k]:offsets[k + 1]]),
-                flits=msg.num_flits(cfg.flit_bits),
+            ExpandedPacket((msg_id, dst), inject, tuple(ids[lo:hi]), flits)
+            for msg_id, dst, inject, flits, lo, hi in zip(
+                *(c.tolist() for c in columns), offsets, offsets[1:]
             )
-            for k, (msg, dst) in enumerate(pairs)
         ]

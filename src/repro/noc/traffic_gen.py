@@ -6,16 +6,37 @@ routers (V-PEs) send to a shared set of sink routers (E-PEs), which reply
 to many destinations.  Reached from the NoC load sweep
 (:mod:`repro.noc.analysis`), the NoC ablation and flit-simulator
 benchmarks and ``examples/noc_study.py``, not from the paper pipeline,
-whose traffic comes from :mod:`repro.core.traffic`.
+whose traffic comes from :mod:`repro.core.traffic`.  Every generator
+returns a :class:`~repro.noc.packet.MessageTable`, the form both NoC
+models take, built from column lists with message ids ``0 .. n-1`` in
+draw order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.noc.packet import Message
+from repro.noc.packet import MessageTable
 from repro.noc.topology import Mesh3D
 from repro.utils.rng import rng_from_seed
+
+
+def _table(
+    srcs: list[int], groups: list, size_bits: int, injects: list[int],
+    tag: int | np.ndarray = 0, tags: tuple[str, ...] = ("",),
+) -> MessageTable:
+    """Messages ``srcs[k] -> groups[k]``, tag codes ``tag``, ids in row order."""
+    n = len(srcs)
+    return MessageTable(
+        src=srcs,
+        dest_ptr=np.cumsum([0, *map(len, groups)]),
+        dests=[d for group in groups for d in group],
+        bits=np.full(n, size_bits),
+        inject=injects,
+        tag=np.broadcast_to(tag, n),
+        tags=tags,
+        msg_id=np.arange(n),
+    )
 
 
 def uniform_random_traffic(
@@ -24,22 +45,21 @@ def uniform_random_traffic(
     size_bits: int = 256,
     seed: int | np.random.Generator | None = 0,
     inject_window: int = 0,
-) -> list[Message]:
+) -> MessageTable:
     """Independent random (src, dst) pairs, optionally spread over a window."""
     if num_messages < 0:
         raise ValueError("num_messages must be non-negative")
     rng = rng_from_seed(seed)
-    messages = []
-    for i in range(num_messages):
+    srcs, dsts, injects = [], [], []
+    for _ in range(num_messages):
         src = int(rng.integers(topo.num_routers))
         dst = int(rng.integers(topo.num_routers))
         while dst == src:
             dst = int(rng.integers(topo.num_routers))
-        inject = int(rng.integers(inject_window + 1))
-        messages.append(
-            Message(src=src, dests=(dst,), size_bits=size_bits, inject_cycle=inject, msg_id=i)
-        )
-    return messages
+        srcs.append(src)
+        dsts.append([dst])
+        injects.append(int(rng.integers(inject_window + 1)))
+    return _table(srcs, dsts, size_bits, injects)
 
 
 def hotspot_traffic(
@@ -50,7 +70,7 @@ def hotspot_traffic(
     size_bits: int = 256,
     seed: int | np.random.Generator | None = 0,
     inject_window: int = 0,
-) -> list[Message]:
+) -> MessageTable:
     """Uniform traffic where a fraction of messages target one hot router.
 
     The non-hotspot draw excludes the hotspot router, so exactly the
@@ -70,8 +90,8 @@ def hotspot_traffic(
             f"3 routers, got {topo.num_routers}"
         )
     rng = rng_from_seed(seed)
-    messages = []
-    for i in range(num_messages):
+    srcs, dsts, injects = [], [], []
+    for _ in range(num_messages):
         src = int(rng.integers(topo.num_routers))
         while src == hotspot:
             src = int(rng.integers(topo.num_routers))
@@ -81,13 +101,10 @@ def hotspot_traffic(
             dst = int(rng.integers(topo.num_routers))
             while dst == src or dst == hotspot:
                 dst = int(rng.integers(topo.num_routers))
-        inject = int(rng.integers(inject_window + 1))
-        messages.append(
-            Message(
-                src=src, dests=(dst,), size_bits=size_bits, inject_cycle=inject, msg_id=i
-            )
-        )
-    return messages
+        srcs.append(src)
+        dsts.append([dst])
+        injects.append(int(rng.integers(inject_window + 1)))
+    return _table(srcs, dsts, size_bits, injects)
 
 
 def many_to_one_to_many_traffic(
@@ -98,7 +115,7 @@ def many_to_one_to_many_traffic(
     replies: bool = True,
     seed: int | np.random.Generator | None = 0,
     inject_window: int = 0,
-) -> list[Message]:
+) -> MessageTable:
     """GNN-shaped traffic: every source multicasts to the shared sink set,
     and (optionally) each sink multicasts a reply back to all sources.
 
@@ -111,35 +128,10 @@ def many_to_one_to_many_traffic(
     if set(sources) & set(sinks):
         raise ValueError("sources and sinks must be disjoint")
     rng = rng_from_seed(seed)
-    messages = []
-    msg_id = 0
-
-    def _inject() -> int:
-        return int(rng.integers(inject_window + 1)) if inject_window else 0
-
-    for src in sources:
-        messages.append(
-            Message(
-                src=src,
-                dests=tuple(sinks),
-                size_bits=size_bits,
-                inject_cycle=_inject(),
-                tag="gather",
-                msg_id=msg_id,
-            )
-        )
-        msg_id += 1
-    if replies:
-        for sink in sinks:
-            messages.append(
-                Message(
-                    src=sink,
-                    dests=tuple(sources),
-                    size_bits=size_bits,
-                    inject_cycle=_inject(),
-                    tag="scatter",
-                    msg_id=msg_id,
-                )
-            )
-            msg_id += 1
-    return messages
+    # Gathers (one per source, to every sink) come first, then replies.
+    srcs = [*sources, *sinks] if replies else list(sources)
+    groups = [sinks] * len(sources) + [sources] * (len(srcs) - len(sources))
+    injects = [int(rng.integers(inject_window + 1)) if inject_window else 0
+               for _ in srcs]
+    tag = np.arange(len(srcs)) >= len(sources)
+    return _table(srcs, groups, size_bits, injects, tag, ("gather", "scatter"))

@@ -27,6 +27,7 @@ numpy's per-call overhead on the uniform size draw.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,7 +72,7 @@ class Request(_RequestFields):
             raise ValueError("request needs a tenant name")
         if graph_size < 1:
             raise ValueError(f"graph_size must be >= 1, got {graph_size}")
-        if arrival_time < 0:
+        if not arrival_time >= 0:
             raise ValueError(f"arrival_time must be >= 0, got {arrival_time}")
         return tuple.__new__(cls, (tenant, graph_size, arrival_time, request_id))
 
@@ -227,8 +228,8 @@ class ArrivalProcess:
         mix: TenantMix | None = None,
         seed: int = 0,
     ) -> None:
-        if rate_qps <= 0:
-            raise ValueError(f"rate must be positive, got {rate_qps}")
+        if not 0 < rate_qps < math.inf:
+            raise ValueError(f"rate must be finite and positive, got {rate_qps}")
         self.rate_qps = rate_qps
         self.mix = mix or TenantMix()
         self.seed = seed
@@ -240,8 +241,8 @@ class ArrivalProcess:
         validated its tenants and sizes when it was constructed, and
         arrival times start at 0 and only grow.
         """
-        if horizon_seconds <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon_seconds}")
+        if not 0 < horizon_seconds < math.inf:  # NaN fails it too
+            raise ValueError(f"horizon must be finite and positive: {horizon_seconds}")
         rng = StreamRng(self.seed)
         draw = self.mix.draw
         new = tuple.__new__
@@ -393,8 +394,8 @@ class TraceArrivals(ArrivalProcess):
 
     def generate(self, horizon_seconds: float) -> list[Request]:
         """The recorded requests arriving inside ``[0, horizon_seconds)``."""
-        if horizon_seconds <= 0:
-            raise ValueError(f"horizon must be positive, got {horizon_seconds}")
+        if not 0 < horizon_seconds < math.inf:  # NaN fails it too
+            raise ValueError(f"horizon must be finite and positive: {horizon_seconds}")
         return [r for r in self.requests if r.arrival_time < horizon_seconds]
 
 

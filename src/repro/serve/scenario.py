@@ -13,6 +13,7 @@ by :func:`serving_key`.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
@@ -160,10 +161,13 @@ class ServingScenario:
                 f"unknown arrival model {self.arrival!r}; "
                 f"choose from {sorted(ARRIVALS)}"
             )
-        if self.qps <= 0:
-            raise ValueError(f"qps must be positive, got {self.qps}")
-        if self.duration_seconds <= 0:
-            raise ValueError("duration must be positive")
+        # NaN fails every comparison, so it is caught with the infinities.
+        if not 0 < self.qps < math.inf:
+            raise ValueError(f"qps must be finite and positive, got {self.qps}")
+        if not 0 < self.duration_seconds < math.inf:
+            raise ValueError(
+                f"duration must be finite and positive, got {self.duration_seconds}"
+            )
         if self.num_tenants < 1:
             raise ValueError("need at least one tenant")
         if self.max_batch < 1:

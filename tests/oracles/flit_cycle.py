@@ -9,8 +9,10 @@ bookkeeping are kept here verbatim so the differential tests in
 ``benchmarks/test_bench_noc_sim.py``) can assert that the engine returns
 the same finish cycles, makespan and per-link flit counts.
 
-:class:`CycleFlitSimulator` shares the library's multicast expansion
-(``FlitSimulator._expand``) and replaces only the engine.  The expansion
+:class:`CycleFlitSimulator` takes the library's input, a
+``MessageTable``, shares its multicast expansion (``FlitSimulator._expand``,
+which orders packets by the table's priority order) and replaces only the
+engine.  The expansion
 names links by dense id, so the loop's per-link ownership and its
 ``LinkStats`` (the tuple-era copy in :mod:`oracles.link_tuples`) are keyed
 by id, and ``simulate`` returns the library's ``SimulationResult`` with
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.noc.events import ExpandedPacket
-from repro.noc.packet import Message
+from repro.noc.packet import MessageTable
 from oracles.link_tuples import LinkStats
 from repro.noc.simulator import FlitSimulator, SimulationResult
 from repro.noc.topology import PORTS
@@ -47,11 +49,11 @@ class CycleFlitSimulator(FlitSimulator):
     """:class:`FlitSimulator` with the cycle-stepped loop as its engine."""
 
     def simulate(
-        self, messages: list[Message], max_cycles: int = 1_000_000
+        self, table: MessageTable, max_cycles: int = 1_000_000
     ) -> SimulationResult:
         """Run until every packet is delivered (see ``FlitSimulator``)."""
         cfg = self.config
-        packets = self._expand(messages)
+        packets = self._expand(table)
         stats = LinkStats(self.topo)
         finish = self._run_cycle(packets, stats, max_cycles) if packets else {}
         return SimulationResult(

@@ -90,6 +90,14 @@ class TestConflictsAndErrors:
         with pytest.raises(SystemExit, match="cannot parse trace"):
             main(["serve", "--trace-file", str(bad), "--no-cache"])
 
+    def test_nan_arrival_in_trace_file(self, tmp_path):
+        """A NaN arrival time is refused, not silently left unserved."""
+        bad = tmp_path / "nan.csv"
+        bad.write_text("request_id,tenant,graph_size,arrival_time\n"
+                       "0,alice,256,0.1\n1,alice,256,nan\n")
+        with pytest.raises(SystemExit, match="cannot parse trace.*arrival_time"):
+            main(["serve", "--trace-file", str(bad), "--no-cache"])
+
     def test_empty_trace_file(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("request_id,tenant,graph_size,arrival_time\n")

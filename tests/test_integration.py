@@ -19,6 +19,7 @@ from repro.gnn.model import GCN
 from repro.graph.clustering import ClusterBatcher
 from repro.graph.datasets import load_dataset
 from repro.graph.partition import partition_graph
+from repro.noc.packet import MessageTable
 from repro.noc.schedule import StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.reram.ima import IMASpec
@@ -130,6 +131,7 @@ class TestNoCModelAgreement:
         # Subsample one leg to keep the flit-level run fast.
         msgs = [m for m in traffic.messages().to_messages() if m.tag == "E1->V2"][:40]
         assert msgs
+        msgs = MessageTable.from_messages(msgs)
         cfg = accelerator.config.noc
         sched = StaticScheduler(accelerator.config.topology, cfg)
         sim = FlitSimulator(accelerator.config.topology, cfg)
@@ -157,7 +159,7 @@ class TestNoCModelAgreement:
         table = traffic.messages()
         topo, noc = accelerator.config.topology, accelerator.config.noc
         static = StaticScheduler(topo, noc).simulate(table, multicast=False)
-        simulated = FlitSimulator(topo, noc).simulate(table.to_messages())
+        simulated = FlitSimulator(topo, noc).simulate(table)
         assert len(simulated.finish_by_message()) == len(table)
         assert simulated.total_flit_hops == static.total_flit_hops
         # The static schedule is conservative: never faster than the
@@ -178,10 +180,8 @@ class TestNoCModelAgreement:
         msgs = traffic.messages().to_messages()[:200]
         topo = accelerator.config.topology
         atomic = oracle.StaticScheduler(topo, mode="atomic")
-        assert (
-            StaticScheduler(topo).simulate(msgs).makespan_cycles
-            <= atomic.simulate(msgs).makespan_cycles
-        )
+        pipelined = StaticScheduler(topo).simulate(MessageTable.from_messages(msgs))
+        assert pipelined.makespan_cycles <= atomic.simulate(msgs).makespan_cycles
 
 
 class TestScaleInvariance:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import schedule_tree as oracle
 from oracles.flit_cycle import CycleFlitSimulator
-from repro.noc.packet import Message
+from repro.noc.packet import Message, MessageTable
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.noc.topology import Mesh3D
@@ -81,7 +81,7 @@ def generated_traces(draw):
                 msg_id=msg_id,
             )
         )
-    return topo, config, messages
+    return topo, config, MessageTable.from_messages(messages)
 
 
 def assert_backends_identical(topo, messages, config=None):
@@ -108,7 +108,7 @@ class TestUniformDifferential:
         static = StaticScheduler(topo).simulate(msgs, multicast=False)
         assert event.total_flit_hops == static.total_flit_hops
         atomic = oracle.StaticScheduler(topo, mode="atomic").simulate(
-            msgs, multicast=False
+            msgs.to_messages(), multicast=False
         )
         assert event.makespan_cycles <= atomic.makespan_cycles
 
@@ -142,7 +142,7 @@ class TestManyToOneToManyDifferential:
         event, _ = assert_backends_identical(topo, msgs)
         # Multicast expansion: every (msg_id, dest) pair is addressable.
         assert set(event.message_finish) == {
-            (m.msg_id, dst) for m in msgs for dst in m.dests
+            (m.msg_id, dst) for m in msgs.to_messages() for dst in m.dests
         }
 
 
@@ -177,7 +177,7 @@ def small_unicast_cases(draw):
                 msg_id=msg_id,
             )
         )
-    return topo, messages
+    return topo, MessageTable.from_messages(messages)
 
 
 class TestPerLinkLoadsMatchStatic:
@@ -210,13 +210,13 @@ class TestBackendSemantics:
         """A packet injected very late is O(hops) for the event engine —
         the whole point of the rebuild (the cycle oracle would crawl)."""
         topo = MESHES["8x8x4"]
-        from repro.noc.packet import Message
-
         msg = Message(
             src=0, dests=(topo.num_routers - 1,), size_bits=256,
             inject_cycle=5_000_000, msg_id=0,
         )
-        result = FlitSimulator(topo).simulate([msg], max_cycles=10_000_000)
+        result = FlitSimulator(topo).simulate(
+            MessageTable.from_messages([msg]), max_cycles=10_000_000
+        )
         cfg = NoCConfig()
         hops = topo.distance(0, topo.num_routers - 1) + 2  # + local ports
         assert result.makespan_cycles == (

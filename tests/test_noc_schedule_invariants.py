@@ -77,7 +77,7 @@ EXAMPLES = settings(max_examples=30, derandomize=True, deadline=None)
 
 @lru_cache(maxsize=None)
 def _schedules(width, height, tiers, v_tier, layers, training, nodes, seed):
-    """The traffic's config and messages, and its schedules by multicast."""
+    """The traffic's config and message table, and its schedules by multicast."""
     config = ReGraphXConfig(
         mesh_width=width, mesh_height=height, tiers=tiers,
         v_tier=v_tier % tiers, num_layers=layers,
@@ -97,7 +97,7 @@ def _schedules(width, height, tiers, v_tier, layers, training, nodes, seed):
     ).messages()
     scheduler = StaticScheduler(config.topology, config.noc)
     results = {mc: scheduler.simulate(table, multicast=mc) for mc in (True, False)}
-    return config, table.to_messages(), results
+    return config, table, results
 
 
 def _routes(config, msg):
@@ -113,10 +113,10 @@ def _routes(config, msg):
 @given(knobs)
 @EXAMPLES
 def test_link_loads_are_tree_links_times_flits(params):
-    config, messages, results = _schedules(*params)
+    config, table, results = _schedules(*params)
     for multicast in (True, False):
         expected = [0] * (config.topology.num_routers * PORTS)
-        for msg in messages:
+        for msg in table.to_messages():
             routes = _routes(config, msg)
             packets = [set().union(*routes)] if multicast else [set(r) for r in routes]
             for links in packets:
@@ -136,9 +136,9 @@ def test_makespan_covers_the_bottleneck_link(params):
 @given(knobs)
 @EXAMPLES
 def test_no_message_beats_its_uncontended_latency(params):
-    config, messages, results = _schedules(*params)
+    config, table, results = _schedules(*params)
     noc = config.noc
-    for msg in messages:
+    for msg in table.to_messages():
         longest = max(len(route) for route in _routes(config, msg))
         flits = msg.num_flits(noc.flit_bits)
         bound = msg.inject_cycle + longest * noc.hop_cycles + flits - 1
@@ -149,7 +149,8 @@ def test_no_message_beats_its_uncontended_latency(params):
 @given(knobs)
 @EXAMPLES
 def test_pipelined_never_finishes_after_atomic(params):
-    config, messages, results = _schedules(*params)
+    config, table, results = _schedules(*params)
+    messages = table.to_messages()
     scheduler = oracle.StaticScheduler(config.topology, config.noc, mode="atomic")
     for multicast in (True, False):
         pipelined = results[multicast].message_finish
@@ -168,16 +169,16 @@ def test_multicast_never_costs_more_flit_hops(params):
 @given(knobs)
 @EXAMPLES
 def test_every_tag_finishes_within_the_makespan(params):
-    *_, messages, results = _schedules(*params)
+    *_, table, results = _schedules(*params)
     for result in results.values():
-        assert set(result.tag_finish) == {m.tag for m in messages}
+        assert set(result.tag_finish) == {m.tag for m in table.to_messages()}
         assert all(c <= result.makespan_cycles for c in result.tag_finish.values())
 
 
-def assert_in_ratio_band(topo, noc, messages, band) -> None:
+def assert_in_ratio_band(topo, noc, table, band) -> None:
     """Unicast schedule and flit simulator: same flit-hops, makespans in ``band``."""
-    static = StaticScheduler(topo, noc).simulate(messages, multicast=False)
-    flit = FlitSimulator(topo, noc).simulate(messages)
+    static = StaticScheduler(topo, noc).simulate(table, multicast=False)
+    flit = FlitSimulator(topo, noc).simulate(table)
     assert static.total_flit_hops == flit.total_flit_hops
     low, high = band
     ratio = static.makespan_cycles / max(flit.makespan_cycles, 1)
@@ -187,8 +188,8 @@ def assert_in_ratio_band(topo, noc, messages, band) -> None:
 @given(knobs)
 @EXAMPLES
 def test_gnn_traffic_stays_in_the_ratio_band(params):
-    config, messages, _ = _schedules(*params)
-    assert_in_ratio_band(config.topology, config.noc, messages, GNN_RATIO_BAND)
+    config, table, _ = _schedules(*params)
+    assert_in_ratio_band(config.topology, config.noc, table, GNN_RATIO_BAND)
 
 
 @st.composite
@@ -222,5 +223,5 @@ def synthetic_traffic(draw):
 @given(synthetic_traffic())
 @settings(max_examples=60, derandomize=True, deadline=None)
 def test_synthetic_traffic_stays_in_the_ratio_band(case):
-    topo, messages = case
-    assert_in_ratio_band(topo, None, messages, SYNTHETIC_RATIO_BAND)
+    topo, table = case
+    assert_in_ratio_band(topo, None, table, SYNTHETIC_RATIO_BAND)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from oracles import schedule_tree as oracle
 from oracles.link_tuples import tuple_loads
 from repro.noc import schedule
-from repro.noc.packet import Message
+from repro.noc.packet import Message, MessageTable
 from repro.noc.schedule import NoCConfig, StaticScheduler
 from repro.noc.topology import Mesh2D, Mesh3D
 
@@ -101,7 +101,8 @@ def assert_same_schedule(got, want):
 @settings(max_examples=300, deadline=None)
 def test_scheduler_matches_oracle(scenario):
     topo, config, messages, multicast = scenario
-    got = StaticScheduler(topo, config).simulate(messages, multicast=multicast)
+    table = MessageTable.from_messages(messages)
+    got = StaticScheduler(topo, config).simulate(table, multicast=multicast)
     want = oracle.StaticScheduler(topo, config).simulate(messages, multicast=multicast)
     assert_matches_oracle(topo, got, want)
 
@@ -113,9 +114,10 @@ def test_block_edges_keep_the_schedule(scenario, budget):
     every kind of edge; the schedule must not move."""
     topo, config, messages, multicast = scenario
     scheduler = StaticScheduler(topo, config)
-    whole = scheduler.simulate(messages, multicast=multicast)
+    table = MessageTable.from_messages(messages)
+    whole = scheduler.simulate(table, multicast=multicast)
     with patch.object(schedule, "ROUTE_ENTRIES", budget):
-        split = scheduler.simulate(messages, multicast=multicast)
+        split = scheduler.simulate(table, multicast=multicast)
     want = oracle.StaticScheduler(topo, config).simulate(messages, multicast=multicast)
     assert_same_schedule(split, whole)
     assert_matches_oracle(topo, split, want)
@@ -155,9 +157,10 @@ def test_block_edge_between_messages_of_one_source(cut, multicast):
         budget = entries[0] + entries[1]
         assert ordered[1].src == ordered[2].src
     scheduler = StaticScheduler(topo)
-    whole = scheduler.simulate(messages, multicast)
+    table = MessageTable.from_messages(messages)
+    whole = scheduler.simulate(table, multicast)
     with patch.object(schedule, "ROUTE_ENTRIES", budget):
-        split = scheduler.simulate(messages, multicast)
+        split = scheduler.simulate(table, multicast)
     want = oracle.StaticScheduler(topo).simulate(messages, multicast)
     assert_same_schedule(split, whole)
     assert_matches_oracle(topo, split, want)
@@ -181,8 +184,9 @@ def test_paper_mesh_traffic_matches_oracle():
             )
         )
     oracle_scheduler = oracle.StaticScheduler(topo)
+    table = MessageTable.from_messages(messages)
     for multicast in (True, False):
-        got = StaticScheduler(topo).simulate(messages, multicast)
+        got = StaticScheduler(topo).simulate(table, multicast)
         want = oracle_scheduler.simulate(messages, multicast)
         assert got.message_finish == want.message_finish
         assert tuple_loads(topo, got.link_loads) == want.link_stats.flits

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles.link_route import dimension_order_route
 from oracles.schedule_tree import multicast_tree, tree_depth_order
-from repro.noc.packet import Message
+from repro.noc.packet import Message, MessageTable
 from repro.noc.schedule import StaticScheduler
 from repro.noc.simulator import FlitSimulator
 from repro.noc.topology import EJECT, INJECT, Mesh2D, Mesh3D, link_id, mesh_port
@@ -50,7 +50,7 @@ class TestMesh3D:
 
     def _loads(self, src, dst):
         msg = Message(src=src, dests=(dst,), size_bits=32, msg_id=0)
-        return StaticScheduler(self.topo).simulate([msg])
+        return StaticScheduler(self.topo).simulate(MessageTable.from_messages([msg]))
 
     def test_vertical_detection(self):
         a = self.topo.router_id(2, 2, 0)
@@ -74,7 +74,7 @@ class TestMesh3D:
     def test_local_port_range_check(self):
         msg = Message(src=0, dests=(192,), size_bits=32, msg_id=0)
         with pytest.raises(IndexError):
-            FlitSimulator(self.topo).simulate([msg])
+            FlitSimulator(self.topo).simulate(MessageTable.from_messages([msg]))
 
     def test_distance(self):
         a = self.topo.router_id(0, 0, 0)

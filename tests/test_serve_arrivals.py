@@ -42,6 +42,17 @@ class TestRequest:
         with pytest.raises(ValueError, match="arrival_time"):
             Request(tenant="t", graph_size=10, arrival_time=-1.0)
 
+    def test_nan_arrival_time_rejected(self, tmp_path):
+        """NaN fails every comparison: a ``< 0`` check lets it through and
+        a replayed trace silently drops the request."""
+        with pytest.raises(ValueError, match="arrival_time"):
+            Request(tenant="t", graph_size=10, arrival_time=float("nan"))
+        trace = tmp_path / "nan.csv"
+        trace.write_text("request_id,tenant,graph_size,arrival_time\n"
+                         "0,a,256,0.1\n1,a,256,nan\n2,a,256,0.2\n")
+        with pytest.raises(ValueError, match="arrival_time must be >= 0, got nan"):
+            load_trace(trace)
+
     def test_replace_validates(self):
         request = Request("t", 10, 0.5, 3)
         assert request._replace(graph_size=20) == Request("t", 20, 0.5, 3)
@@ -521,6 +532,28 @@ class TestValidation:
     def test_bad_horizon(self):
         with pytest.raises(ValueError, match="horizon"):
             PoissonArrivals(10.0).generate(0.0)
+
+    @pytest.mark.parametrize("kind", sorted(ARRIVALS))
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_rate_must_be_finite(self, kind, rate):
+        """An infinite rate draws zero gaps forever, and a NaN one never
+        reaches the horizon: both are refused at construction."""
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            make_arrivals(kind, rate)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf])
+    def test_horizon_must_be_finite(self, horizon, monkeypatch):
+        """The check runs before any draw.  The draw loops are stubbed
+        out, so a missing check fails here instead of looping forever."""
+
+        def unreachable(self, rng, horizon):
+            raise AssertionError("reached the arrival loop")
+
+        monkeypatch.setattr(PoissonArrivals, "_arrival_times", unreachable)
+        trace = TraceArrivals([Request("t", 16, 0.5)])
+        for process in (PoissonArrivals(10.0), trace):
+            with pytest.raises(ValueError, match="horizon must be finite and positive"):
+                process.generate(horizon)
 
     def test_mmpp_parameters(self):
         """The two state rates follow from the class constants and average

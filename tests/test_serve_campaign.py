@@ -103,6 +103,14 @@ class TestServingScenario:
             with pytest.raises(ValueError):
                 ServingScenario(**kwargs)
 
+    @pytest.mark.parametrize("field", ["qps", "duration_seconds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rate_and_window_must_be_finite(self, field, value):
+        """A NaN or infinite rate or window would never end the arrival
+        loop, so the scenario refuses it before anything runs."""
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            ServingScenario(**{field: value})
+
 
 class TestServingKey:
     def test_deterministic_and_label_blind(self):
