@@ -142,13 +142,10 @@ class Scenario:
         base_tiles = base.num_v_tiles + base.num_e_tiles
         tiles = config.num_v_tiles + config.num_e_tiles
         if tiles != base_tiles:
-            energy = replace(
-                base.energy,
-                static_power_watts=base.energy.static_power_watts
-                * tiles
-                / base_tiles,
+            config = replace(
+                config,
+                static_power_watts=base.static_power_watts * tiles / base_tiles,
             )
-            config = replace(config, energy=energy)
         return config
 
     def describe(self) -> dict[str, Any]:

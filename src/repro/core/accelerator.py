@@ -18,8 +18,17 @@ from repro.graph.datasets import DatasetSpec, get_dataset_spec, load_dataset
 from repro.graph.graph import CSRGraph
 from repro.graph.partition import PartitionResult, partition_graph
 from repro.noc.schedule import ScheduleResult, StaticScheduler
-from repro.reram.energy import EnergyModel
+from repro.reram.energy import (
+    adjacency_write_energy,
+    e_layer_energy,
+    v_layer_energy,
+)
 from repro.reram.sparse_mapping import BlockMapping, block_tile_adjacency
+from repro.reram.timing import (
+    adjacency_write_latency,
+    e_layer_latency,
+    v_layer_latency,
+)
 
 
 @dataclass
@@ -91,7 +100,7 @@ class ReGraphXReport:
     @property
     def static_epoch_energy(self) -> float:
         """Chip static draw over the whole epoch (dominant at 10 MHz)."""
-        return self.config.energy.static_power_watts * self.epoch_seconds
+        return self.config.static_power_watts * self.epoch_seconds
 
     @property
     def epoch_energy(self) -> float:
@@ -277,34 +286,17 @@ class ReGraphX:
             noc_energy_per_input=schedule.energy_joules(),
         )
 
-    def _stage_budgets(self, training: bool) -> tuple[int, int]:
-        """(V IMAs, E crossbars) per pipeline stage for the mode."""
-        cfg = self.config
-        if training:
-            return cfg.v_imas_per_stage, cfg.e_crossbars_per_stage
-        # Inference halves the stage count, doubling each stage's share.
-        v_stages = cfg.num_layers
-        e_stages = cfg.num_layers
-        v_imas = (
-            len(cfg.v_routers()) // v_stages
-        ) * cfg.tiles_per_router * cfg.v_tile.num_imas
-        e_xbars = (
-            len(cfg.e_routers()) // e_stages
-        ) * cfg.tiles_per_router * cfg.e_tile.adjacency_blocks_per_tile
-        return v_imas, e_xbars
-
     def _stage_compute(
         self, workload: Workload, n: int, blocks: int, training: bool = True
     ) -> dict[str, float]:
         """Deterministic per-stage compute latencies (Sec. V.A models)."""
         cfg = self.config
-        t = cfg.timing
         compute: dict[str, float] = {}
-        v_imas, e_xbars = self._stage_budgets(training)
-        write = t.adjacency_write_latency(blocks, e_xbars)
+        v_imas, e_xbars = cfg.stage_budgets(training)
+        write = adjacency_write_latency(cfg.e_tile, blocks, e_xbars)
         for i, (din, dout) in enumerate(workload.layer_dims, start=1):
-            v_lat = t.v_layer_latency(n, din, dout, v_imas)
-            e_lat = t.e_layer_latency(dout, blocks, e_xbars)
+            v_lat = v_layer_latency(cfg.v_tile, n, din, dout, v_imas)
+            e_lat = e_layer_latency(cfg.e_tile, dout, blocks, e_xbars)
             compute[f"V{i}"] = v_lat
             # E stages overlap compute with (double-buffered) block loads.
             compute[f"E{i}"] = max(e_lat, write)
@@ -328,27 +320,10 @@ class ReGraphX:
     ) -> tuple[float, float]:
         """(compute, write) energy one input spends traversing the pipeline."""
         cfg = self.config
-        model = EnergyModel(cfg.energy)
-        v_spec = cfg.v_tile.ima
-        e_spec = cfg.e_tile.ima
         compute = 0.0
         for din, dout in workload.layer_dims:
-            v_energy = model.v_layer_energy(
-                n,
-                din,
-                dout,
-                data_bits=v_spec.data_format.total_bits,
-                crossbar_size=v_spec.crossbar_size,
-                adc_bits=v_spec.adc.bits,
-                slices=v_spec.weight_slices,
-            )
-            e_energy = model.e_layer_energy(
-                dout,
-                blocks,
-                data_bits=e_spec.data_format.total_bits,
-                block_size=e_spec.crossbar_size,
-                adc_bits=e_spec.adc.bits,
-            )
+            v_energy = v_layer_energy(cfg.v_tile, n, din, dout)
+            e_energy = e_layer_energy(cfg.e_tile, dout, blocks)
             if training:
                 # Forward V + backward V (2x: dX, dW), forward + backward E.
                 compute += 3.0 * v_energy + 2.0 * e_energy
@@ -358,7 +333,5 @@ class ReGraphX:
         # slot it passes through (forward + backward E stages when
         # training, forward only for inference).
         e_slots = (2 if training else 1) * cfg.num_layers
-        writes = e_slots * model.adjacency_write_energy(
-            blocks, e_spec.crossbar_size
-        )
+        writes = e_slots * adjacency_write_energy(cfg.e_tile, blocks)
         return compute, writes

@@ -13,14 +13,21 @@ from dataclasses import dataclass, field
 
 from repro.noc.schedule import NoCConfig
 from repro.noc.topology import Mesh3D
-from repro.reram.energy import ReRAMEnergySpec
 from repro.reram.tile import TileSpec, e_tile_spec, v_tile_spec
-from repro.reram.timing import ReRAMTimingModel
+from repro.reram.timing import CLOCK_HZ
 
 
 @dataclass(frozen=True)
 class ReGraphXConfig:
-    """Complete parameterization of one ReGraphX instance."""
+    """Complete parameterization of one ReGraphX instance.
+
+    ``v_tile`` and ``e_tile`` are the only description of the two tile
+    kinds: tiling, timing and energy all read their geometry from them.
+    ``static_power_watts`` is the chip-level static draw (eDRAM buffers,
+    clock tree, peripheral and router leakage across ~770 tiles + 192
+    routers).  ISAAC-class chips sit at tens of watts; this term dominates
+    epoch energy at 10 MHz array clocks and is charged for the full epoch.
+    """
 
     mesh_width: int = 8
     mesh_height: int = 8
@@ -29,10 +36,9 @@ class ReGraphXConfig:
     tiles_per_router: int = 4
     v_tile: TileSpec = field(default_factory=v_tile_spec)
     e_tile: TileSpec = field(default_factory=e_tile_spec)
-    timing: ReRAMTimingModel = field(default_factory=ReRAMTimingModel)
-    energy: ReRAMEnergySpec = field(default_factory=ReRAMEnergySpec)
     noc: NoCConfig = field(default_factory=NoCConfig)
     num_layers: int = 4  # GNN neural layers (paper Sec. V.A: four per dataset)
+    static_power_watts: float = 75.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.v_tier < self.tiers:
@@ -45,13 +51,16 @@ class ReGraphXConfig:
             raise ValueError("tile specs assigned to the wrong roles")
         if self.num_layers < 1:
             raise ValueError("GNN must have at least one layer")
+        if self.static_power_watts < 0:
+            raise ValueError("static_power_watts must be non-negative")
         # Every pipeline stage set must get at least one router.
-        if self.v_routers_per_stage < 1:
+        v_routers, e_routers = self.stage_routers()
+        if v_routers < 1:
             raise ValueError(
                 f"{len(self.v_routers())} V routers cannot serve "
                 f"{2 * self.num_layers} V pipeline stages"
             )
-        if self.e_routers_per_stage < 1:
+        if e_routers < 1:
             raise ValueError(
                 f"{len(self.e_routers())} E routers cannot serve "
                 f"{2 * self.num_layers} E pipeline stages"
@@ -107,26 +116,25 @@ class ReGraphXConfig:
         """V+E sublayers, forward and backward (Fig. 4): 4 * layers."""
         return 4 * self.num_layers
 
-    @property
-    def v_routers_per_stage(self) -> int:
-        """V routers per V pipeline stage (2L stages share the V tier)."""
-        return len(self.v_routers()) // (2 * self.num_layers)
+    def stage_routers(self, training: bool = True) -> tuple[int, int]:
+        """(V routers, E routers) per pipeline stage.
 
-    @property
-    def e_routers_per_stage(self) -> int:
-        """E routers per E pipeline stage (2L stages share the E tiers)."""
-        return len(self.e_routers()) // (2 * self.num_layers)
-
-    @property
-    def v_imas_per_stage(self) -> int:
-        return self.v_routers_per_stage * self.tiles_per_router * self.v_tile.num_imas
-
-    @property
-    def e_crossbars_per_stage(self) -> int:
+        Training runs 2L V stages on the V tier and 2L E stages on the E
+        tiers (forward and backward); inference runs L of each, so every
+        stage gets twice the routers.
+        """
+        stage_sets = (2 if training else 1) * self.num_layers
         return (
-            self.e_routers_per_stage
-            * self.tiles_per_router
-            * self.e_tile.adjacency_blocks_per_tile
+            len(self.v_routers()) // stage_sets,
+            len(self.e_routers()) // stage_sets,
+        )
+
+    def stage_budgets(self, training: bool = True) -> tuple[int, int]:
+        """(V IMAs, E crossbars) per pipeline stage for the mode."""
+        v_routers, e_routers = self.stage_routers(training)
+        return (
+            v_routers * self.tiles_per_router * self.v_tile.num_imas,
+            e_routers * self.tiles_per_router * self.e_tile.adjacency_blocks_per_tile,
         )
 
     def summary(self) -> dict[str, object]:
@@ -145,6 +153,6 @@ class ReGraphXConfig:
             "v_adc_bits": self.v_tile.ima.adc.bits,
             "e_adc_bits": self.e_tile.ima.adc.bits,
             "cell_bits": self.v_tile.ima.cell.bits,
-            "clock_hz": self.timing.clock_hz,
+            "clock_hz": CLOCK_HZ,
             "pipeline_stages": self.num_pipeline_stages,
         }

@@ -119,8 +119,7 @@ def contiguous_mapping(config: ReGraphXConfig, training: bool = True) -> StageMa
     e_stages = [s for s in names if s.lstrip("B").startswith("E")]
     v_pool = config.v_routers()
     e_pool = config.e_routers()
-    per_v = len(v_pool) // len(v_stages)
-    per_e = len(e_pool) // len(e_stages)
+    per_v, per_e = config.stage_routers(training)
     assignment: dict[str, tuple[int, ...]] = {}
     for idx, stage in enumerate(v_stages):
         assignment[stage] = tuple(v_pool[idx * per_v:(idx + 1) * per_v])
@@ -148,8 +147,7 @@ def random_mapping(
     e_stages = [s for s in names if s.lstrip("B").startswith("E")]
     v_pool = list(rng.permutation(config.v_routers()))
     e_pool = list(rng.permutation(config.e_routers()))
-    per_v = len(v_pool) // len(v_stages)
-    per_e = len(e_pool) // len(e_stages)
+    per_v, per_e = config.stage_routers(training)
     assignment: dict[str, tuple[int, ...]] = {}
     for idx, stage in enumerate(v_stages):
         assignment[stage] = tuple(int(r) for r in v_pool[idx * per_v:(idx + 1) * per_v])

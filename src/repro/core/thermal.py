@@ -122,7 +122,7 @@ def tier_powers_from_report(report: ReGraphXReport) -> list[float]:
     if period <= 0:
         raise ValueError("report has a zero pipeline period")
     dynamic_power = period_energy / period
-    static_each = config.energy.static_power_watts / config.tiers
+    static_each = config.static_power_watts / config.tiers
     if period_energy > 0:
         v_share = report.compute_energy_per_input / period_energy
     else:

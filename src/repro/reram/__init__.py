@@ -9,11 +9,9 @@ as stated in paper Sec. V.A.
 
 from repro.reram.cells import ADCSpec, CellSpec, DACSpec, FixedPointFormat
 from repro.reram.crossbar import Crossbar
-from repro.reram.energy import EnergyModel, ReRAMEnergySpec
 from repro.reram.ima import IMA, IMASpec
 from repro.reram.sparse_mapping import BlockMapping, block_tile_adjacency
 from repro.reram.tile import ReRAMTile, TileSpec, e_tile_spec, v_tile_spec
-from repro.reram.timing import ReRAMTimingModel
 from repro.reram.variation import (
     NoisyCrossbar,
     VariationModel,
@@ -33,9 +31,6 @@ __all__ = [
     "TileSpec",
     "v_tile_spec",
     "e_tile_spec",
-    "ReRAMTimingModel",
-    "EnergyModel",
-    "ReRAMEnergySpec",
     "BlockMapping",
     "block_tile_adjacency",
     "VariationModel",

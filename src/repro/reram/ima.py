@@ -27,7 +27,6 @@ class IMASpec:
     adc: ADCSpec = ADCSpec(8)
     dac: DACSpec = DACSpec(1)
     cell: CellSpec = CellSpec(2)
-    num_adcs: int = 8
     data_format: FixedPointFormat = FixedPointFormat(16, 12)
 
     def __post_init__(self) -> None:
@@ -45,11 +44,6 @@ class IMASpec:
     def weight_slices(self) -> int:
         """Crossbars used as bit-slices of one logical weight block."""
         return -(-self.data_format.total_bits // self.cell.bits)
-
-    @property
-    def logical_weights(self) -> int:
-        """Full-precision weights one IMA stores."""
-        return self.crossbar_size * self.crossbar_size
 
 
 class IMA:

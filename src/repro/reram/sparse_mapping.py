@@ -101,11 +101,3 @@ def block_tile_adjacency(graph: CSRGraph, block_size: int) -> BlockMapping:
         blocks_per_block_row=counts,
     )
 
-
-def zeros_ratio(graph: CSRGraph, small: int = 8, large: int = 128) -> float:
-    """Fig. 3 ratio: zeros stored by ``large`` blocks over ``small`` blocks."""
-    zs = block_tile_adjacency(graph, small).zeros_stored
-    zl = block_tile_adjacency(graph, large).zeros_stored
-    if zs == 0:
-        raise ValueError("small-block tiling stored no zeros; ratio undefined")
-    return zl / zs

@@ -70,7 +70,6 @@ def v_tile_spec() -> TileSpec:
             adc=ADCSpec(8),
             dac=DACSpec(1),
             cell=CellSpec(2),
-            num_adcs=8,
             data_format=FixedPointFormat(16, 12),
         ),
     )
@@ -86,7 +85,6 @@ def e_tile_spec() -> TileSpec:
             adc=ADCSpec(6),
             dac=DACSpec(1),
             cell=CellSpec(2),
-            num_adcs=8,
             data_format=FixedPointFormat(16, 12),
         ),
     )

@@ -6,7 +6,7 @@ the existing architecture evaluation: one inference-mode
 for a dataset, and a batch of requests then costs the pipeline fill plus
 one period per request, scaled by each request's graph size relative to
 the calibrated representative sub-graph (stage latencies are linear in
-node count, see ``TimingModel.v_layer_latency``).  Batch times are
+node count, see ``repro.reram.timing.v_layer_latency``).  Batch times are
 memoized by batch *shape* — the multiset of request graph sizes — so
 million-request simulations never re-enter the evaluation stack.
 

@@ -25,8 +25,8 @@ class TestScenario:
         base_tiles = base.num_v_tiles + base.num_e_tiles
         tiles = config.num_v_tiles + config.num_e_tiles
         assert tiles > base_tiles
-        assert config.energy.static_power_watts == pytest.approx(
-            base.energy.static_power_watts * tiles / base_tiles
+        assert config.static_power_watts == pytest.approx(
+            base.static_power_watts * tiles / base_tiles
         )
 
     def test_mesh_override_square_by_default(self):

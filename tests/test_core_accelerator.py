@@ -321,8 +321,8 @@ class TestInferenceMode:
         assert infer.epoch_seconds <= train.epoch_seconds
 
     def test_stage_budget_doubles(self, accelerator):
-        v_train, e_train = accelerator._stage_budgets(training=True)
-        v_infer, e_infer = accelerator._stage_budgets(training=False)
+        v_train, e_train = accelerator.config.stage_budgets(training=True)
+        v_infer, e_infer = accelerator.config.stage_budgets(training=False)
         assert v_infer == 2 * v_train
         assert e_infer == 2 * e_train
 

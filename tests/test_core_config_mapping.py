@@ -35,10 +35,8 @@ class TestConfig:
 
     def test_pipeline_geometry(self):
         assert self.config.num_pipeline_stages == 16
-        assert self.config.v_routers_per_stage == 8
-        assert self.config.e_routers_per_stage == 16
-        assert self.config.v_imas_per_stage == 8 * 4 * 12
-        assert self.config.e_crossbars_per_stage == 16 * 4 * 96
+        assert self.config.stage_routers() == (8, 16)
+        assert self.config.stage_budgets() == (8 * 4 * 12, 16 * 4 * 96)
 
     def test_summary_keys(self):
         summary = self.config.summary()

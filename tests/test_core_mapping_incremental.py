@@ -260,7 +260,7 @@ class TestDegenerateGuards:
     def test_single_router_stages(self):
         """Stages holding one router each still swap without crashing."""
         config = ReGraphXConfig(mesh_width=4, mesh_height=2, num_layers=4)
-        assert config.v_routers_per_stage == 1
+        assert config.stage_routers()[0] == 1
         sm = anneal_mapping(config, iterations=60, seed=1)
         routers = [r for s in sm.stages for r in sm.routers(s)]
         assert len(routers) == len(set(routers))

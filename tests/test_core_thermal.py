@@ -106,7 +106,7 @@ class TestTierPowerAttribution:
         powers = tier_powers_from_report(report)
         assert len(powers) == report.config.tiers
         static_each = (
-            report.config.energy.static_power_watts / report.config.tiers
+            report.config.static_power_watts / report.config.tiers
         )
         # Nothing to attribute: every tier carries exactly its static share.
         assert all(p == pytest.approx(static_each) for p in powers)
@@ -118,12 +118,12 @@ class TestTierPowerAttribution:
         # the E tiers and the total is conserved.
         v = powers[report.config.v_tier]
         static_each = (
-            report.config.energy.static_power_watts / report.config.tiers
+            report.config.static_power_watts / report.config.tiers
         )
         assert v == pytest.approx(static_each)
         dynamic = report.energy_per_input / report.pipeline.period
         assert sum(powers) == pytest.approx(
-            report.config.energy.static_power_watts + dynamic
+            report.config.static_power_watts + dynamic
         )
 
     def test_zero_period_rejected(self):

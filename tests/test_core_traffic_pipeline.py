@@ -260,7 +260,7 @@ class TestNocscaleMeshes:
     def test_stage_grids_cover_prime_and_non_square(self):
         grids = {
             _grid_shape(ReGraphXConfig(mesh_width=w, mesh_height=w, tiers=t)
-                        .e_routers_per_stage)
+                        .stage_routers()[1])
             for w, t in NOCSCALE_MESHES
         }
         assert {(1, 13), (1, 37)} <= grids  # prime stage sizes

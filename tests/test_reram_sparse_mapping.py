@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.heterogeneity import zero_storage_study
 from repro.graph.generators import powerlaw_community_graph
 from repro.graph.graph import CSRGraph
-from repro.reram.sparse_mapping import block_tile_adjacency, zeros_ratio
+from repro.reram.sparse_mapping import block_tile_adjacency
 from repro.reram.tile import e_tile_spec, v_tile_spec
 
 
@@ -79,13 +80,13 @@ class TestTilesNeeded:
 class TestZerosRatio:
     def test_larger_blocks_store_more_zeros(self):
         g = powerlaw_community_graph(600, 3000, seed=1)
-        assert zeros_ratio(g, 8, 128) > 1.0
+        assert zero_storage_study(g, 8, 128).ratio > 1.0
 
     def test_ratio_undefined_when_no_zeros(self):
         # A single edge in a 1x1 block grid at size 1 stores no zeros.
         g = CSRGraph.from_edges(2, np.array([[0, 1]]))
-        with pytest.raises(ValueError, match="ratio"):
-            zeros_ratio(g, 1, 2)
+        with pytest.raises(ValueError, match="no zeros"):
+            zero_storage_study(g, 1, 2).ratio
 
     @given(
         n=st.integers(30, 120),
